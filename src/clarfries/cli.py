@@ -136,11 +136,10 @@ def cmd_clar_fries(args) -> int:
     g = _load_plane(args.input)
     result = plane.solve_clar_fries(g)
     payload = jsonio.clar_fries_to_json(g, result)
-    dual = plane.planar_dual(g, plane.orient_by_matching(g, plane.perfect_matching(g)))
     weights = WeightPair(tuple(g.acw_weights), tuple(g.cw_weights))
     face_names = tuple(f.name for f in g.faces)
     payload["certificate"] = jsonio.certificate_to_json(
-        dual.digraph, face_names, weights, result.certificate
+        result.dual.digraph, face_names, weights, result.certificate
     )
     _require_checks(payload)
     _emit(payload, args.pretty)

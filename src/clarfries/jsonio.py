@@ -14,28 +14,13 @@ from typing import Mapping, Sequence
 from .digraph import Digraph, bidirect
 from .errors import InputError
 from .plane import ClarFriesResult, PlaneBipartiteGraph
-from .sourcesink import SinkStableResult, SourceSinkCertificate, WeightPair, certificate_checks
-
-
-def parse_weight_value(value, what: str):
-    if isinstance(value, bool):
-        raise InputError(f"{what}: booleans are not weights")
-    if isinstance(value, int):
-        w = value
-    elif isinstance(value, float):
-        w = Fraction(str(value))
-    elif isinstance(value, str):
-        try:
-            w = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what}: cannot parse weight {value!r}") from exc
-    else:
-        raise InputError(f"{what}: cannot read weight {value!r}")
-    if w < 0:
-        raise InputError(f"{what}: weight must be nonnegative")
-    if isinstance(w, Fraction) and w.denominator == 1:
-        w = int(w)
-    return w
+from .sourcesink import (
+    SinkStableResult,
+    SourceSinkCertificate,
+    WeightPair,
+    certificate_checks,
+    parse_weight_value,
+)
 
 
 def render_value(v):

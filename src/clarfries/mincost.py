@@ -8,6 +8,14 @@ All augmentations sharing one shortest distance are batched into a single
 blocking-flow computation over the tight (zero reduced cost) residual arcs,
 which keeps the number of Dijkstra rounds small on large instances.
 
+Potentials change only between Dijkstra rounds, so each round first lists
+every node's tight residual slots (a slot and its reverse partner are tight
+together) and its Dinic phases scan only those lists.  Each phase's
+breadth-first search stops as soon as it reaches the sink's level: deeper
+nodes cannot lie on a shortest augmenting path.  Both keep the scan order
+of the full residual adjacency, so the augmenting paths, and hence the
+returned flow and potential, do not depend on these shortcuts.
+
 The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
 this certifies optimality, and :func:`solve` checks all three before
@@ -187,7 +195,17 @@ def _dijkstra(adj, head, cap, cst, pot, src, snk, nn):
 
 
 def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
-    """Repeated blocking flows over tight residual arcs until none remain."""
+    """Repeated blocking flows over tight residual arcs until none remain.
+
+    Tightness depends only on the potentials, which stay fixed for the whole
+    call, so each node's tight slots are listed once, in ``adj`` order and
+    whatever their residual capacity: pushing flow only changes which listed
+    slots have capacity.
+    """
+    tight = []
+    for v in range(nn):
+        pv = pot[v]
+        tight.append([e for e in adj[v] if cst[e] + pv == pot[head[e]]])
     total = 0
     while True:
         level = [-1] * nn
@@ -195,12 +213,14 @@ def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
         q = deque([src])
         while q:
             v = q.popleft()
-            lv = level[v] + 1
-            pv = pot[v]
-            for e in adj[v]:
+            lv = level[v]
+            if lv == level[snk]:
+                break  # every node at the sink's level is labelled
+            lv += 1
+            for e in tight[v]:
                 if cap[e] > 0:
                     w = head[e]
-                    if level[w] < 0 and cst[e] + pv - pot[w] == 0:
+                    if level[w] < 0:
                         level[w] = lv
                         q.append(w)
         if level[snk] < 0:
@@ -222,21 +242,19 @@ def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
                 del path[keep:]
                 v = head[path[-1]] if path else src
                 continue
-            a = adj[v]
+            a = tight[v]
             advanced = False
             i = it[v]
             la = len(a)
-            pv = pot[v]
+            lw = level[v] + 1
             while i < la:
                 e = a[i]
-                if cap[e] > 0:
-                    w = head[e]
-                    if level[w] == level[v] + 1 and cst[e] + pv - pot[w] == 0:
-                        it[v] = i
-                        path.append(e)
-                        v = w
-                        advanced = True
-                        break
+                if cap[e] > 0 and level[head[e]] == lw:
+                    it[v] = i
+                    path.append(e)
+                    v = head[e]
+                    advanced = True
+                    break
                 i += 1
             if advanced:
                 continue

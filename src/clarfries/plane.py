@@ -29,7 +29,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .digraph import Digraph, potential_drops
 from .errors import InputError, InvariantError
-from .sourcesink import SourceSinkCertificate, WeightPair, max_source_sink
+from .sourcesink import (
+    SourceSinkCertificate,
+    WeightPair,
+    max_source_sink,
+    parse_weight_value,
+)
 
 Weight = int | Fraction
 
@@ -70,6 +75,8 @@ class PlaneBipartiteGraph:
     Nodes are indexed S first, then T.  ``edges[i]`` is an (S-node, T-node)
     pair.  ``cw_weights[f]`` is collected when face ``f`` ends up
     clockwise-alternating, ``acw_weights[f]`` when anticlockwise.
+    ``matching`` is the perfect matching found while validating, as a set
+    of edge indices; it is the default start of :func:`solve_clar_fries`.
     """
 
     __slots__ = (
@@ -80,6 +87,7 @@ class PlaneBipartiteGraph:
         "outer",
         "cw_weights",
         "acw_weights",
+        "matching",
         "_side_face",
     )
 
@@ -206,7 +214,7 @@ class PlaneBipartiteGraph:
 
         self._check_two_connected()
         # perfect matchability is part of the input contract
-        perfect_matching(self)
+        self.matching = perfect_matching(self)
 
     def _check_two_connected(self) -> None:
         n = self.node_count
@@ -312,7 +320,7 @@ def parse_validate(data) -> PlaneBipartiteGraph:
         for name, value in raw.items():
             if name not in face_index:
                 raise InputError(f"{key!r} references unknown face {name!r}")
-            vec[face_index[name]] = _parse_weight(value, f"{key}[{name}]")
+            vec[face_index[name]] = parse_weight_value(value, f"{key}[{name}]")
         return vec
 
     return PlaneBipartiteGraph(
@@ -324,22 +332,6 @@ def parse_validate(data) -> PlaneBipartiteGraph:
         weight_vector("w1"),
         weight_vector("w2"),
     )
-
-
-def _parse_weight(value, what: str) -> Weight:
-    if isinstance(value, bool):
-        raise InputError(f"{what}: booleans are not weights")
-    if isinstance(value, int):
-        w: Weight = value
-    elif isinstance(value, float):
-        w = Fraction(str(value))
-    elif isinstance(value, str):
-        w = Fraction(value)
-    else:
-        raise InputError(f"{what}: cannot read weight {value!r}")
-    if w < 0:
-        raise InputError(f"{what}: weight must be nonnegative")
-    return int(w) if isinstance(w, Fraction) and w.denominator == 1 else w
 
 
 def perfect_matching(g: PlaneBipartiteGraph) -> frozenset[int]:
@@ -459,6 +451,8 @@ class ClarFriesResult:
     ``cw_faces`` and ``acw_faces`` are each node-disjoint families of
     alternating faces under ``matching``; the pair's total weight is
     ``value`` and ``certificate`` proves it maximal over all matchings.
+    ``dual`` is the planar dual under the start matching's orientation,
+    the digraph the certificate's nodes, potential and cover refer to.
     """
 
     matching: frozenset[int]
@@ -466,6 +460,7 @@ class ClarFriesResult:
     acw_faces: frozenset[int]
     value: Weight
     certificate: SourceSinkCertificate
+    dual: DualDigraph
 
 
 def solve_clar_fries(
@@ -478,8 +473,9 @@ def solve_clar_fries(
     pays ``cw_weights`` if clockwise-alternating and ``acw_weights`` if
     anticlockwise-alternating.
 
-    Weights default to the ones stored on the graph.  The optimum does not
-    depend on ``start_matching``; it only fixes the reference orientation.
+    Weights default to the ones stored on the graph, and ``start_matching``
+    to ``g.matching``.  The optimum does not depend on ``start_matching``;
+    it only fixes the reference orientation.
     """
     if cw_weights is None:
         cw_weights = g.cw_weights
@@ -489,7 +485,7 @@ def solve_clar_fries(
         raise InputError("need one weight per face")
 
     if start_matching is None:
-        start = perfect_matching(g)
+        start = g.matching
     else:
         start = frozenset(start_matching)
     orientation = orient_by_matching(g, start)
@@ -522,7 +518,7 @@ def solve_clar_fries(
     cw, acw = alternating_faces(g, matching)
     if not (cert.sink_set <= cw and cert.source_set <= acw):
         raise InvariantError("reported faces are not alternating in the new matching")
-    return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert)
+    return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert, dual)
 
 
 def _one_sided_result(

@@ -58,6 +58,31 @@ def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     return tuple(out)
 
 
+def parse_weight_value(value, what: str) -> Weight:
+    """Read one weight from its JSON form: an int, a ``"p/q"`` or decimal
+    string, or a float converted via its decimal text (0.1 is one tenth).
+
+    Anything else, including NaN, infinities, a zero denominator and
+    negative values, raises :class:`InputError` naming ``what``.
+    """
+    if isinstance(value, bool):
+        raise InputError(f"{what}: booleans are not weights")
+    if isinstance(value, int):
+        w: Weight = value
+    elif isinstance(value, (float, str)):
+        try:
+            w = Fraction(str(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what}: cannot parse weight {value!r}") from exc
+    else:
+        raise InputError(f"{what}: cannot read weight {value!r}")
+    if w < 0:
+        raise InputError(f"{what}: weight must be nonnegative")
+    if isinstance(w, Fraction) and w.denominator == 1:
+        w = int(w)
+    return w
+
+
 @dataclass(frozen=True)
 class WeightPair:
     """Per-node source and sink weights, nonnegative and exact."""

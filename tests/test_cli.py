@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from clarfries import plane
 from clarfries.cli import main
 from fixtures import BOWTIE_ARCS, BOWTIE_NAMES, benzenoid, BENZENE_CENTERS, NAPHTHALENE_CENTERS
 
@@ -164,3 +165,49 @@ def test_pretty_output(capsys, bowtie_file):
     assert code == 0
     assert out.count("\n") > 3
     assert json.loads(out)["value"] == 4
+
+
+@pytest.mark.parametrize("raw", ["NaN", "Infinity"])
+def test_non_finite_digraph_weight_is_input_error(capsys, tmp_path, raw):
+    path = tmp_path / "nonfinite.json"
+    path.write_text(
+        '{"nodes": ["u", "v"], "arcs": [["u", "v"]], "w_o": {"u": %s}, "w_i": {}}' % raw
+    )
+    code, out = run(capsys, "solve-digraph", str(path))
+    assert code == 1
+    assert "w_o[u]" in out["error"]
+
+
+@pytest.mark.parametrize(
+    "raw", ['"abc"', '"1/0"', "NaN", "Infinity"], ids=["abc", "1/0", "NaN", "Infinity"]
+)
+def test_malformed_face_weight_is_input_error(capsys, tmp_path, raw):
+    data = benzenoid(BENZENE_CENTERS)
+    data["w1"] = {"f0": "WEIGHT"}
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data).replace('"WEIGHT"', raw))
+    code, out = run(capsys, "clar-fries", str(path))
+    assert code == 1
+    assert "w1[f0]" in out["error"]
+
+
+@pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
+def test_plane_request_finds_one_matching_and_one_dual(capsys, monkeypatch, tmp_path, command):
+    calls = {"perfect_matching": 0, "planar_dual": 0}
+
+    def counted(name):
+        original = getattr(plane, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(plane, name, counted(name))
+    path = tmp_path / "naphthalene.json"
+    path.write_text(json.dumps(benzenoid(NAPHTHALENE_CENTERS)))
+    code, _out = run(capsys, command, str(path))
+    assert code == 0
+    assert calls == {"perfect_matching": 1, "planar_dual": 1}

@@ -1,18 +1,24 @@
 import random
+from collections import deque
 
 import pytest
 
 from clarfries import (
+    AuxNetwork,
     CirculationInstance,
     Digraph,
     InfeasibleCirculation,
     InputError,
+    WeightPair,
     bidirect,
     decompose,
     is_circulation,
+    mincost,
+    parse_validate,
     solve,
+    solve_clar_fries,
 )
-from fixtures import acyclic_triangle, bowtie, random_digraph, two_cycle
+from fixtures import acyclic_triangle, benzenoid, bowtie, random_digraph, two_cycle
 
 
 def test_instance_validation():
@@ -149,6 +155,109 @@ def test_determinism():
     second = solve(inst)
     assert first.flow == second.flow
     assert first.potential == second.potential
+
+
+def _reference_blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
+    """Full-scan blocking flow: every phase rescans every residual slot and
+    recomputes its reduced cost.  Reference for the tight-list version."""
+    total = 0
+    while True:
+        level = [-1] * nn
+        level[src] = 0
+        q = deque([src])
+        while q:
+            v = q.popleft()
+            lv = level[v] + 1
+            pv = pot[v]
+            for e in adj[v]:
+                if cap[e] > 0:
+                    w = head[e]
+                    if level[w] < 0 and cst[e] + pv - pot[w] == 0:
+                        level[w] = lv
+                        q.append(w)
+        if level[snk] < 0:
+            return total
+        it = [0] * nn
+        path = []
+        v = src
+        while True:
+            if v == snk:
+                aug = min(cap[e] for e in path)
+                for e in path:
+                    cap[e] -= aug
+                    cap[e ^ 1] += aug
+                total += aug
+                keep = 0
+                while keep < len(path) and cap[path[keep]] > 0:
+                    keep += 1
+                del path[keep:]
+                v = head[path[-1]] if path else src
+                continue
+            a = adj[v]
+            advanced = False
+            i = it[v]
+            la = len(a)
+            pv = pot[v]
+            while i < la:
+                e = a[i]
+                if cap[e] > 0:
+                    w = head[e]
+                    if level[w] == level[v] + 1 and cst[e] + pv - pot[w] == 0:
+                        it[v] = i
+                        path.append(e)
+                        v = w
+                        advanced = True
+                        break
+                i += 1
+            if advanced:
+                continue
+            it[v] = la
+            if v == src:
+                break
+            level[v] = -1
+            e = path.pop()
+            v = head[e ^ 1]
+            it[v] += 1
+
+
+def _sweep_instances():
+    """The random instances of the LP and certificate sweeps above."""
+    for seed, count, nodes, arcs, lo, co in ((99, 60, 6, 10, 3, 4), (7, 80, 7, 12, 2, 3)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            d = random_digraph(rng, max_nodes=nodes, max_arcs=arcs)
+            m = d.arc_count
+            lower = tuple(rng.randrange(0, lo) for _ in range(m))
+            cost = tuple(rng.randrange(0, co) for _ in range(m))
+            yield CirculationInstance(d, lower=lower, cost=cost)
+
+
+def _parallelogram_aux_instance(n, m):
+    g = parse_validate(benzenoid([(q, r) for q in range(n) for r in range(m)]))
+    dual = solve_clar_fries(g).dual.digraph
+    rng = random.Random(2428)
+    weights = WeightPair(
+        tuple(rng.randint(0, 3) for _ in range(dual.node_count)),
+        tuple(rng.randint(0, 3) for _ in range(dual.node_count)),
+    )
+    aux = AuxNetwork(dual, weights)
+    return CirculationInstance(aux.digraph, aux.lower, aux.cost)
+
+
+def _solve_outcome(inst):
+    try:
+        sol = solve(inst)
+    except InfeasibleCirculation as exc:
+        return exc.deficient_set
+    return sol.flow, sol.potential, sol.objective
+
+
+def test_blocking_flow_matches_full_scan_reference(monkeypatch):
+    instances = list(_sweep_instances()) + [_parallelogram_aux_instance(24, 28)]
+    fast = [_solve_outcome(inst) for inst in instances]
+    monkeypatch.setattr(mincost, "_blocking_flow", _reference_blocking_flow)
+    reference = [_solve_outcome(inst) for inst in instances]
+    assert fast == reference
 
 
 # --- circuit decomposition ---------------------------------------------------
