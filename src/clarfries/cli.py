@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error, 2 internal invariant failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -260,9 +261,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on the
+    first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (InputError, BudgetExceeded, OSError, json.JSONDecodeError) as exc:

@@ -28,10 +28,12 @@ class Digraph:
 
     Arcs are identified by their index into ``arcs``; parallel arcs are kept
     distinct.  The underlying undirected graph must be connected and the
-    graph must have at least two nodes.
+    graph must have at least two nodes.  Treat an instance as read-only:
+    its adjacency lists and its doubled graph (:func:`bidirect`) are built
+    on first use and kept.
     """
 
-    __slots__ = ("node_count", "arcs", "_out", "_in")
+    __slots__ = ("node_count", "arcs", "_out", "_in", "_bi")
 
     def __init__(self, node_count: int, arcs: Iterable[Arc]):
         arcs = tuple((int(u), int(v)) for u, v in arcs)
@@ -46,6 +48,7 @@ class Digraph:
         self.arcs = arcs
         self._out = None
         self._in = None
+        self._bi = None
         self._check_weakly_connected()
 
     def _check_weakly_connected(self) -> None:
@@ -108,19 +111,22 @@ class BiDigraph:
     ``i + m`` is its reverse copy.  Costs record membership in the original
     arc set: 1 on originals, 0 on reverse copies.  Circulations live on this
     doubled arc set.
+
+    It keeps no reference to the base digraph, which caches it
+    (:func:`bidirect`): a cycle between the two would outlive the request
+    until the garbage collector's next full pass.
     """
 
-    __slots__ = ("base", "digraph", "m")
+    __slots__ = ("digraph", "m")
 
     def __init__(self, base: Digraph):
-        self.base = base
         self.m = base.arc_count
         rev = tuple((v, u) for u, v in base.arcs)
         self.digraph = Digraph(base.node_count, base.arcs + rev)
 
     @property
     def node_count(self) -> int:
-        return self.base.node_count
+        return self.digraph.node_count
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -142,8 +148,14 @@ class BiDigraph:
 
 
 def bidirect(d: Digraph) -> BiDigraph:
-    """Add a reverse copy of every arc of ``d``."""
-    return BiDigraph(d)
+    """Add a reverse copy of every arc of ``d``.
+
+    The doubled graph is built on the first call and cached on ``d``, so
+    every later call returns the same read-only :class:`BiDigraph`.
+    """
+    if d._bi is None:
+        d._bi = BiDigraph(d)
+    return d._bi
 
 
 class ArcClass(Enum):

@@ -18,7 +18,6 @@ from .sourcesink import (
     SinkStableResult,
     SourceSinkCertificate,
     WeightPair,
-    certificate_checks,
     parse_weight_value,
 )
 
@@ -35,6 +34,9 @@ def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
         raise InputError("digraph input must be a JSON object")
     if "nodes" not in data or "arcs" not in data:
         raise InputError("digraph input needs 'nodes' and 'arcs'")
+    for key in ("nodes", "arcs"):
+        if not isinstance(data[key], (list, tuple)):
+            raise InputError(f"'{key}' must be a list")
     names = tuple(str(x) for x in data["nodes"])
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
@@ -44,7 +46,8 @@ def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"arc {i} must be a [tail, head] pair")
         u, v = pair
-        if u not in index or v not in index:
+        # names are strings: any other endpoint, hashable or not, is unknown
+        if not (isinstance(u, str) and u in index and isinstance(v, str) and v in index):
             raise InputError(f"arc {i} references an unknown node")
         arcs.append((index[u], index[v]))
     return Digraph(len(names), arcs), names
@@ -89,7 +92,9 @@ def certificate_to_json(
     weights: WeightPair,
     cert: SourceSinkCertificate,
 ) -> dict:
-    checks = certificate_checks(d, weights, cert)
+    """The certificate with node names, exact values rendered, and its
+    ``checks`` on ``(d, weights)``, recorded by the solver or recomputed."""
+    checks = dict(cert.checks_for(d, weights))
     return {
         "value": render_value(cert.value),
         "Y_o": sorted(names[v] for v in cert.source_set),

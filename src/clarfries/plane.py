@@ -271,8 +271,14 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     for key in ("S", "T", "edges", "faces", "outer"):
         if key not in data:
             raise InputError(f"missing key {key!r}")
+    for key in ("S", "T", "edges", "faces"):
+        if not isinstance(data[key], (list, tuple)):
+            raise InputError(f"{key!r} must be a list")
     s_names = list(data["S"])
     t_names = list(data["T"])
+    for name in s_names + t_names:
+        if not isinstance(name, str):
+            raise InputError(f"bad node name {name!r}")
     index = {name: i for i, name in enumerate(s_names)}
     index.update({name: len(s_names) + i for i, name in enumerate(t_names)})
     if len(index) != len(s_names) + len(t_names):
@@ -285,7 +291,8 @@ def parse_validate(data) -> PlaneBipartiteGraph:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"edge {i} must be a [from, to] pair")
         u, v = pair
-        if u not in index or v not in index:
+        # names are strings: any other endpoint, hashable or not, is unknown
+        if not (isinstance(u, str) and u in index and isinstance(v, str) and v in index):
             raise InputError(f"edge {i} references unknown node")
         if u in t_set and v in s_set:
             raise InputError(f"edge {i} endpoints must be listed S first")
@@ -297,14 +304,18 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     for fobj in data["faces"]:
         if not isinstance(fobj, Mapping) or "id" not in fobj or "boundary" not in fobj:
             raise InputError("each face needs an 'id' and a 'boundary'")
+        if not isinstance(fobj["boundary"], (list, tuple)):
+            raise InputError(f"face {fobj['id']!r}: boundary must be a list")
         boundary = []
         for side in fobj["boundary"]:
             if not isinstance(side, (list, tuple)) or len(side) != 2:
                 raise InputError(f"face {fobj['id']!r}: bad boundary side {side!r}")
             e, sign = side
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise InputError(f"face {fobj['id']!r}: edge {e!r} is not an edge index")
             if sign not in ("+", "-"):
                 raise InputError(f"face {fobj['id']!r}: bad side sign {sign!r}")
-            boundary.append((int(e), sign == "+"))
+            boundary.append((e, sign == "+"))
         faces.append(Face(str(fobj["id"]), tuple(boundary)))
 
     face_index = {f.name: i for i, f in enumerate(faces)}

@@ -24,9 +24,10 @@ solving and scaled back afterwards, so all reported values are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Iterable, Sequence
 
 from . import mincost
@@ -172,8 +173,7 @@ class AuxNetwork:
             arcs.append((v, n + v))
             lower.append(weights.source_weight[v])
             cost.append(0)
-        for j, (u, w) in enumerate(bi.arcs):
-            c = bi.cost(j)
+        for (u, w), c in zip(bi.arcs, bi.cost_vector()):
             arcs.append((u, w))
             arcs.append((u, 2 * n + w))
             arcs.append((n + u, w))
@@ -253,6 +253,8 @@ class CircularCover:
 
     def scaled(self, factor: Fraction) -> "CircularCover":
         def conv(x):
+            if not x:
+                return x
             y = x * factor
             return int(y) if isinstance(y, Fraction) and y.denominator == 1 else y
 
@@ -270,6 +272,10 @@ class SourceSinkCertificate:
     arcs, and reorienting the drop-1 arcs turns ``source_set`` into sources
     and ``sink_set`` into sinks.  ``cover`` is the matching upper-bound
     certificate; its cost equals ``value``, which equals the pair's weight.
+
+    ``checks`` is the dict of :func:`certificate_checks` that the solver
+    computed (all true) when it produced this certificate, and ``None`` on a
+    certificate built or copied (``dataclasses.replace``) by hand.
     """
 
     source_set: frozenset[int]
@@ -277,6 +283,21 @@ class SourceSinkCertificate:
     potential: tuple[int, ...]
     cover: CircularCover
     value: Weight
+    checks: dict[str, bool] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+    # the (digraph, weights) that ``checks`` were computed against
+    _checked_on: tuple | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
+
+    def checks_for(self, d: Digraph, weights: WeightPair) -> dict[str, bool]:
+        """:func:`certificate_checks` of this certificate on ``(d, weights)``:
+        the recorded ``checks`` when they were computed on an equal instance,
+        else computed afresh."""
+        if self._checked_on == (d, weights):
+            return self.checks
+        return certificate_checks(d, weights, self)
 
 
 def extract_pair(
@@ -292,15 +313,16 @@ def extract_pair(
     dg = aux.digraph
     if len(potential) != dg.node_count:
         raise InputError("potential length does not match the network")
-    for a, (u, v) in enumerate(dg.arcs):
-        if potential[v] - potential[u] > aux.cost[a]:
+    for a, ((u, v), c) in enumerate(zip(dg.arcs, aux.cost)):
+        if potential[v] - potential[u] > c:
             raise InputError(f"potential is not cost-feasible on arc {a}")
     n = aux.base_node_count
     source_set = []
     sink_set = []
     for v in range(n):
-        slack_out = potential[v] - potential[aux.out_node(v)]
-        slack_in = potential[aux.in_node(v)] - potential[v]
+        # out_node(v) is n + v, in_node(v) is 2n + v
+        slack_out = potential[v] - potential[n + v]
+        slack_in = potential[2 * n + v] - potential[v]
         if slack_out + slack_in not in (0, 1):
             raise InvariantError(
                 f"vertical slacks at node {v} sum to {slack_out + slack_in}"
@@ -316,18 +338,17 @@ def extract_pair(
 def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
     """Turn a feasible circulation of the network into a circular cover.
 
-    Flow on a middle arc is first rerouted through the in-layer copy of its
-    head (same endpoints-to-endpoints effect, same cost); afterwards the
-    source-exit arcs carry the out-cover and the sink-entry arcs the
-    in-cover.
+    Flow on a middle arc is rerouted through the in-layer copy of its head
+    (same endpoints-to-endpoints effect, same cost), so the source-exit
+    arcs carry the out-cover and the sink-entry arcs together with the
+    middle arcs the in-cover.
     """
     dg = aux.digraph
     if len(flow) != dg.arc_count:
         raise InputError("flow length does not match the network")
     net = [0] * dg.node_count
-    for a, (u, v) in enumerate(dg.arcs):
-        f = flow[a]
-        if f < aux.lower[a]:
+    for a, ((u, v), f, low) in enumerate(zip(dg.arcs, flow, aux.lower)):
+        if f < low:
             raise InputError(f"flow on arc {a} is below its lower bound")
         if f:
             net[u] -= f
@@ -336,19 +357,13 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
         raise InputError("flow is not a circulation")
 
     original_cost = sum(c * f for c, f in zip(aux.cost, flow) if f)
-    z = list(flow)
-    n = aux.base_node_count
-    for j, (u, w) in enumerate(aux.bi.arcs):
-        mid = aux.middle_arc(j)
-        carried = z[mid]
-        if carried:
-            z[mid] = 0
-            z[aux.sink_entry_arc(j)] += carried
-            z[aux.vertical_in_arc(w)] += carried
-    doubled = aux.bi.arc_count
+    # Doubled arc j owns aux arcs first + 3j (middle_arc), first + 3j + 1
+    # (sink_entry_arc) and first + 3j + 2 (source_exit_arc); they fill the
+    # rest of the arc list, so each stride-3 slice has one entry per j.
+    first = 2 * aux.base_node_count
     cover = CircularCover(
-        tuple(z[aux.source_exit_arc(j)] for j in range(doubled)),
-        tuple(z[aux.sink_entry_arc(j)] for j in range(doubled)),
+        tuple(flow[first + 2::3]),
+        tuple(map(add, flow[first + 1::3], flow[first::3])),
     )
     if cover.cost != original_cost:
         raise InvariantError("rerouting changed the cover cost")
@@ -429,10 +444,20 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
         if value.denominator == 1:
             value = int(value)
     cert = SourceSinkCertificate(source_set, sink_set, potential, cover, value)
+    return _self_checked(d, weights, cert, "certificate")
+
+
+def _self_checked(
+    d: Digraph, weights: WeightPair, cert: SourceSinkCertificate, what: str
+) -> SourceSinkCertificate:
+    """Run :func:`certificate_checks` once, raise unless all pass, and
+    record the passing dict on ``cert``."""
     checks = certificate_checks(d, weights, cert)
     if not all(checks.values()):
         failed = sorted(k for k, ok in checks.items() if not ok)
-        raise InvariantError(f"certificate failed self-checks: {failed}")
+        raise InvariantError(f"{what} failed self-checks: {failed}")
+    object.__setattr__(cert, "checks", checks)
+    object.__setattr__(cert, "_checked_on", (d, weights))
     return cert
 
 
@@ -573,8 +598,4 @@ def _restrict_pair(
         source_set=cert.source_set & source_pool,
         sink_set=cert.sink_set & sink_pool,
     )
-    checks = certificate_checks(d, weights, restricted)
-    if not all(checks.values()):
-        failed = sorted(k for k, ok in checks.items() if not ok)
-        raise InvariantError(f"restricted certificate failed self-checks: {failed}")
-    return restricted
+    return _self_checked(d, weights, restricted, "restricted certificate")

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from clarfries import plane
+from clarfries import cli, jsonio, plane, sourcesink
 from clarfries.cli import main
+from clarfries.digraph import Digraph
 from fixtures import BOWTIE_ARCS, BOWTIE_NAMES, benzenoid, BENZENE_CENTERS, NAPHTHALENE_CENTERS
 
 
@@ -191,23 +192,113 @@ def test_malformed_face_weight_is_input_error(capsys, tmp_path, raw):
     assert "w1[f0]" in out["error"]
 
 
+def _count_calls(monkeypatch, modules, name, calls):
+    """Count calls of ``name`` wherever one of ``modules`` reaches it."""
+    original = getattr(modules[0], name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapper)
+
+
 @pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
 def test_plane_request_finds_one_matching_and_one_dual(capsys, monkeypatch, tmp_path, command):
     calls = {"perfect_matching": 0, "planar_dual": 0}
-
-    def counted(name):
-        original = getattr(plane, name)
-
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-
-        return wrapper
-
     for name in calls:
-        monkeypatch.setattr(plane, name, counted(name))
+        _count_calls(monkeypatch, [plane], name, calls)
     path = tmp_path / "naphthalene.json"
     path.write_text(json.dumps(benzenoid(NAPHTHALENE_CENTERS)))
     code, _out = run(capsys, command, str(path))
     assert code == 0
     assert calls == {"perfect_matching": 1, "planar_dual": 1}
+
+
+def _digraph_input(**changes):
+    data = {"nodes": ["a", "b"], "arcs": [["a", "b"]]}
+    data.update(changes)
+    return data
+
+
+def _benzene_input(**changes):
+    data = benzenoid(BENZENE_CENTERS)
+    data.update(changes)
+    return data
+
+
+def _benzene_with_boundary_edge(edge):
+    data = benzenoid(BENZENE_CENTERS)
+    data["faces"][0]["boundary"][0][0] = edge
+    return data
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("solve-digraph", _digraph_input(nodes=5)),
+        ("solve-digraph", _digraph_input(arcs=7)),
+        ("solve-digraph", _digraph_input(arcs=[[["a"], "b"]])),
+        ("clar", _benzene_input(S=3)),
+        ("clar", _benzene_input(edges=[[["s0"], "t0"]])),
+        ("clar", _benzene_with_boundary_edge("x")),
+    ],
+    ids=["nodes-int", "arcs-int", "arc-endpoint-list", "S-int",
+         "edge-endpoint-list", "boundary-edge-str"],
+)
+def test_malformed_shape_is_input_error(capsys, tmp_path, command, data):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, command, str(path))
+    assert code == 1
+    assert list(out) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "command", ["solve-digraph", "resonant", "sink-stable", "clar-fries"]
+)
+def test_request_checks_each_certificate_once(
+    capsys, monkeypatch, bowtie_file, benzene_file, command
+):
+    calls = {"certificate_checks": 0, "Digraph": 0}
+    _count_calls(monkeypatch, [sourcesink, jsonio], "certificate_checks", calls)
+    build = Digraph.__init__
+
+    def counted_build(self, *args, **kwargs):
+        calls["Digraph"] += 1
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(Digraph, "__init__", counted_build)
+    path = benzene_file if command == "clar-fries" else bowtie_file
+    code, _out = run(capsys, command, path)
+    assert code == 0
+    assert calls["certificate_checks"] == 1
+    if command == "solve-digraph":
+        # the input digraph, its doubled graph and the auxiliary network
+        assert calls["Digraph"] == 3
+
+
+def test_parser_reused_with_fresh_parser_output(capsys, monkeypatch, bowtie_file):
+    requests = [
+        ["sink-stable", "--within", "a3,b1", bowtie_file],
+        ["sink-stable", bowtie_file],
+        ["solve-digraph", "--pretty", bowtie_file],
+        ["solve-digraph", bowtie_file],
+    ]
+
+    def respond(argv):
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
+
+    fresh = []
+    for argv in requests:
+        cli._shared_parser.cache_clear()
+        fresh.append(respond(argv))
+
+    calls = {"build_parser": 0}
+    _count_calls(monkeypatch, [cli], "build_parser", calls)
+    cli._shared_parser.cache_clear()
+    assert [respond(argv) for argv in requests] == fresh
+    assert calls["build_parser"] == 1

@@ -53,6 +53,7 @@ def test_digraph_allows_parallel_and_antiparallel_arcs():
 def test_bidirect_layout():
     d, _ = bowtie()
     b = bidirect(d)
+    assert bidirect(d) is b  # one shared doubled graph per digraph
     m = len(d.arcs)
     assert len(b.arcs) == 2 * m
     for j, (u, v) in enumerate(d.arcs):

@@ -20,6 +20,7 @@ from clarfries import (
     sources_sinks,
     verify_source_sink,
 )
+from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover
 from fixtures import (
     acyclic_triangle,
@@ -192,6 +193,22 @@ def test_certificate_checks_catch_tampering():
     overlapping = dataclasses.replace(cert, sink_set=cert.source_set)
     checks = certificate_checks(d, ones(2), overlapping)
     assert not all(checks.values())
+
+
+def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
+    d = single_arc()
+    cert = max_source_sink(d, ones(2))
+    assert cert.checks == certificate_checks(d, ones(2), cert)
+    import dataclasses
+
+    doctored = dataclasses.replace(cert, value=cert.value + 1)
+    assert doctored.checks is None
+    rendered = certificate_to_json(d, ("u", "v"), ones(2), doctored)["checks"]
+    assert rendered == certificate_checks(d, ones(2), doctored)
+    assert not rendered["minmax_equal"]
+    # recorded checks hold for the instance they were computed on only
+    other = WeightPair((2, 0), (0, 2))
+    assert not all(certificate_to_json(d, ("u", "v"), other, cert)["checks"].values())
 
 
 def test_extract_cover_reroutes_middle_flow():
