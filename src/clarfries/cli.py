@@ -13,7 +13,6 @@ import random
 import sys
 
 from . import jsonio, oracle, plane, sourcesink
-from .digraph import Digraph
 from .errors import BudgetExceeded, InputError, InvariantError
 from .sourcesink import WeightPair
 
@@ -36,13 +35,16 @@ def _require_checks(payload: dict) -> None:
         raise InvariantError(f"certificate failed checks: {checks}")
 
 
-def _within_weights(args, names) -> tuple:
-    chosen = args.within.split(",") if args.within else None
-    if chosen is None:
+def _within_weights(args, data, names) -> tuple:
+    """Node weights of a sink-stable or resonant request: 1 inside
+    ``--within`` and 0 outside, else the input's ``"w"`` map, else all 1."""
+    if args.within is None and "w" in data:
+        return jsonio.node_weights_from_json(data["w"], names, 0, "w")
+    if not args.within:
         return (1,) * len(names)
     index = {name: i for i, name in enumerate(names)}
     vec = [0] * len(names)
-    for name in chosen:
+    for name in args.within.split(","):
         name = name.strip()
         if name not in index:
             raise InputError(f"--within references unknown node {name!r}")
@@ -64,9 +66,7 @@ def cmd_solve_digraph(args) -> int:
 def cmd_sink_stable(args) -> int:
     data = _load(args.input)
     d, names = jsonio.digraph_from_json(data)
-    w = _within_weights(args, names)
-    if args.within is None and "w" in data:
-        w = jsonio.node_weights_from_json(data["w"], names, 0, "w")
+    w = _within_weights(args, data, names)
     for x in w:
         if not isinstance(x, int):
             raise InputError("sink-stable weights must be integers")
@@ -81,9 +81,7 @@ def cmd_sink_stable(args) -> int:
 def cmd_resonant(args) -> int:
     data = _load(args.input)
     d, names = jsonio.digraph_from_json(data)
-    w = _within_weights(args, names)
-    if args.within is None and "w" in data:
-        w = jsonio.node_weights_from_json(data["w"], names, 0, "w")
+    w = _within_weights(args, data, names)
     cert = sourcesink.max_resonant(d, w)
     weights = WeightPair(w, w)
     payload = jsonio.certificate_to_json(d, names, weights, cert)
@@ -99,13 +97,13 @@ def _load_plane(path: str) -> plane.PlaneBipartiteGraph:
     return plane.parse_validate(_load(path))
 
 
-def cmd_clar(args) -> int:
+def _face_number(args, solve, key: str) -> int:
     g = _load_plane(args.input)
-    value, faces, matching = plane.clar_number(g)
+    value, faces, matching = solve(g)
     _emit(
         {
             "value": jsonio.render_value(value),
-            "clar_set": sorted(g.faces[f].name for f in faces),
+            key: sorted(g.faces[f].name for f in faces),
             "matching": sorted(
                 [g.node_name(g.edges[e][0]), g.node_name(g.edges[e][1])]
                 for e in matching
@@ -114,23 +112,14 @@ def cmd_clar(args) -> int:
         args.pretty,
     )
     return 0
+
+
+def cmd_clar(args) -> int:
+    return _face_number(args, plane.clar_number, "clar_set")
 
 
 def cmd_fries(args) -> int:
-    g = _load_plane(args.input)
-    value, faces, matching = plane.fries_number(g)
-    _emit(
-        {
-            "value": jsonio.render_value(value),
-            "fries_set": sorted(g.faces[f].name for f in faces),
-            "matching": sorted(
-                [g.node_name(g.edges[e][0]), g.node_name(g.edges[e][1])]
-                for e in matching
-            ),
-        },
-        args.pretty,
-    )
-    return 0
+    return _face_number(args, plane.fries_number, "fries_set")
 
 
 def cmd_clar_fries(args) -> int:
@@ -176,32 +165,19 @@ def _verify_plane(data, budget) -> dict:
     }
 
 
-def _random_digraph(rng: random.Random, max_nodes: int, max_arcs: int) -> Digraph:
-    n = rng.randint(2, max_nodes)
-    arcs = []
-    for v in range(1, n):
-        u = rng.randrange(v)
-        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    for _ in range(rng.randint(0, max_arcs - n + 1)):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            arcs.append((u, v))
-    return Digraph(n, arcs)
-
-
 def cmd_verify(args) -> int:
     budget = _budget(args)
+    if args.random < 0:
+        raise InputError("--random COUNT must be nonnegative")
     if args.random:
+        if budget.max_arcs < 1:
+            raise InputError("--budget-arcs must be at least 1 with --random")
         rng = random.Random(args.seed)
         reports = []
         agree = True
         for _ in range(args.random):
-            d = _random_digraph(rng, 6, min(10, budget.max_arcs))
-            weights = WeightPair(
-                tuple(rng.randint(0, 3) for _ in range(d.node_count)),
-                tuple(rng.randint(0, 3) for _ in range(d.node_count)),
-            )
+            d = oracle.random_digraph(rng, 6, min(10, budget.max_arcs))
+            weights = oracle.random_weight_pair(rng, d.node_count)
             cert = sourcesink.max_source_sink(d, weights)
             brute_value, _pair = oracle.brute_max_source_sink(d, weights, budget)
             if cert.value != brute_value:

@@ -2,23 +2,49 @@
 
 Everything here enumerates: reorientations by trying every arc subset,
 matchings by backtracking.  Budgets keep the blow-up honest; exceeding one
-raises :class:`BudgetExceeded` rather than silently truncating.
+raises :class:`BudgetExceeded` rather than silently truncating.  The random
+instance generators feed ``clarfries verify --random`` and the test sweeps.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .digraph import Digraph, sources_sinks
 from .errors import BudgetExceeded, InputError
 from .plane import PlaneBipartiteGraph, alternating_faces
+from .sourcesink import WeightPair
 
 
 @dataclass(frozen=True)
 class OracleBudget:
     max_arcs: int = 14
     max_matchings: int = 100_000
+
+
+def random_digraph(rng: random.Random, max_nodes: int = 7, max_arcs: int = 12) -> Digraph:
+    """Weakly connected by construction: a random spanning tree plus extras,
+    at most ``max_arcs`` arcs in all (``max_arcs >= 1``)."""
+    n = rng.randint(2, min(max_nodes, max_arcs + 1))
+    arcs = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    for _ in range(rng.randint(0, max_arcs - n + 1)):
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            arcs.append((u, v))
+    return Digraph(n, arcs)
+
+
+def random_weight_pair(rng: random.Random, n: int, top: int = 3) -> WeightPair:
+    return WeightPair(
+        tuple(rng.randint(0, top) for _ in range(n)),
+        tuple(rng.randint(0, top) for _ in range(n)),
+    )
 
 
 def enumerate_reorientations(

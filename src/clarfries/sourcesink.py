@@ -6,16 +6,20 @@ sources and sinks simultaneously.  Each node carries two nonnegative
 weights, one collected if it becomes a source and one if it becomes a sink;
 the goal is a pair of maximum total weight.
 
-The maximum is computed on an auxiliary three-layer network.  The middle
-layer is the doubled digraph (every arc plus its reverse copy); each node
-additionally gets an out-layer copy reached by a vertical arc carrying the
-source weight as a lower bound, and an in-layer copy feeding it through a
-vertical arc carrying the sink weight.  Arcs that exist in the original
-digraph cost 1, reverse copies and verticals cost 0.  A minimum-cost
-circulation on this network has the pair weight as its cost, the optimal
-pair falls out of the node potential, and the flow turns into a circular
-cover certifying optimality: a pair of arc multiplicity vectors whose sum
-is a circulation, one sending enough flow out of every node to pay its
+The maximum is computed on an auxiliary circulation network with three
+copies of every node: the node itself, an out-layer copy reached by a
+vertical arc carrying the source weight as a lower bound, and an in-layer
+copy feeding it through a vertical arc carrying the sink weight.  Every arc
+u -> w of the doubled digraph (every arc plus its reverse copy) enters the
+network twice, as the sink entry u -> in(w) and as the source exit
+out(u) -> w.  Arcs that exist in the original digraph cost 1, reverse
+copies and verticals cost 0.  A direct arc u -> w would add nothing: it is
+dominated by the path u -> in(w) -> w, which costs the same through an
+uncapacitated vertical.  A minimum-cost circulation on this network has
+the pair weight as its cost, the optimal pair falls out of the node
+potential, and the flow is a circular cover certifying optimality: a pair
+of arc multiplicity vectors (the source exits and the sink entries) whose
+sum is a circulation, one sending enough flow out of every node to pay its
 source weight, the other enough into every node to pay its sink weight.
 
 Rational weights are cleared to integers by a common denominator before
@@ -27,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from operator import add
 from typing import Iterable, Sequence
 
 from . import mincost
@@ -145,15 +148,16 @@ class WeightPair:
 
 
 class AuxNetwork:
-    """Three-layer circulation network whose optimum is the best pair weight.
+    """Circulation network whose optimum is the best pair weight.
 
-    Nodes 0..n-1 are the middle layer (the original nodes); ``out_node(v)``
-    and ``in_node(v)`` are v's copies in the out and in layers.  Arcs, in
-    index order: for each node v the vertical ``in_node(v) -> v`` with the
-    sink weight as lower bound and ``v -> out_node(v)`` with the source
-    weight; then for each doubled arc j = (u, w) three arcs ``u -> w``,
-    ``u -> in_node(w)`` and ``out_node(u) -> w``, each costing 1 exactly
-    when j is an original arc.
+    Nodes 0..n-1 are the original nodes; ``out_node(v)`` and ``in_node(v)``
+    are v's copies in the out and in layers.  Arcs, in index order: for each
+    node v the vertical ``in_node(v) -> v`` with the sink weight as lower
+    bound and ``v -> out_node(v)`` with the source weight; then for each
+    doubled arc j = (u, w) the sink entry ``u -> in_node(w)`` and the source
+    exit ``out_node(u) -> w``, each costing 1 exactly when j is an original
+    arc.  No arc joins u to w directly, since ``u -> in_node(w) -> w`` costs
+    the same and its vertical has no capacity limit.
     """
 
     __slots__ = ("digraph", "lower", "cost", "bi", "weights")
@@ -174,11 +178,10 @@ class AuxNetwork:
             lower.append(weights.source_weight[v])
             cost.append(0)
         for (u, w), c in zip(bi.arcs, bi.cost_vector()):
-            arcs.append((u, w))
             arcs.append((u, 2 * n + w))
             arcs.append((n + u, w))
-            cost.extend((c, c, c))
-            lower.extend((0, 0, 0))
+            cost.extend((c, c))
+            lower.extend((0, 0))
         self.digraph = Digraph(3 * n, arcs)
         self.lower = tuple(lower)
         self.cost = tuple(cost)
@@ -201,16 +204,13 @@ class AuxNetwork:
     def vertical_out_arc(self, v: int) -> int:
         return 2 * v + 1
 
-    def middle_arc(self, j: int) -> int:
-        return 2 * self.base_node_count + 3 * j
-
     def sink_entry_arc(self, j: int) -> int:
         """Arc from the tail of doubled arc j into the in-layer copy of its head."""
-        return 2 * self.base_node_count + 3 * j + 1
+        return 2 * self.base_node_count + 2 * j
 
     def source_exit_arc(self, j: int) -> int:
         """Arc from the out-layer copy of the tail of doubled arc j to its head."""
-        return 2 * self.base_node_count + 3 * j + 2
+        return 2 * self.base_node_count + 2 * j + 1
 
 
 def build_aux_network(d: Digraph, weights: WeightPair) -> AuxNetwork:
@@ -331,18 +331,13 @@ def extract_pair(
             source_set.append(v)
         if slack_in == 1:
             sink_set.append(v)
-    middle = normalize_potential(potential[:n])
-    return frozenset(source_set), frozenset(sink_set), middle
+    return frozenset(source_set), frozenset(sink_set), normalize_potential(potential[:n])
 
 
 def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
-    """Turn a feasible circulation of the network into a circular cover.
-
-    Flow on a middle arc is rerouted through the in-layer copy of its head
-    (same endpoints-to-endpoints effect, same cost), so the source-exit
-    arcs carry the out-cover and the sink-entry arcs together with the
-    middle arcs the in-cover.
-    """
+    """Turn a feasible circulation of the network into a circular cover:
+    the source-exit arcs carry the out-cover, the sink-entry arcs the
+    in-cover."""
     dg = aux.digraph
     if len(flow) != dg.arc_count:
         raise InputError("flow length does not match the network")
@@ -357,16 +352,13 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
         raise InputError("flow is not a circulation")
 
     original_cost = sum(c * f for c, f in zip(aux.cost, flow) if f)
-    # Doubled arc j owns aux arcs first + 3j (middle_arc), first + 3j + 1
-    # (sink_entry_arc) and first + 3j + 2 (source_exit_arc); they fill the
-    # rest of the arc list, so each stride-3 slice has one entry per j.
+    # Doubled arc j owns aux arcs first + 2j (sink_entry_arc) and
+    # first + 2j + 1 (source_exit_arc); they fill the rest of the arc
+    # list, so each stride-2 slice has one entry per j.
     first = 2 * aux.base_node_count
-    cover = CircularCover(
-        tuple(flow[first + 2::3]),
-        tuple(map(add, flow[first + 1::3], flow[first::3])),
-    )
+    cover = CircularCover(tuple(flow[first + 1::2]), tuple(flow[first::2]))
     if cover.cost != original_cost:
-        raise InvariantError("rerouting changed the cover cost")
+        raise InvariantError("cover cost differs from the circulation cost")
     return cover
 
 

@@ -1,13 +1,13 @@
 """Shared test fixtures: small digraphs, fused-hexagon plane graphs, and
-random instance generators."""
+the random instance generators of ``clarfries.oracle``."""
 
 from __future__ import annotations
 
 import math
 import random
 
-from clarfries import Digraph, PlaneBipartiteGraph, parse_validate
-from clarfries.sourcesink import WeightPair
+from clarfries import Digraph, PlaneBipartiteGraph, parse_validate, solve_clar_fries
+from clarfries.oracle import random_digraph, random_weight_pair  # noqa: F401
 
 BOWTIE_NAMES = ("a1", "a2", "a3", "x", "b1", "b2", "b3")
 # two directed circuits sharing only x; b1 is the unique source, a1 the sink
@@ -46,28 +46,6 @@ def two_cycle() -> Digraph:
 
 def acyclic_triangle() -> Digraph:
     return Digraph(3, [(0, 1), (0, 2), (1, 2)])
-
-
-def random_digraph(rng: random.Random, max_nodes: int = 7, max_arcs: int = 12) -> Digraph:
-    """Weakly connected by construction: a random spanning tree plus extras."""
-    n = rng.randint(2, max_nodes)
-    arcs = []
-    for v in range(1, n):
-        u = rng.randrange(v)
-        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    for _ in range(rng.randint(0, max_arcs - n + 1)):
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            arcs.append((u, v))
-    return Digraph(n, arcs)
-
-
-def random_weight_pair(rng: random.Random, n: int, top: int = 3) -> WeightPair:
-    return WeightPair(
-        tuple(rng.randint(0, top) for _ in range(n)),
-        tuple(rng.randint(0, top) for _ in range(n)),
-    )
 
 
 # -- fused-hexagon plane graphs -----------------------------------------
@@ -206,6 +184,14 @@ def benzenoid_catalog() -> list[tuple[str, PlaneBipartiteGraph]]:
         ("phenanthrene", parse_validate(benzenoid(PHENANTHRENE_CENTERS))),
         ("pyrene", parse_validate(benzenoid(PYRENE_CENTERS))),
     ]
+
+
+def parallelogram_dual(n: int, m: int):
+    """The planar dual of the n x m hexagon parallelogram with seeded
+    random source and sink weights 0..3: ``(digraph, WeightPair)``."""
+    g = parse_validate(benzenoid([(q, r) for q in range(n) for r in range(m)]))
+    dual = solve_clar_fries(g).dual.digraph
+    return dual, random_weight_pair(random.Random(2428), dual.node_count)
 
 
 def inner_indicator(g: PlaneBipartiteGraph) -> tuple[int, ...]:

@@ -134,6 +134,25 @@ def test_budget_flags_give_input_error_exit(capsys, bowtie_file):
     assert "error" in out
 
 
+@pytest.mark.parametrize("arcs", ["1", "2", "3"])
+def test_verify_random_fits_small_arc_budgets(capsys, arcs):
+    code, out = run(capsys, "verify", "--random", "5", "--seed", "4", "--budget-arcs", arcs)
+    assert code == 0
+    assert out == {"agree": True, "instances": 5, "seed": 4}
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--random", "-3"], ["--random", "5", "--budget-arcs", "0"],
+     ["--random", "5", "--budget-arcs", "-2"]],
+    ids=["negative-count", "zero-arc-budget", "negative-arc-budget"],
+)
+def test_verify_random_rejects_bad_arguments(capsys, args):
+    code, out = run(capsys, "verify", *args)
+    assert code == 1
+    assert list(out) == ["error"]
+
+
 def test_error_exits(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -9,16 +9,13 @@ from clarfries import (
     Digraph,
     InfeasibleCirculation,
     InputError,
-    WeightPair,
     bidirect,
     decompose,
     is_circulation,
     mincost,
-    parse_validate,
     solve,
-    solve_clar_fries,
 )
-from fixtures import acyclic_triangle, benzenoid, bowtie, random_digraph, two_cycle
+from fixtures import acyclic_triangle, bowtie, parallelogram_dual, random_digraph, two_cycle
 
 
 def test_instance_validation():
@@ -233,14 +230,7 @@ def _sweep_instances():
 
 
 def _parallelogram_aux_instance(n, m):
-    g = parse_validate(benzenoid([(q, r) for q in range(n) for r in range(m)]))
-    dual = solve_clar_fries(g).dual.digraph
-    rng = random.Random(2428)
-    weights = WeightPair(
-        tuple(rng.randint(0, 3) for _ in range(dual.node_count)),
-        tuple(rng.randint(0, 3) for _ in range(dual.node_count)),
-    )
-    aux = AuxNetwork(dual, weights)
+    aux = AuxNetwork(*parallelogram_dual(n, m))
     return CirculationInstance(aux.digraph, aux.lower, aux.cost)
 
 

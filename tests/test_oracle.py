@@ -122,6 +122,15 @@ def test_reorientation_budget():
         list(enumerate_reorientations(d, OracleBudget(max_arcs=6)))
 
 
+def test_random_digraph_keeps_to_its_arc_budget():
+    rng = random.Random(5)
+    for max_arcs in (1, 2, 3, 5, 12):
+        for _ in range(30):
+            d = random_digraph(rng, max_nodes=7, max_arcs=max_arcs)
+            assert 2 <= d.node_count <= min(7, max_arcs + 1)
+            assert d.arc_count <= max_arcs
+
+
 def test_brute_pair_is_valid_and_matches_solver():
     rng = random.Random(17)
     for _ in range(30):

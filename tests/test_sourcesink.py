@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from clarfries import (
+    CirculationInstance,
     Digraph,
     InputError,
     WeightPair,
@@ -17,15 +18,17 @@ from clarfries import (
     max_resonant,
     max_sink_stable,
     max_source_sink,
+    solve,
     sources_sinks,
     verify_source_sink,
 )
 from clarfries.jsonio import certificate_to_json
-from clarfries.sourcesink import certificate_checks, extract_cover
+from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
 from fixtures import (
     acyclic_triangle,
     bowtie,
     bowtie_nodes,
+    parallelogram_dual,
     random_digraph,
     random_weight_pair,
     single_arc,
@@ -72,12 +75,12 @@ def test_aux_network_counts():
     d, _ = bowtie()
     aux = build_aux_network(d, ones(7))
     assert aux.digraph.node_count == 21
-    assert aux.digraph.arc_count == 2 * 7 + 6 * 8
+    assert aux.digraph.arc_count == 2 * 7 + 4 * 8 == 46
 
     s = single_arc()
     aux2 = build_aux_network(s, ones(2))
     assert aux2.digraph.node_count == 6
-    assert aux2.digraph.arc_count == 10
+    assert aux2.digraph.arc_count == 2 * 2 + 4 * 1 == 8
 
 
 def test_aux_network_bounds_and_costs():
@@ -87,16 +90,56 @@ def test_aux_network_bounds_and_costs():
     assert aux.lower[aux.vertical_out_arc(0)] == 2
     assert aux.lower[aux.vertical_out_arc(1)] == 0
     assert aux.lower[aux.vertical_in_arc(1)] == 3
-    # unit cost exactly on the three images of the one original arc
+    # unit cost exactly on the two images of the one original arc
     unit = {j for j, c in enumerate(aux.cost) if c == 1}
-    assert unit == {aux.middle_arc(0), aux.sink_entry_arc(0), aux.source_exit_arc(0)}
+    assert unit == {aux.sink_entry_arc(0), aux.source_exit_arc(0)}
     # layer wiring for the original arc (u, v) and its copy (v, u)
     u, v = 0, 1
     n = 2
-    assert aux.digraph.arcs[aux.middle_arc(0)] == (u, v)
     assert aux.digraph.arcs[aux.sink_entry_arc(0)] == (u, 2 * n + v)
     assert aux.digraph.arcs[aux.source_exit_arc(0)] == (n + u, v)
-    assert aux.digraph.arcs[aux.middle_arc(1)] == (v, u)
+    assert aux.digraph.arcs[aux.sink_entry_arc(1)] == (v, 2 * n + u)
+    assert aux.digraph.arcs[aux.source_exit_arc(1)] == (n + v, u)
+    assert (u, v) not in aux.digraph.arcs and (v, u) not in aux.digraph.arcs
+
+
+def _three_layer_instance(d, weights):
+    """The aux network with a middle layer, as a reference: every doubled
+    arc j = (u, w) also gets a direct arc u -> w, at index 2n + 3j, ahead
+    of its sink entry and source exit."""
+    n = d.node_count
+    arcs, lower, cost = [], [], []
+    for v in range(n):
+        arcs += [(2 * n + v, v), (v, n + v)]
+        lower += [weights.sink_weight[v], weights.source_weight[v]]
+        cost += [0, 0]
+    bi = bidirect(d)
+    for (u, w), c in zip(bi.arcs, bi.cost_vector()):
+        arcs += [(u, w), (u, 2 * n + w), (n + u, w)]
+        lower += [0, 0, 0]
+        cost += [c, c, c]
+    return CirculationInstance(Digraph(3 * n, arcs), tuple(lower), tuple(cost))
+
+
+def _reference_instances():
+    for seed, count, nodes, arcs in ((99, 60, 6, 10), (7, 80, 7, 12)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            d = random_digraph(rng, max_nodes=nodes, max_arcs=arcs)
+            yield d, random_weight_pair(rng, d.node_count)
+    yield parallelogram_dual(24, 28)
+
+
+def test_two_layer_network_matches_three_layer_reference():
+    for d, weights in _reference_instances():
+        aux = build_aux_network(d, weights)
+        two = solve(CirculationInstance(aux.digraph, aux.lower, aux.cost))
+        three = solve(_three_layer_instance(d, weights))
+        assert (two.objective, two.potential) == (three.objective, three.potential)
+        cert = max_source_sink(d, weights)
+        pair = (cert.source_set, cert.sink_set, cert.potential)
+        assert pair == extract_pair(aux, three.potential)
+        assert cert.value == three.objective
 
 
 # --- max_source_sink ----------------------------------------------------------
@@ -211,19 +254,27 @@ def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
     assert not all(certificate_to_json(d, ("u", "v"), other, cert)["checks"].values())
 
 
-def test_extract_cover_reroutes_middle_flow():
+def test_extract_cover_reads_entry_and_exit_flow():
     d = single_arc()
-    w = WeightPair((0, 0), (0, 1))
+    w = WeightPair((1, 0), (0, 1))
     aux = build_aux_network(d, w)
     z = [0] * aux.digraph.arc_count
-    z[aux.middle_arc(0)] = 1
-    z[aux.middle_arc(1)] = 2
-    z[aux.sink_entry_arc(0)] = 1
-    z[aux.vertical_in_arc(1)] = 1
+    # 0 -> out(0) -> 1 -> in(0) -> 0: the source exit of the original arc,
+    # then the sink entry of its free reverse copy
+    z[aux.vertical_out_arc(0)] = 1
+    z[aux.source_exit_arc(0)] = 1
+    z[aux.sink_entry_arc(1)] = 1
+    z[aux.vertical_in_arc(0)] = 1
+    # 0 -> in(1) -> 1 -> out(1) -> 0, twice: the sink entry of the original
+    # arc, then the source exit of the reverse copy
+    z[aux.sink_entry_arc(0)] = 2
+    z[aux.vertical_in_arc(1)] = 2
+    z[aux.vertical_out_arc(1)] = 2
+    z[aux.source_exit_arc(1)] = 2
     cover = extract_cover(aux, z)
-    assert cover.out_cover == (0, 0)
-    assert cover.in_cover == (2, 2)
-    assert cover.cost == 2  # rerouting kept the original-arc cost
+    assert cover.out_cover == (1, 2)
+    assert cover.in_cover == (2, 1)
+    assert cover.cost == 3 == sum(c * f for c, f in zip(aux.cost, z))
     assert is_circulation(bidirect(d), cover.combined())
 
 
