@@ -10,6 +10,14 @@ made simultaneous sources and sinks.
 
 All arithmetic is exact.  Potentials and bounds are integers (or ``None``
 for an absent bound); circulation values may be integers or ``Fraction``s.
+
+``Digraph(n, arcs)`` checks its input in full: integer endpoints in range,
+no loops, weak connectivity.  Graphs derived from one already checked skip
+those checks (``Digraph._derived``), since their validity follows from the
+parent's: the doubled graph of :func:`bidirect` has the parent's nodes and
+its arcs plus their reverses, so it is in range, loopless and connected
+exactly when the parent is.  The derived graphs of other modules say in
+their docstrings why they are valid.
 """
 
 from __future__ import annotations
@@ -50,6 +58,22 @@ class Digraph:
         self._in = None
         self._bi = None
         self._check_weakly_connected()
+
+    @classmethod
+    def _derived(cls, node_count: int, arcs: tuple[Arc, ...]) -> "Digraph":
+        """A digraph built without the checks of ``__init__``.
+
+        Only for graphs derived from one already checked, whose validity
+        follows from it: ``arcs`` must be a tuple of int pairs in range,
+        without loops, joining ``node_count >= 2`` nodes weakly.
+        """
+        d = object.__new__(cls)
+        d.node_count = node_count
+        d.arcs = arcs
+        d._out = None
+        d._in = None
+        d._bi = None
+        return d
 
     def _check_weakly_connected(self) -> None:
         parent = list(range(self.node_count))
@@ -122,7 +146,7 @@ class BiDigraph:
     def __init__(self, base: Digraph):
         self.m = base.arc_count
         rev = tuple((v, u) for u, v in base.arcs)
-        self.digraph = Digraph(base.node_count, base.arcs + rev)
+        self.digraph = Digraph._derived(base.node_count, base.arcs + rev)
 
     @property
     def node_count(self) -> int:

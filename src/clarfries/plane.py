@@ -125,7 +125,7 @@ class PlaneBipartiteGraph:
         return self.t_names[v - len(self.s_names)]
 
     def face_of_side(self, edge: int, toward_t: bool) -> int:
-        return self._side_face[(edge, toward_t)]
+        return self._side_face[2 * edge + toward_t]
 
     def inner_faces(self) -> frozenset[int]:
         return frozenset(f for f in range(len(self.faces)) if f != self.outer)
@@ -168,18 +168,20 @@ class PlaneBipartiteGraph:
         if not (0 <= self.outer < len(self.faces)):
             raise InputError("outer face missing from face list")
 
-        side_face: dict[tuple[int, bool], int] = {}
+        # the face on each edge side, at index 2 * edge + toward_t
+        side_face = [-1] * (2 * len(self.edges))
         for fi, face in enumerate(self.faces):
             if not face.boundary:
                 raise FaceBoundaryError(f"face {face.name!r} has an empty boundary")
-            nodes_seen = set()
-            for k, (e, toward_t) in enumerate(face.boundary):
+            for e, _ in face.boundary:
                 if not (0 <= e < len(self.edges)):
                     raise FaceBoundaryError(
                         f"face {face.name!r} references unknown edge {e}"
                     )
-                side = (e, toward_t)
-                if side in side_face:
+            nodes_seen = set()
+            for k, (e, toward_t) in enumerate(face.boundary):
+                side = 2 * e + toward_t
+                if side_face[side] >= 0:
                     raise EdgeSideMismatchError(
                         f"edge {e} walked twice in the same direction"
                     )
@@ -198,13 +200,14 @@ class PlaneBipartiteGraph:
                 nodes_seen.add(tail)
         for e in range(len(self.edges)):
             for toward_t in (True, False):
-                if (e, toward_t) not in side_face:
+                if side_face[2 * e + toward_t] < 0:
                     raise EdgeSideMismatchError(
                         f"edge {e} never walked {'S->T' if toward_t else 'T->S'}"
                     )
-            if side_face[(e, True)] == side_face[(e, False)]:
+            if side_face[2 * e] == side_face[2 * e + 1]:
                 raise NotTwoConnectedError(f"edge {e} is a bridge")
         self._side_face = side_face
+        self._check_one_surface()
 
         if self.node_count - len(self.edges) + len(self.faces) != 2:
             raise EulerError(
@@ -215,6 +218,27 @@ class PlaneBipartiteGraph:
         self._check_two_connected()
         # perfect matchability is part of the input contract
         self.matching = perfect_matching(self)
+
+    def _check_one_surface(self) -> None:
+        """Reject faces that do not all lie on one surface.
+
+        Crossing edges from face 0 must reach every face, so the planar
+        dual is connected; with the Euler check the faces then tile a
+        sphere.  Two plane graphs glued at two nodes pass every other
+        check but fail this one.
+        """
+        side_face = self._side_face
+        reached = bytearray(len(self.faces))
+        reached[0] = 1
+        stack = [0]
+        while stack:
+            for e, toward_t in self.faces[stack.pop()].boundary:
+                f = side_face[2 * e + (not toward_t)]
+                if not reached[f]:
+                    reached[f] = 1
+                    stack.append(f)
+        if not all(reached):
+            raise FaceBoundaryError("faces do not form one connected surface")
 
     def _check_two_connected(self) -> None:
         n = self.node_count
@@ -346,35 +370,82 @@ def parse_validate(data) -> PlaneBipartiteGraph:
 
 
 def perfect_matching(g: PlaneBipartiteGraph) -> frozenset[int]:
-    """A perfect matching as a set of edge indices (augmenting-path search).
+    """A perfect matching as a set of edge indices (Hopcroft-Karp).
 
-    Deterministic: S-nodes are processed in index order and adjacency in
-    edge order.  Raises :class:`NoPerfectMatchingError` if none exists.
+    Deterministic: a greedy pass takes each edge, in edge order, whose
+    endpoints are both free; then each phase layers the S-nodes by a
+    breadth-first search from the free ones and augments along
+    vertex-disjoint shortest alternating paths, found by a depth-first
+    search on an explicit stack in S-node index order and adjacency (edge)
+    order.  O(E sqrt(V)) time, no recursion.  Raises
+    :class:`NoPerfectMatchingError` if no perfect matching exists.
     """
     ns = g.s_count
     nt = g.node_count - ns
     if ns != nt:
         raise NoPerfectMatchingError(f"|S| = {ns} != |T| = {nt}")
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(ns)]
-    for i, (s, t) in enumerate(g.edges):
-        adj[s].append((t - ns, i))
-    match_t = [-1] * nt  # T-node -> edge index
-    match_s = [-1] * ns
-
-    def augment(s: int, seen: list[bool]) -> bool:
-        for t, e in adj[s]:
-            if seen[t]:
-                continue
-            seen[t] = True
-            if match_t[t] == -1 or augment(g.edges[match_t[t]][0], seen):
-                match_t[t] = e
-                match_s[s] = e
-                return True
-        return False
-
-    for s in range(ns):
-        if not augment(s, [False] * nt):
+    edges = g.edges
+    adj: list[list[int]] = [[] for _ in range(ns)]
+    match_s = [-1] * ns  # S-node -> edge index
+    match_t = [-1] * nt  # T-node (less ns) -> edge index
+    for i, (s, t) in enumerate(edges):
+        adj[s].append(i)
+        t -= ns
+        if match_s[s] < 0 and match_t[t] < 0:
+            match_s[s] = match_t[t] = i
+    free = [s for s in range(ns) if match_s[s] < 0]
+    while free:
+        # layer 0 holds the free S-nodes; a matched S-node sits one layer
+        # past the S-node whose edge first reached its mate; the search
+        # stops at the layer where a free T-node first turns up
+        layer = [-1] * ns
+        for s in free:
+            layer[s] = 0
+        last = -1
+        queue = list(free)
+        for s in queue:
+            d = layer[s]
+            if last >= 0 and d >= last:
+                break
+            for e in adj[s]:
+                f = match_t[edges[e][1] - ns]
+                if f < 0:
+                    last = d
+                else:
+                    w = edges[f][0]
+                    if layer[w] < 0:
+                        layer[w] = d + 1
+                        queue.append(w)
+        if last < 0:
             raise NoPerfectMatchingError("graph has no perfect matching")
+        pos = [0] * ns  # next adjacency entry to try, per S-node
+        for root in free:
+            path = [root]  # S-nodes; edge via[k] leaves path[k]
+            via: list[int] = []
+            while path:
+                s = path[-1]
+                d = layer[s]
+                for i in range(pos[s], len(adj[s])):
+                    e = adj[s][i]
+                    f = match_t[edges[e][1] - ns]
+                    if f < 0 or (d < last and layer[edges[f][0]] == d + 1):
+                        pos[s] = i + 1
+                        via.append(e)
+                        break
+                else:
+                    layer[s] = -1  # dead end for the rest of this phase
+                    path.pop()
+                    if via:
+                        via.pop()
+                    continue
+                if f >= 0:
+                    path.append(edges[f][0])
+                    continue
+                for s, e in zip(path, via):
+                    match_s[s] = e
+                    match_t[edges[e][1] - ns] = e
+                break
+        free = [s for s in range(ns) if match_s[s] < 0]
     return frozenset(match_s)
 
 
@@ -403,12 +474,16 @@ def _check_perfect(g: PlaneBipartiteGraph, matching: frozenset[int]) -> None:
 
 
 def orient_by_matching(g: PlaneBipartiteGraph, matching: Iterable[int]) -> MatchingOrientation:
+    """Orient ``g`` by a perfect matching.
+
+    The digraph is derived from the validated ``g`` without re-validation:
+    its arcs are ``g``'s edges, which join an S-node to a T-node, and ``g``
+    is connected.
+    """
     matching = frozenset(matching)
     _check_perfect(g, matching)
-    arcs = []
-    for i, (s, t) in enumerate(g.edges):
-        arcs.append((t, s) if i in matching else (s, t))
-    return MatchingOrientation(matching, Digraph(g.node_count, arcs))
+    arcs = tuple((t, s) if i in matching else (s, t) for i, (s, t) in enumerate(g.edges))
+    return MatchingOrientation(matching, Digraph._derived(g.node_count, arcs))
 
 
 @dataclass(frozen=True)
@@ -420,13 +495,21 @@ class DualDigraph:
 
 
 def planar_dual(g: PlaneBipartiteGraph, orientation: MatchingOrientation) -> DualDigraph:
+    """The dual of ``g`` under ``orientation``.
+
+    The digraph is derived from the validated ``g`` without re-validation:
+    the two sides of every edge lie on different faces (``g`` has no
+    bridge), and every face reaches every other across edges (the faces
+    lie on one surface), so the dual is loopless and connected.
+    """
+    side_face = g._side_face
+    matching = orientation.matching
     arcs = []
     for i in range(len(g.edges)):
-        toward_t = i not in orientation.matching
-        left = g.face_of_side(i, toward_t)
-        right = g.face_of_side(i, not toward_t)
-        arcs.append((left, right))
-    return DualDigraph(Digraph(len(g.faces), arcs))
+        # the oriented edge's left side is its S->T side unless matched
+        left = 2 * i + (i not in matching)
+        arcs.append((side_face[left], side_face[left ^ 1]))
+    return DualDigraph(Digraph._derived(len(g.faces), tuple(arcs)))
 
 
 def alternating_faces(
@@ -499,8 +582,8 @@ def solve_clar_fries(
         start = g.matching
     else:
         start = frozenset(start_matching)
-    orientation = orient_by_matching(g, start)
-    dual = planar_dual(g, orientation)
+    # the orientation is dropped once the dual is built, before the solve
+    dual = planar_dual(g, orient_by_matching(g, start))
 
     # clockwise faces are exactly the sinks of the dual, so the clockwise
     # weight rides on the sink side and the anticlockwise weight on the

@@ -158,6 +158,11 @@ class AuxNetwork:
     exit ``out_node(u) -> w``, each costing 1 exactly when j is an original
     arc.  No arc joins u to w directly, since ``u -> in_node(w) -> w`` costs
     the same and its vertical has no capacity limit.
+
+    The network's digraph is derived from ``d`` without re-validation: its
+    node ids lie in ``0 .. 3n - 1``, no arc joins a layer to itself, the
+    verticals tie every copy to its node, and every arc of ``d`` joins its
+    ends through an in-layer copy, so it is connected because ``d`` is.
     """
 
     __slots__ = ("digraph", "lower", "cost", "bi", "weights")
@@ -167,24 +172,21 @@ class AuxNetwork:
             raise InputError("weight vectors must have one entry per node")
         n = d.node_count
         bi = bidirect(d)
+        # one int object per copy, shared by all arcs at that copy
+        out_id = list(range(n, 2 * n))
+        in_id = list(range(2 * n, 3 * n))
         arcs: list[tuple[int, int]] = []
         lower: list[Weight] = []
-        cost: list[int] = []
         for v in range(n):
-            arcs.append((2 * n + v, v))
-            lower.append(weights.sink_weight[v])
-            cost.append(0)
-            arcs.append((v, n + v))
-            lower.append(weights.source_weight[v])
-            cost.append(0)
-        for (u, w), c in zip(bi.arcs, bi.cost_vector()):
-            arcs.append((u, 2 * n + w))
-            arcs.append((n + u, w))
-            cost.extend((c, c))
-            lower.extend((0, 0))
-        self.digraph = Digraph(3 * n, arcs)
-        self.lower = tuple(lower)
-        self.cost = tuple(cost)
+            arcs += ((in_id[v], v), (v, out_id[v]))
+            lower += (weights.sink_weight[v], weights.source_weight[v])
+        for u, w in bi.arcs:
+            arcs += ((u, in_id[w]), (out_id[u], w))
+        m = bi.m
+        self.digraph = Digraph._derived(3 * n, tuple(arcs))
+        self.lower = tuple(lower) + (0,) * (4 * m)
+        # bi lists the m original arcs (cost 1) before their reverse copies
+        self.cost = (0,) * (2 * n) + (1,) * (2 * m) + (0,) * (2 * m)
         self.bi = bi
         self.weights = weights
 

@@ -1,4 +1,4 @@
-"""Acceptance gate: twelve end-to-end criteria with stated budgets.
+"""Acceptance gate: fourteen end-to-end criteria with stated budgets.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
 per criterion.  Each criterion asserts exact values (no tolerances: all
@@ -33,6 +33,7 @@ from clarfries import (
 )
 from clarfries.mincost import CirculationInstance, solve
 from fixtures import (
+    benzenoid,
     benzenoid_catalog,
     bowtie,
     bowtie_nodes,
@@ -333,3 +334,29 @@ def test_criterion_12_scale():
     report(12, "10k nodes / 50k arcs / weights <= 10 within budget",
            ok, f"value={cert.value} |Y_o|={len(cert.source_set)} "
                f"|Y_i|={len(cert.sink_set)} ({elapsed:.2f}s < 30s)")
+
+
+def _timed_clar_fries(centers):
+    """Clar and Fries numbers of the benzenoid on ``centers``, with the
+    seconds spent validating and solving (building the JSON excluded)."""
+    data = benzenoid(centers)
+    started = time.perf_counter()
+    g = parse_validate(data)
+    clar, fries = clar_number(g)[0], fries_number(g)[0]
+    return clar, fries, time.perf_counter() - started
+
+
+def test_criterion_13_long_acene():
+    # the linear acene of n >= 2 hexagons has Clar number 1 and Fries 2
+    clar, fries, elapsed = _timed_clar_fries([(0, r) for r in range(1500)])
+    ok = (clar, fries) == (1, 2) and elapsed < 10.0
+    report(13, "1500-hexagon acene has Clar 1 and Fries 2",
+           ok, f"clar={clar} fries={fries} ({elapsed:.2f}s < 10s)")
+
+
+def test_criterion_14_large_parallelogram():
+    # the n x n hexagon parallelogram has Clar number n and Fries 2n - 1
+    clar, fries, elapsed = _timed_clar_fries([(q, r) for q in range(40) for r in range(40)])
+    ok = (clar, fries) == (40, 79) and elapsed < 10.0
+    report(14, "40 x 40 hexagon parallelogram has Clar 40 and Fries 79",
+           ok, f"clar={clar} fries={fries} ({elapsed:.2f}s < 10s)")

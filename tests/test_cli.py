@@ -295,8 +295,9 @@ def test_request_checks_each_certificate_once(
     assert code == 0
     assert calls["certificate_checks"] == 1
     if command == "solve-digraph":
-        # the input digraph, its doubled graph and the auxiliary network
-        assert calls["Digraph"] == 3
+        # the input digraph only: the doubled graph and the auxiliary
+        # network are derived from it without re-validation
+        assert calls["Digraph"] == 1
 
 
 def test_parser_reused_with_fresh_parser_output(capsys, monkeypatch, bowtie_file):

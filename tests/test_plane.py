@@ -15,6 +15,7 @@ from clarfries import (
     parse_validate,
     perfect_matching,
     planar_dual,
+    plane,
     solve_clar_fries,
 )
 from clarfries.plane import (
@@ -24,7 +25,7 @@ from clarfries.plane import (
     NoPerfectMatchingError,
     NotTwoConnectedError,
 )
-from fixtures import benzene, benzenoid_catalog, naphthalene
+from fixtures import benzene, benzenoid, benzenoid_catalog, naphthalene
 
 HEXAGON = {
     "S": ["u0", "u2", "u4"],
@@ -119,18 +120,178 @@ def test_parse_rejects_unbalanced_sides():
         parse_validate(THETA)
 
 
+# two hexagons glued at two opposite nodes (u0 and u3): every face walk,
+# the Euler count and 2-connectivity check out, but the faces form two
+# spheres touching at two points, and the dual is disconnected
+TWO_GLUED_HEXAGONS = {
+    "S": ["u0", "u2", "u4", "v2", "v4"],
+    "T": ["u1", "u3", "u5", "v1", "v5"],
+    "edges": HEXAGON["edges"] + [
+        ["u0", "v1"], ["v2", "v1"], ["v2", "u3"],
+        ["v4", "u3"], ["v4", "v5"], ["u0", "v5"],
+    ],
+    "faces": HEXAGON["faces"] + [
+        {"id": "inner2", "boundary": [[6, "+"], [7, "-"], [8, "+"], [9, "-"], [10, "+"], [11, "-"]]},
+        {"id": "outer2", "boundary": [[11, "+"], [10, "-"], [9, "+"], [8, "-"], [7, "+"], [6, "-"]]},
+    ],
+    "outer": "outer",
+}
+
+
+def test_parse_rejects_faces_on_two_surfaces():
+    with pytest.raises(FaceBoundaryError, match="one connected surface"):
+        parse_validate(TWO_GLUED_HEXAGONS)
+
+
+# K_{2,3} (S-nodes a1, a2) and K_{3,2} (T-nodes y1, y2) drawn side by side
+# and joined by the edges a1-y1 and a2-y2: a valid plane bipartite graph
+# with |S| = |T| = 5 but no perfect matching, since x1, x2, x3 only see
+# a1 and a2
+HALL_VIOLATION = {
+    "S": ["a1", "a2", "b1", "b2", "b3"],
+    "T": ["x1", "x2", "x3", "y1", "y2"],
+    "edges": [
+        ["a1", "x1"], ["a1", "x2"], ["a1", "x3"], ["a2", "x1"], ["a2", "x2"],
+        ["a2", "x3"], ["b1", "y1"], ["b2", "y1"], ["b3", "y1"], ["b1", "y2"],
+        ["b2", "y2"], ["b3", "y2"], ["a1", "y1"], ["a2", "y2"],
+    ],
+    "faces": [
+        {"id": "q1", "boundary": [[0, "+"], [3, "-"], [4, "+"], [1, "-"]]},
+        {"id": "q2", "boundary": [[1, "+"], [4, "-"], [5, "+"], [2, "-"]]},
+        {"id": "mid", "boundary": [[2, "+"], [5, "-"], [13, "+"], [9, "-"], [6, "+"], [12, "-"]]},
+        {"id": "r1", "boundary": [[6, "-"], [9, "+"], [10, "-"], [7, "+"]]},
+        {"id": "r2", "boundary": [[7, "-"], [10, "+"], [11, "-"], [8, "+"]]},
+        {"id": "out", "boundary": [[12, "+"], [8, "-"], [11, "+"], [13, "-"], [3, "+"], [0, "-"]]},
+    ],
+    "outer": "out",
+}
+
+
 # --- matchings, orientation, dual ---------------------------------------------
+
+
+def _reference_matching(g):
+    """The recursive augmenting-path search that ``perfect_matching``
+    replaced, kept as a test-only reference: S-nodes in index order, each
+    with a fresh ``seen`` list, adjacency in edge order.  It recurses once
+    per step of an augmenting path, so it overflows the stack on long
+    acenes."""
+    ns = g.s_count
+    nt = g.node_count - ns
+    if ns != nt:
+        raise NoPerfectMatchingError(f"|S| = {ns} != |T| = {nt}")
+    adj = [[] for _ in range(ns)]
+    for i, (s, t) in enumerate(g.edges):
+        adj[s].append((t - ns, i))
+    match_t = [-1] * nt
+    match_s = [-1] * ns
+
+    def augment(s, seen):
+        for t, e in adj[s]:
+            if seen[t]:
+                continue
+            seen[t] = True
+            if match_t[t] == -1 or augment(g.edges[match_t[t]][0], seen):
+                match_t[t] = e
+                match_s[s] = e
+                return True
+        return False
+
+    for s in range(ns):
+        if not augment(s, [False] * nt):
+            raise NoPerfectMatchingError("graph has no perfect matching")
+    return frozenset(match_s)
+
+
+def _assert_perfect(g, m):
+    covered = set()
+    for e in m:
+        u, v = g.edges[e]
+        assert u not in covered and v not in covered
+        covered.update((u, v))
+    assert len(covered) == g.node_count
+
+
+def _random_polyhex_centers(rng, size):
+    """``size`` edge-fused hexagons grown at random from one."""
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    centers = [(0, 0)]
+    while len(centers) < size:
+        q, r = rng.choice(centers)
+        dq, dr = rng.choice(steps)
+        if (q + dq, r + dr) not in centers:
+            centers.append((q + dq, r + dr))
+    return centers
+
+
+def _matching_outcome(data):
+    """Whether the validated graph has a perfect matching (checked to be
+    perfect), else the ``NoPerfectMatchingError`` message."""
+    try:
+        g = parse_validate(data)
+    except NoPerfectMatchingError as exc:
+        return str(exc)
+    _assert_perfect(g, g.matching)
+    return "perfect"
 
 
 def test_perfect_matching_is_perfect():
     for g in (g for _, g in benzenoid_catalog()):
         m = perfect_matching(g)
-        covered = set()
-        for e in m:
-            u, v = g.edges[e]
-            assert u not in covered and v not in covered
-            covered.update((u, v))
-        assert len(covered) == g.node_count
+        _assert_perfect(g, m)
+        assert m == g.matching
+
+
+def test_matching_agrees_with_reference_on_random_polyhexes(monkeypatch):
+    rng = random.Random(4242)
+    inputs = []
+    while len(inputs) < 60:
+        try:
+            # holes (coronoids) make a second clockwise face and are skipped
+            inputs.append(benzenoid(_random_polyhex_centers(rng, rng.randint(2, 12))))
+        except AssertionError:
+            continue
+    fast = [_matching_outcome(data) for data in inputs]
+    monkeypatch.setattr(plane, "perfect_matching", _reference_matching)
+    assert [_matching_outcome(data) for data in inputs] == fast
+    # both kinds occur: polyhexes with and without a perfect matching
+    assert "perfect" in fast and len(set(fast)) > 1
+
+
+def test_matching_equals_reference_on_benchmark_shapes():
+    # the hexagon parallelograms and acenes (1 x m) that perfbench solves;
+    # their outputs stay byte-identical only if the start matching does.
+    # Elsewhere the two searches may pick different perfect matchings
+    # (benzene, naphthalene and anthracene among them).
+    sides = (2, 6, 12, 19, 26)
+    shapes = [(n, m) for n in sides for m in sides]
+    shapes += [(1, m) for m in (2, 5, 8, 12, 300)]
+    for n, m in shapes:
+        g = parse_validate(benzenoid([(q, r) for q in range(n) for r in range(m)]))
+        _assert_perfect(g, g.matching)
+        assert g.matching == _reference_matching(g), (n, m)
+
+
+def test_matching_on_long_acene_needs_no_recursion():
+    g = parse_validate(benzenoid([(0, r) for r in range(1500)]))
+    _assert_perfect(g, g.matching)
+    with pytest.raises(RecursionError):
+        _reference_matching(g)
+
+
+def test_no_perfect_matching_is_reported(monkeypatch):
+    with pytest.raises(NoPerfectMatchingError, match=r"\|S\| = 2 != \|T\| = 3"):
+        parse_validate(THETA)
+    with pytest.raises(NoPerfectMatchingError, match="no perfect matching"):
+        parse_validate(HALL_VIOLATION)
+    # every other check passes: with the matching search stubbed out the
+    # graph validates, and both searches then reject it
+    monkeypatch.setattr(plane, "perfect_matching", lambda g: frozenset())
+    g = parse_validate(HALL_VIOLATION)
+    monkeypatch.undo()
+    for search in (perfect_matching, _reference_matching):
+        with pytest.raises(NoPerfectMatchingError, match="no perfect matching"):
+            search(g)
 
 
 def test_orientation_degrees():

@@ -11,7 +11,9 @@ from clarfries import (
     apply_reorientation,
     bidirect,
     build_aux_network,
+    clar_number,
     constrained_source_sink,
+    fries_number,
     is_circulation,
     is_small_dropping,
     max_cardinality_within,
@@ -19,6 +21,7 @@ from clarfries import (
     max_sink_stable,
     max_source_sink,
     solve,
+    solve_clar_fries,
     sources_sinks,
     verify_source_sink,
 )
@@ -26,6 +29,7 @@ from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
 from fixtures import (
     acyclic_triangle,
+    benzenoid_catalog,
     bowtie,
     bowtie_nodes,
     parallelogram_dual,
@@ -140,6 +144,40 @@ def test_two_layer_network_matches_three_layer_reference():
         pair = (cert.source_set, cert.sink_set, cert.potential)
         assert pair == extract_pair(aux, three.potential)
         assert cert.value == three.objective
+
+
+def test_derived_graphs_pass_the_full_checks(monkeypatch):
+    """Every digraph built without re-validation (doubled graph, aux
+    network, matching orientation, planar dual) passes the checks of
+    ``Digraph(n, arcs)`` and equals the checked build."""
+    built = []
+    derived = Digraph._derived.__func__
+
+    def recording(cls, node_count, arcs):
+        d = derived(cls, node_count, arcs)
+        built.append(d)
+        return d
+
+    monkeypatch.setattr(Digraph, "_derived", classmethod(recording))
+    solved = 0
+    for d, weights in _reference_instances():
+        max_source_sink(d, weights)
+        solved += 1
+    # a doubled graph and an aux network per digraph; the 24 x 28 dual
+    # comes from a plane solve, which also built the orientation, the
+    # dual and a first aux network
+    assert len(built) == 2 * solved + 3
+    catalog = [g for _, g in benzenoid_catalog()]
+    for g in catalog:
+        # orientation, dual, doubled dual and aux network per solve
+        solve_clar_fries(g)
+        clar_number(g)
+        fries_number(g)
+    assert len(built) == 2 * solved + 3 + 12 * len(catalog)
+    monkeypatch.undo()
+    for d in built:
+        assert type(d.arcs) is tuple
+        assert Digraph(d.node_count, d.arcs) == d
 
 
 # --- max_source_sink ----------------------------------------------------------
