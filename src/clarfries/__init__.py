@@ -36,7 +36,6 @@ from .oracle import (
 )
 from .plane import (
     ClarFriesResult,
-    DualDigraph,
     MatchingOrientation,
     PlaneBipartiteGraph,
     alternating_faces,

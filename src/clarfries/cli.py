@@ -129,7 +129,7 @@ def cmd_clar_fries(args) -> int:
     weights = WeightPair(tuple(g.acw_weights), tuple(g.cw_weights))
     face_names = tuple(f.name for f in g.faces)
     payload["certificate"] = jsonio.certificate_to_json(
-        result.dual.digraph, face_names, weights, result.certificate
+        result.dual, face_names, weights, result.certificate
     )
     _require_checks(payload)
     _emit(payload, args.pretty)

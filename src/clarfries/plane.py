@@ -215,7 +215,7 @@ class PlaneBipartiteGraph:
                 f"+ {len(self.faces)} != 2"
             )
 
-        self._check_two_connected()
+        self._check_every_node_on_an_edge()
         # perfect matchability is part of the input contract
         self.matching = perfect_matching(self)
 
@@ -240,50 +240,28 @@ class PlaneBipartiteGraph:
         if not all(reached):
             raise FaceBoundaryError("faces do not form one connected surface")
 
-    def _check_two_connected(self) -> None:
-        n = self.node_count
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, (s, t) in enumerate(self.edges):
-            adj[s].append((t, i))
-            adj[t].append((s, i))
-        # iterative DFS computing lowpoints; parallel edges are distinct
-        visited = [False] * n
-        disc = [0] * n
-        low = [0] * n
-        timer = 0
-        stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # node, entry edge, adj pos
-        order: list[tuple[int, int]] = []
-        root_children = 0
-        articulation = False
-        while stack:
-            v, pedge, i = stack.pop()
-            if i == 0:
-                visited[v] = True
-                disc[v] = low[v] = timer
-                timer += 1
-            if i < len(adj[v]):
-                stack.append((v, pedge, i + 1))
-                w, e = adj[v][i]
-                if e == pedge:
-                    continue
-                if visited[w]:
-                    low[v] = min(low[v], disc[w])
-                else:
-                    order.append((v, w))
-                    if v == 0:
-                        root_children += 1
-                    stack.append((w, e, 0))
-        # fold lowpoints back up in reverse DFS-tree order
-        for v, w in reversed(order):
-            low[v] = min(low[v], low[w])
-            if v != 0 and low[w] >= disc[v]:
-                articulation = True
-        if not all(visited):
+    def _check_every_node_on_an_edge(self) -> None:
+        """Reject isolated nodes; with the checks before it, this makes the
+        graph 2-connected.
+
+        The face walks (closed, no node repeated, each side walked once, no
+        bridge) glue the faces into a closed orientable surface, connected
+        by :meth:`_check_one_surface`.  Its vertices are the corner cycles:
+        one per node on an edge, plus one per pinch (a node whose corners
+        split into several cycles), so its Euler characteristic V' - e + f
+        is at most 2.  The Euler check makes n - e + f = 2, so there are at
+        most as many pinches as isolated nodes.  Once every node lies on an
+        edge, the surface is a sphere and no node is pinched; a plane graph
+        on at least 3 nodes whose faces are all bounded by cycles is
+        2-connected (Mohar and Thomassen, Graphs on Surfaces, 2001).  A
+        genus-g drawing with 2g isolated nodes added, such as a torus grid
+        with two, passes every other check and fails this one.
+        """
+        on_edge = bytearray(self.node_count)
+        for s, t in self.edges:
+            on_edge[s] = on_edge[t] = 1
+        if not all(on_edge):
             raise NotTwoConnectedError("graph is disconnected")
-        if root_children > 1:
-            articulation = True
-        if articulation and n > 2:
-            raise NotTwoConnectedError("graph has a cut node")
 
 
 def parse_validate(data) -> PlaneBipartiteGraph:
@@ -303,14 +281,11 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     for name in s_names + t_names:
         if not isinstance(name, str):
             raise InputError(f"bad node name {name!r}")
-    index = {name: i for i, name in enumerate(s_names)}
-    index.update({name: len(s_names) + i for i, name in enumerate(t_names)})
-    if len(index) != len(s_names) + len(t_names):
-        raise InputError("duplicate node names across S and T")
+    # a duplicate name maps to its last index here; the constructor rejects
+    # it, and rejects an edge that does not run from S to T
+    index = {name: i for i, name in enumerate(s_names + t_names)}
 
     edges = []
-    s_set = set(s_names)
-    t_set = set(t_names)
     for i, pair in enumerate(data["edges"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"edge {i} must be a [from, to] pair")
@@ -318,10 +293,6 @@ def parse_validate(data) -> PlaneBipartiteGraph:
         # names are strings: any other endpoint, hashable or not, is unknown
         if not (isinstance(u, str) and u in index and isinstance(v, str) and v in index):
             raise InputError(f"edge {i} references unknown node")
-        if u in t_set and v in s_set:
-            raise InputError(f"edge {i} endpoints must be listed S first")
-        if not (u in s_set and v in t_set):
-            raise NonBipartiteError(f"edge {i} does not join S to T")
         edges.append((index[u], index[v]))
 
     faces = []
@@ -486,30 +457,26 @@ def orient_by_matching(g: PlaneBipartiteGraph, matching: Iterable[int]) -> Match
     return MatchingOrientation(matching, Digraph._derived(g.node_count, arcs))
 
 
-@dataclass(frozen=True)
-class DualDigraph:
-    """Planar dual: node f is face f, arc i crosses edge i from the face on
-    the oriented edge's left to the face on its right."""
-
-    digraph: Digraph
-
-
-def planar_dual(g: PlaneBipartiteGraph, orientation: MatchingOrientation) -> DualDigraph:
-    """The dual of ``g`` under ``orientation``.
+def planar_dual(g: PlaneBipartiteGraph, matching: Iterable[int]) -> Digraph:
+    """The dual of ``g`` oriented by a perfect matching: node f is face f,
+    and arc i crosses edge i from the face on the oriented edge's left to
+    the face on its right, where matched edges point toward S and the rest
+    toward T.
 
     The digraph is derived from the validated ``g`` without re-validation:
     the two sides of every edge lie on different faces (``g`` has no
     bridge), and every face reaches every other across edges (the faces
     lie on one surface), so the dual is loopless and connected.
     """
+    matching = frozenset(matching)
+    _check_perfect(g, matching)
     side_face = g._side_face
-    matching = orientation.matching
     arcs = []
     for i in range(len(g.edges)):
         # the oriented edge's left side is its S->T side unless matched
         left = 2 * i + (i not in matching)
         arcs.append((side_face[left], side_face[left ^ 1]))
-    return DualDigraph(Digraph._derived(len(g.faces), tuple(arcs)))
+    return Digraph._derived(len(g.faces), tuple(arcs))
 
 
 def alternating_faces(
@@ -545,8 +512,8 @@ class ClarFriesResult:
     ``cw_faces`` and ``acw_faces`` are each node-disjoint families of
     alternating faces under ``matching``; the pair's total weight is
     ``value`` and ``certificate`` proves it maximal over all matchings.
-    ``dual`` is the planar dual under the start matching's orientation,
-    the digraph the certificate's nodes, potential and cover refer to.
+    ``dual`` is the planar dual oriented by the start matching, the
+    digraph the certificate's nodes, potential and cover refer to.
     """
 
     matching: frozenset[int]
@@ -554,7 +521,7 @@ class ClarFriesResult:
     acw_faces: frozenset[int]
     value: Weight
     certificate: SourceSinkCertificate
-    dual: DualDigraph
+    dual: Digraph
 
 
 def solve_clar_fries(
@@ -582,18 +549,16 @@ def solve_clar_fries(
         start = g.matching
     else:
         start = frozenset(start_matching)
-    # the orientation is dropped once the dual is built, before the solve
-    dual = planar_dual(g, orient_by_matching(g, start))
+    dual = planar_dual(g, start)
 
     # clockwise faces are exactly the sinks of the dual, so the clockwise
     # weight rides on the sink side and the anticlockwise weight on the
     # source side
     weights = WeightPair(tuple(acw_weights), tuple(cw_weights))
-    cert = max_source_sink(dual.digraph, weights)
+    cert = max_source_sink(dual, weights)
 
-    drops = potential_drops(dual.digraph, cert.potential)
+    drops = potential_drops(dual, cert.potential)
     final = set()
-    ns = g.s_count
     for i in range(len(g.edges)):
         into_s = i in start  # arc direction before reorienting
         if drops[i] == 1:

@@ -165,7 +165,7 @@ class AuxNetwork:
     ends through an in-layer copy, so it is connected because ``d`` is.
     """
 
-    __slots__ = ("digraph", "lower", "cost", "bi", "weights")
+    __slots__ = ("digraph", "lower", "cost", "bi")
 
     def __init__(self, d: Digraph, weights: WeightPair):
         if weights.node_count != d.node_count:
@@ -188,7 +188,6 @@ class AuxNetwork:
         # bi lists the m original arcs (cost 1) before their reverse copies
         self.cost = (0,) * (2 * n) + (1,) * (2 * m) + (0,) * (2 * m)
         self.bi = bi
-        self.weights = weights
 
     @property
     def base_node_count(self) -> int:

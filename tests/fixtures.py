@@ -1,5 +1,6 @@
-"""Shared test fixtures: small digraphs, fused-hexagon plane graphs, and
-the random instance generators of ``clarfries.oracle``."""
+"""Shared test fixtures: small digraphs, fused-hexagon plane graphs, torus
+grids, random maps, and the random instance generators of
+``clarfries.oracle``."""
 
 from __future__ import annotations
 
@@ -161,6 +162,101 @@ def benzenoid(centers: list[tuple[int, int]]) -> dict:
     }
 
 
+def torus_grid(a: int, b: int, isolated: int) -> dict:
+    """Plane-graph JSON for the a x b grid drawn on a torus, plus
+    ``isolated`` nodes on no edge.
+
+    Node (i, j) joins (i + 1, j) and (i, j + 1), indices mod a and mod b,
+    and each square is walked once.  Every face walk is a cycle and every
+    side is walked once, but n - e + f = ``isolated``, so only two isolated
+    nodes pass the Euler check.
+    """
+    assert a % 2 == 0 and b % 2 == 0 and a >= 4 and b >= 4
+
+    def name(i: int, j: int) -> str:
+        return f"v{i % a}_{j % b}"
+
+    def edge(i: int, j: int, up: bool) -> int:
+        # edge 2k joins node k = (i, j) to (i + 1, j), edge 2k + 1 to (i, j + 1)
+        return 2 * ((i % a) * b + j % b) + up
+
+    def side(e: int, i: int, j: int) -> list:
+        # walked from (i, j); S holds the nodes with i + j even
+        return [e, "+" if (i + j) % 2 == 0 else "-"]
+
+    edges = []
+    for i in range(a):
+        for j in range(b):
+            for k, l in ((i + 1, j), (i, j + 1)):
+                pair = [name(i, j), name(k, l)]
+                edges.append(pair if (i + j) % 2 == 0 else pair[::-1])
+    faces = [
+        {"id": f"q{i}_{j}", "boundary": [
+            side(edge(i, j, False), i, j),
+            side(edge(i + 1, j, True), i + 1, j),
+            side(edge(i, j + 1, False), i + 1, j + 1),
+            side(edge(i, j, True), i, j + 1),
+        ]}
+        for i in range(a) for j in range(b)
+    ]
+    extra = [f"x{k}" for k in range(isolated)]
+    return {
+        "S": [name(i, j) for i in range(a) for j in range(b) if (i + j) % 2 == 0] + extra[0::2],
+        "T": [name(i, j) for i in range(a) for j in range(b) if (i + j) % 2 == 1] + extra[1::2],
+        "edges": edges,
+        "faces": faces,
+        "outer": "q0_0",
+    }
+
+
+def random_map(rng: random.Random) -> dict:
+    """Plane-graph JSON for a random map: a small connected bipartite
+    multigraph with a random rotation at each node, on whatever orientable
+    surface its faces span.
+
+    Each face is traced from a side u -> v by leaving v along the side
+    after v -> u in v's rotation.
+    """
+    s_nodes = [f"s{i}" for i in range(rng.randint(1, 3))]
+    t_nodes = [f"t{i}" for i in range(rng.randint(1, 3))]
+    # two parallel edges, then each further node joined by two edges to
+    # nodes placed before it, so no edge is a bridge; then up to 2 more
+    edges = [["s0", "t0"], ["s0", "t0"]]
+    placed = ["s0", "t0"]
+    rest = s_nodes[1:] + t_nodes[1:]
+    rng.shuffle(rest)
+    for v in rest:
+        for u in rng.choices([w for w in placed if w[0] != v[0]], k=2):
+            edges.append([u, v] if v[0] == "t" else [v, u])
+        placed.append(v)
+    for _ in range(rng.randint(0, 2)):
+        edges.append([rng.choice(s_nodes), rng.choice(t_nodes)])
+    # the sides (edge, toward_t) leaving each node, in a random cyclic order
+    rotation: dict[str, list[tuple[int, bool]]] = {v: [] for v in placed}
+    for e, (s, t) in enumerate(edges):
+        rotation[s].append((e, True))
+        rotation[t].append((e, False))
+    for ring in rotation.values():
+        rng.shuffle(ring)
+
+    def next_side(e: int, toward_t: bool) -> tuple[int, bool]:
+        ring = rotation[edges[e][toward_t]]
+        return ring[(ring.index((e, not toward_t)) + 1) % len(ring)]
+
+    remaining = {(e, d) for e in range(len(edges)) for d in (True, False)}
+    faces = []
+    while remaining:
+        walk = [min(remaining)]
+        cur = next_side(*walk[0])
+        while cur != walk[0]:
+            walk.append(cur)
+            cur = next_side(*cur)
+        remaining.difference_update(walk)
+        faces.append({"id": f"f{len(faces)}",
+                      "boundary": [[e, "+" if d else "-"] for e, d in walk]})
+    return {"S": s_nodes, "T": t_nodes, "edges": edges, "faces": faces, "outer": "f0"}
+
+
 BENZENE_CENTERS = [(0, 0)]
 NAPHTHALENE_CENTERS = [(0, 0), (1, 0)]
 ANTHRACENE_CENTERS = [(0, 0), (1, 0), (2, 0)]
@@ -190,7 +286,7 @@ def parallelogram_dual(n: int, m: int):
     """The planar dual of the n x m hexagon parallelogram with seeded
     random source and sink weights 0..3: ``(digraph, WeightPair)``."""
     g = parse_validate(benzenoid([(q, r) for q in range(n) for r in range(m)]))
-    dual = solve_clar_fries(g).dual.digraph
+    dual = solve_clar_fries(g).dual
     return dual, random_weight_pair(random.Random(2428), dual.node_count)
 
 

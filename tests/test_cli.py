@@ -226,14 +226,14 @@ def _count_calls(monkeypatch, modules, name, calls):
 
 @pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
 def test_plane_request_finds_one_matching_and_one_dual(capsys, monkeypatch, tmp_path, command):
-    calls = {"perfect_matching": 0, "planar_dual": 0}
+    calls = {"perfect_matching": 0, "planar_dual": 0, "orient_by_matching": 0}
     for name in calls:
         _count_calls(monkeypatch, [plane], name, calls)
     path = tmp_path / "naphthalene.json"
     path.write_text(json.dumps(benzenoid(NAPHTHALENE_CENTERS)))
     code, _out = run(capsys, command, str(path))
     assert code == 0
-    assert calls == {"perfect_matching": 1, "planar_dual": 1}
+    assert calls == {"perfect_matching": 1, "planar_dual": 1, "orient_by_matching": 0}
 
 
 def _digraph_input(**changes):

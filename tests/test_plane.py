@@ -20,12 +20,25 @@ from clarfries import (
 )
 from clarfries.plane import (
     EdgeSideMismatchError,
+    EulerError,
     FaceBoundaryError,
     NonBipartiteError,
     NoPerfectMatchingError,
     NotTwoConnectedError,
 )
-from fixtures import benzene, benzenoid, benzenoid_catalog, naphthalene
+from fixtures import (
+    ANTHRACENE_CENTERS,
+    BENZENE_CENTERS,
+    NAPHTHALENE_CENTERS,
+    PHENANTHRENE_CENTERS,
+    PYRENE_CENTERS,
+    benzene,
+    benzenoid,
+    benzenoid_catalog,
+    naphthalene,
+    random_map,
+    torus_grid,
+)
 
 HEXAGON = {
     "S": ["u0", "u2", "u4"],
@@ -76,6 +89,7 @@ def test_parse_rejects_bad_shapes():
         lambda d: d.update(outer="nope"),
         lambda d: d.update(w1={"ghost": 1}),
         lambda d: d.update(w1={"inner": -2}),
+        lambda d: d["T"].append("u0"),
     ):
         data = json.loads(json.dumps(HEXAGON))
         mutate(data)
@@ -84,10 +98,11 @@ def test_parse_rejects_bad_shapes():
 
 
 def test_parse_rejects_non_bipartite_edge():
-    data = json.loads(json.dumps(HEXAGON))
-    data["edges"][0] = ["u0", "u2"]
-    with pytest.raises(NonBipartiteError):
-        parse_validate(data)
+    for edge in (["u0", "u2"], ["u1", "u0"]):
+        data = json.loads(json.dumps(HEXAGON))
+        data["edges"][0] = edge
+        with pytest.raises(NonBipartiteError):
+            parse_validate(data)
 
 
 def test_parse_rejects_broken_walk():
@@ -141,6 +156,115 @@ TWO_GLUED_HEXAGONS = {
 def test_parse_rejects_faces_on_two_surfaces():
     with pytest.raises(FaceBoundaryError, match="one connected surface"):
         parse_validate(TWO_GLUED_HEXAGONS)
+
+
+def _reference_two_connected(g):
+    """The lowpoint depth-first search (Hopcroft and Tarjan, 1973) that
+    validation ran before its isolated-node check, kept as a test-only
+    reference: raises :class:`NotTwoConnectedError` if ``g`` is
+    disconnected or, with more than two nodes, has a cut node."""
+    n = g.node_count
+    adj = [[] for _ in range(n)]
+    for i, (s, t) in enumerate(g.edges):
+        adj[s].append((t, i))
+        adj[t].append((s, i))
+    # iterative DFS computing lowpoints; parallel edges are distinct
+    visited = [False] * n
+    disc = [0] * n
+    low = [0] * n
+    timer = 0
+    stack = [(0, -1, 0)]  # node, entry edge, adj pos
+    order = []
+    root_children = 0
+    articulation = False
+    while stack:
+        v, pedge, i = stack.pop()
+        if i == 0:
+            visited[v] = True
+            disc[v] = low[v] = timer
+            timer += 1
+        if i < len(adj[v]):
+            stack.append((v, pedge, i + 1))
+            w, e = adj[v][i]
+            if e == pedge:
+                continue
+            if visited[w]:
+                low[v] = min(low[v], disc[w])
+            else:
+                order.append((v, w))
+                if v == 0:
+                    root_children += 1
+                stack.append((w, e, 0))
+    # fold lowpoints back up in reverse DFS-tree order
+    for v, w in reversed(order):
+        low[v] = min(low[v], low[w])
+        if v != 0 and low[w] >= disc[v]:
+            articulation = True
+    if not all(visited):
+        raise NotTwoConnectedError("graph is disconnected")
+    if root_children > 1:
+        articulation = True
+    if articulation and n > 2:
+        raise NotTwoConnectedError("graph has a cut node")
+
+
+def _merged(data, rng, isolated):
+    """A copy of ``data`` with two S-nodes made one, which pinches the
+    surface there when they share no face, and ``isolated`` nodes on no
+    edge added."""
+    data = json.loads(json.dumps(data))
+    gone, kept = rng.sample(data["S"], 2)
+    data["S"].remove(gone)
+    data["edges"] = [[kept if x == gone else x for x in pair] for pair in data["edges"]]
+    data["S"] += [f"x{k}" for k in range(0, isolated, 2)]
+    data["T"] += [f"x{k}" for k in range(1, isolated, 2)]
+    return data
+
+
+def test_face_checks_imply_two_connected(monkeypatch):
+    # every graph that validation accepts passes the lowpoint search: the
+    # catalog, random polyhexes, random maps on any surface, and some of
+    # each with two nodes merged and up to two isolated nodes added; the
+    # matching search is stubbed out so graphs without a perfect matching
+    # count too
+    monkeypatch.setattr(plane, "perfect_matching", lambda g: frozenset())
+    rng = random.Random(5150)
+    inputs = [benzenoid(c) for c in (
+        BENZENE_CENTERS, NAPHTHALENE_CENTERS, ANTHRACENE_CENTERS,
+        PHENANTHRENE_CENTERS, PYRENE_CENTERS,
+    )]
+    while len(inputs) < 85:
+        try:
+            inputs.append(benzenoid(_random_polyhex_centers(rng, rng.randint(2, 12))))
+        except AssertionError:
+            continue
+    inputs += [random_map(rng) for _ in range(1500)]
+    inputs += [
+        _merged(data, rng, k)
+        for data in inputs[:185] if len(data["S"]) > 1 for k in (0, 1, 2)
+    ]
+    outcomes = {}
+    for data in inputs:
+        try:
+            g = parse_validate(data)
+        except InputError as exc:
+            outcome = str(exc) if isinstance(exc, NotTwoConnectedError) else type(exc).__name__
+        else:
+            _reference_two_connected(g)
+            outcome = "accepted"
+        outcomes[outcome] = outcomes.get(outcome, 0) + 1
+    assert outcomes["accepted"] >= 100
+    # merged polyhexes with one isolated node pass the Euler check and
+    # reach the isolated-node check
+    assert outcomes["graph is disconnected"] >= 10
+
+
+def test_torus_grid_passes_euler_only_with_two_isolated_nodes():
+    with pytest.raises(NotTwoConnectedError, match="graph is disconnected"):
+        parse_validate(torus_grid(4, 4, 2))
+    for isolated in (0, 1, 3):
+        with pytest.raises(EulerError):
+            parse_validate(torus_grid(4, 4, isolated))
 
 
 # K_{2,3} (S-nodes a1, a2) and K_{3,2} (T-nodes y1, y2) drawn side by side
@@ -313,10 +437,8 @@ def test_orientation_degrees():
 
 def test_hexagon_dual_is_parallel():
     g = parse_validate(HEXAGON)
-    first = orient_by_matching(g, frozenset({1, 3, 5}))
-    assert planar_dual(g, first).digraph.arcs == ((0, 1),) * 6
-    second = orient_by_matching(g, frozenset({0, 2, 4}))
-    assert planar_dual(g, second).digraph.arcs == ((1, 0),) * 6
+    assert planar_dual(g, frozenset({1, 3, 5})).arcs == ((0, 1),) * 6
+    assert planar_dual(g, frozenset({0, 2, 4})).arcs == ((1, 0),) * 6
 
 
 def test_enumerate_matchings_counts():

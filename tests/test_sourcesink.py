@@ -148,7 +148,7 @@ def test_two_layer_network_matches_three_layer_reference():
 
 def test_derived_graphs_pass_the_full_checks(monkeypatch):
     """Every digraph built without re-validation (doubled graph, aux
-    network, matching orientation, planar dual) passes the checks of
+    network, planar dual) passes the checks of
     ``Digraph(n, arcs)`` and equals the checked build."""
     built = []
     derived = Digraph._derived.__func__
@@ -164,16 +164,16 @@ def test_derived_graphs_pass_the_full_checks(monkeypatch):
         max_source_sink(d, weights)
         solved += 1
     # a doubled graph and an aux network per digraph; the 24 x 28 dual
-    # comes from a plane solve, which also built the orientation, the
-    # dual and a first aux network
-    assert len(built) == 2 * solved + 3
+    # comes from a plane solve, which also built the dual and a first aux
+    # network
+    assert len(built) == 2 * solved + 2
     catalog = [g for _, g in benzenoid_catalog()]
     for g in catalog:
-        # orientation, dual, doubled dual and aux network per solve
+        # dual, doubled dual and aux network per solve
         solve_clar_fries(g)
         clar_number(g)
         fries_number(g)
-    assert len(built) == 2 * solved + 3 + 12 * len(catalog)
+    assert len(built) == 2 * solved + 2 + 9 * len(catalog)
     monkeypatch.undo()
     for d in built:
         assert type(d.arcs) is tuple
