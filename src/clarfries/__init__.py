@@ -36,7 +36,6 @@ from .oracle import (
 )
 from .plane import (
     ClarFriesResult,
-    MatchingOrientation,
     PlaneBipartiteGraph,
     alternating_faces,
     clar_number,

@@ -14,12 +14,14 @@ import sys
 
 from . import jsonio, oracle, plane, sourcesink
 from .errors import BudgetExceeded, InputError, InvariantError
-from .sourcesink import WeightPair
 
 
 def _load(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (UnicodeDecodeError, RecursionError) as exc:
+            raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def _emit(obj: dict, pretty: bool) -> None:
@@ -66,13 +68,8 @@ def cmd_solve_digraph(args) -> int:
 def cmd_sink_stable(args) -> int:
     data = _load(args.input)
     d, names = jsonio.digraph_from_json(data)
-    w = _within_weights(args, data, names)
-    for x in w:
-        if not isinstance(x, int):
-            raise InputError("sink-stable weights must be integers")
-    result = sourcesink.max_sink_stable(d, w)
-    weights = WeightPair.sink_only(w)
-    payload = jsonio.sink_stable_to_json(d, names, weights, result)
+    result = sourcesink.max_sink_stable(d, _within_weights(args, data, names))
+    payload = jsonio.sink_stable_to_json(d, names, result.certificate.weights, result)
     _require_checks(payload)
     _emit(payload, args.pretty)
     return 0
@@ -81,10 +78,8 @@ def cmd_sink_stable(args) -> int:
 def cmd_resonant(args) -> int:
     data = _load(args.input)
     d, names = jsonio.digraph_from_json(data)
-    w = _within_weights(args, data, names)
-    cert = sourcesink.max_resonant(d, w)
-    weights = WeightPair(w, w)
-    payload = jsonio.certificate_to_json(d, names, weights, cert)
+    cert = sourcesink.max_resonant(d, _within_weights(args, data, names))
+    payload = jsonio.certificate_to_json(d, names, cert.weights, cert)
     payload["resonant_set"] = sorted(
         names[v] for v in cert.source_set | cert.sink_set
     )
@@ -126,10 +121,10 @@ def cmd_clar_fries(args) -> int:
     g = _load_plane(args.input)
     result = plane.solve_clar_fries(g)
     payload = jsonio.clar_fries_to_json(g, result)
-    weights = WeightPair(tuple(g.acw_weights), tuple(g.cw_weights))
+    cert = result.certificate
     face_names = tuple(f.name for f in g.faces)
     payload["certificate"] = jsonio.certificate_to_json(
-        result.dual, face_names, weights, result.certificate
+        cert.digraph, face_names, cert.weights, cert
     )
     _require_checks(payload)
     _emit(payload, args.pretty)

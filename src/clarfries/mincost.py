@@ -74,6 +74,11 @@ class McfSolution:
 def solve(instance: CirculationInstance) -> McfSolution:
     """Compute a minimum-cost circulation meeting all lower bounds.
 
+    ``instance`` needs only the fields ``digraph``, ``lower`` and ``cost``,
+    with one nonnegative int per arc in each of the last two.  They are read
+    unchecked: a :class:`CirculationInstance` has checked them, and
+    :class:`~clarfries.sourcesink.AuxNetwork` builds them that way.
+
     Raises :class:`InfeasibleCirculation` with a deficient node set when no
     circulation satisfies the lower bounds.
     """

@@ -124,9 +124,6 @@ class PlaneBipartiteGraph:
             return self.s_names[v]
         return self.t_names[v - len(self.s_names)]
 
-    def face_of_side(self, edge: int, toward_t: bool) -> int:
-        return self._side_face[2 * edge + toward_t]
-
     def inner_faces(self) -> frozenset[int]:
         return frozenset(f for f in range(len(self.faces)) if f != self.outer)
 
@@ -420,18 +417,6 @@ def perfect_matching(g: PlaneBipartiteGraph) -> frozenset[int]:
     return frozenset(match_s)
 
 
-@dataclass(frozen=True)
-class MatchingOrientation:
-    """Orientation with matching edges directed toward S, the rest toward T.
-
-    Arc ``i`` of ``digraph`` corresponds to edge ``i``; every S-node has
-    in-degree exactly 1 and every T-node out-degree exactly 1.
-    """
-
-    matching: frozenset[int]
-    digraph: Digraph
-
-
 def _check_perfect(g: PlaneBipartiteGraph, matching: frozenset[int]) -> None:
     hit = [0] * g.node_count
     for e in matching:
@@ -444,8 +429,10 @@ def _check_perfect(g: PlaneBipartiteGraph, matching: frozenset[int]) -> None:
         raise InputError("edge set is not a perfect matching")
 
 
-def orient_by_matching(g: PlaneBipartiteGraph, matching: Iterable[int]) -> MatchingOrientation:
-    """Orient ``g`` by a perfect matching.
+def orient_by_matching(g: PlaneBipartiteGraph, matching: Iterable[int]) -> Digraph:
+    """Orient ``g`` by a perfect matching: matched edges point toward S, the
+    rest toward T.  Arc ``i`` is edge ``i``; every S-node has in-degree
+    exactly 1 and every T-node out-degree exactly 1.
 
     The digraph is derived from the validated ``g`` without re-validation:
     its arcs are ``g``'s edges, which join an S-node to a T-node, and ``g``
@@ -454,7 +441,7 @@ def orient_by_matching(g: PlaneBipartiteGraph, matching: Iterable[int]) -> Match
     matching = frozenset(matching)
     _check_perfect(g, matching)
     arcs = tuple((t, s) if i in matching else (s, t) for i, (s, t) in enumerate(g.edges))
-    return MatchingOrientation(matching, Digraph._derived(g.node_count, arcs))
+    return Digraph._derived(g.node_count, arcs)
 
 
 def planar_dual(g: PlaneBipartiteGraph, matching: Iterable[int]) -> Digraph:
@@ -512,8 +499,8 @@ class ClarFriesResult:
     ``cw_faces`` and ``acw_faces`` are each node-disjoint families of
     alternating faces under ``matching``; the pair's total weight is
     ``value`` and ``certificate`` proves it maximal over all matchings.
-    ``dual`` is the planar dual oriented by the start matching, the
-    digraph the certificate's nodes, potential and cover refer to.
+    The certificate's ``digraph`` is the planar dual oriented by the start
+    matching, the digraph its nodes, potential and cover refer to.
     """
 
     matching: frozenset[int]
@@ -521,7 +508,6 @@ class ClarFriesResult:
     acw_faces: frozenset[int]
     value: Weight
     certificate: SourceSinkCertificate
-    dual: Digraph
 
 
 def solve_clar_fries(
@@ -577,7 +563,7 @@ def solve_clar_fries(
     cw, acw = alternating_faces(g, matching)
     if not (cert.sink_set <= cw and cert.source_set <= acw):
         raise InvariantError("reported faces are not alternating in the new matching")
-    return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert, dual)
+    return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert)
 
 
 def _one_sided_result(

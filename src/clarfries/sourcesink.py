@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 from . import mincost
 from .digraph import (
     ArcClass,
-    BiDigraph,
     Digraph,
     bidirect,
     classify_arcs,
@@ -150,14 +149,18 @@ class WeightPair:
 class AuxNetwork:
     """Circulation network whose optimum is the best pair weight.
 
-    Nodes 0..n-1 are the original nodes; ``out_node(v)`` and ``in_node(v)``
-    are v's copies in the out and in layers.  Arcs, in index order: for each
-    node v the vertical ``in_node(v) -> v`` with the sink weight as lower
-    bound and ``v -> out_node(v)`` with the source weight; then for each
-    doubled arc j = (u, w) the sink entry ``u -> in_node(w)`` and the source
-    exit ``out_node(u) -> w``, each costing 1 exactly when j is an original
-    arc.  No arc joins u to w directly, since ``u -> in_node(w) -> w`` costs
-    the same and its vertical has no capacity limit.
+    Nodes 0..n-1 are the original nodes; ``n + v`` and ``2n + v`` are v's
+    copies in the out and in layers.  Arcs, in index order: for each node v
+    the vertical ``2n + v -> v`` with the sink weight as lower bound and
+    ``v -> n + v`` with the source weight; then for each doubled arc
+    j = (u, w) the sink entry ``u -> 2n + w`` and the source exit
+    ``n + u -> w``, each costing 1 exactly when j is an original arc.  No
+    arc joins u to w directly, since ``u -> 2n + w -> w`` costs the same and
+    its vertical has no capacity limit.
+
+    ``digraph``, ``lower`` and ``cost`` are the fields :func:`mincost.solve`
+    reads; costs are 0 or 1 and lower bounds are the weights, so the network
+    goes to the solver unwrapped when ``weights`` is integral.
 
     The network's digraph is derived from ``d`` without re-validation: its
     node ids lie in ``0 .. 3n - 1``, no arc joins a layer to itself, the
@@ -192,12 +195,6 @@ class AuxNetwork:
     @property
     def base_node_count(self) -> int:
         return self.bi.node_count
-
-    def out_node(self, v: int) -> int:
-        return self.base_node_count + v
-
-    def in_node(self, v: int) -> int:
-        return 2 * self.base_node_count + v
 
     def vertical_in_arc(self, v: int) -> int:
         return 2 * v
@@ -275,8 +272,10 @@ class SourceSinkCertificate:
     certificate; its cost equals ``value``, which equals the pair's weight.
 
     ``checks`` is the dict of :func:`certificate_checks` that the solver
-    computed (all true) when it produced this certificate, and ``None`` on a
-    certificate built or copied (``dataclasses.replace``) by hand.
+    computed (all true) when it produced this certificate, and ``digraph``
+    and ``weights`` are the instance it computed them on.  All three are
+    ``None`` on a certificate built or copied (``dataclasses.replace``) by
+    hand.
     """
 
     source_set: frozenset[int]
@@ -287,16 +286,14 @@ class SourceSinkCertificate:
     checks: dict[str, bool] | None = field(
         default=None, init=False, compare=False, repr=False
     )
-    # the (digraph, weights) that ``checks`` were computed against
-    _checked_on: tuple | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
+    digraph: Digraph | None = field(default=None, init=False, compare=False, repr=False)
+    weights: WeightPair | None = field(default=None, init=False, compare=False, repr=False)
 
     def checks_for(self, d: Digraph, weights: WeightPair) -> dict[str, bool]:
         """:func:`certificate_checks` of this certificate on ``(d, weights)``:
         the recorded ``checks`` when they were computed on an equal instance,
         else computed afresh."""
-        if self._checked_on == (d, weights):
+        if (self.digraph, self.weights) == (d, weights):
             return self.checks
         return certificate_checks(d, weights, self)
 
@@ -321,7 +318,6 @@ def extract_pair(
     source_set = []
     sink_set = []
     for v in range(n):
-        # out_node(v) is n + v, in_node(v) is 2n + v
         slack_out = potential[v] - potential[n + v]
         slack_in = potential[2 * n + v] - potential[v]
         if slack_out + slack_in not in (0, 1):
@@ -425,9 +421,7 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
     """
     scaled, denom = weights.scaled_integral()
     aux = build_aux_network(d, scaled)
-    solution = mincost.solve(
-        mincost.CirculationInstance(aux.digraph, aux.lower, aux.cost)
-    )
+    solution = mincost.solve(aux)
     source_set, sink_set, potential = extract_pair(aux, solution.potential)
     cover = extract_cover(aux, solution.flow)
     value: Weight = solution.objective
@@ -444,13 +438,14 @@ def _self_checked(
     d: Digraph, weights: WeightPair, cert: SourceSinkCertificate, what: str
 ) -> SourceSinkCertificate:
     """Run :func:`certificate_checks` once, raise unless all pass, and
-    record the passing dict on ``cert``."""
+    record the passing dict and its instance on ``cert``."""
     checks = certificate_checks(d, weights, cert)
     if not all(checks.values()):
         failed = sorted(k for k, ok in checks.items() if not ok)
         raise InvariantError(f"{what} failed self-checks: {failed}")
     object.__setattr__(cert, "checks", checks)
-    object.__setattr__(cert, "_checked_on", (d, weights))
+    object.__setattr__(cert, "digraph", d)
+    object.__setattr__(cert, "weights", weights)
     return cert
 
 

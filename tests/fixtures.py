@@ -286,7 +286,7 @@ def parallelogram_dual(n: int, m: int):
     """The planar dual of the n x m hexagon parallelogram with seeded
     random source and sink weights 0..3: ``(digraph, WeightPair)``."""
     g = parse_validate(benzenoid([(q, r) for q in range(n) for r in range(m)]))
-    dual = solve_clar_fries(g).dual
+    dual = solve_clar_fries(g).certificate.digraph
     return dual, random_weight_pair(random.Random(2428), dual.node_count)
 
 

@@ -5,6 +5,8 @@ import pytest
 from clarfries import cli, jsonio, plane, sourcesink
 from clarfries.cli import main
 from clarfries.digraph import Digraph
+from clarfries.mincost import CirculationInstance
+from clarfries.sourcesink import WeightPair
 from fixtures import BOWTIE_ARCS, BOWTIE_NAMES, benzenoid, BENZENE_CENTERS, NAPHTHALENE_CENTERS
 
 
@@ -17,6 +19,18 @@ def bowtie_file(tmp_path):
         "w_i": {n: 1 for n in BOWTIE_NAMES},
     }
     path = tmp_path / "bowtie.json"
+    path.write_text(json.dumps(inst))
+    return str(path)
+
+
+@pytest.fixture
+def bowtie_half_weight_file(tmp_path):
+    inst = {
+        "nodes": list(BOWTIE_NAMES),
+        "arcs": [[u, v] for u, v in BOWTIE_ARCS],
+        "w": {"a1": "1/2"},
+    }
+    path = tmp_path / "bowtie_half.json"
     path.write_text(json.dumps(inst))
     return str(path)
 
@@ -72,6 +86,12 @@ def test_sink_stable(capsys, bowtie_file):
         assert circuit["multiplicity"] >= 1
         assert circuit["original_arcs"] >= 1
     assert out["certificate"]["checks"]["pair_verified"]
+
+
+def test_sink_stable_rejects_fractional_weights(capsys, bowtie_half_weight_file):
+    code, out = run(capsys, "sink-stable", bowtie_half_weight_file)
+    assert code == 1
+    assert out == {"error": "sink-stable weights must be integers"}
 
 
 def test_sink_stable_within(capsys, bowtie_file):
@@ -179,6 +199,18 @@ def test_error_exits(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "raw", [b'{"nodes": ["\xff"], "arcs": []}', b"[" * 100000],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_unreadable_json_is_input_error(capsys, tmp_path, raw):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(raw)
+    code, out = run(capsys, "solve-digraph", str(path))
+    assert code == 1
+    assert list(out) == ["error"]
+
+
 def test_pretty_output(capsys, bowtie_file):
     code = main(["solve-digraph", "--pretty", bowtie_file])
     out = capsys.readouterr().out
@@ -275,25 +307,41 @@ def test_malformed_shape_is_input_error(capsys, tmp_path, command, data):
     assert list(out) == ["error"]
 
 
+def _count_constructions(monkeypatch, cls, method, calls):
+    """Count calls of ``cls.method`` under the class name."""
+    original = getattr(cls, method)
+    calls[cls.__name__] = 0
+
+    def counted(self, *args, **kwargs):
+        calls[cls.__name__] += 1
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, method, counted)
+
+
 @pytest.mark.parametrize(
     "command", ["solve-digraph", "resonant", "sink-stable", "clar-fries"]
 )
 def test_request_checks_each_certificate_once(
     capsys, monkeypatch, bowtie_file, benzene_file, command
 ):
-    calls = {"certificate_checks": 0, "Digraph": 0}
+    calls = {"certificate_checks": 0}
     _count_calls(monkeypatch, [sourcesink, jsonio], "certificate_checks", calls)
-    build = Digraph.__init__
-
-    def counted_build(self, *args, **kwargs):
-        calls["Digraph"] += 1
-        build(self, *args, **kwargs)
-
-    monkeypatch.setattr(Digraph, "__init__", counted_build)
+    for cls, method in [
+        (Digraph, "__init__"),
+        (CirculationInstance, "__post_init__"),
+        (WeightPair, "__post_init__"),
+    ]:
+        _count_constructions(monkeypatch, cls, method, calls)
     path = benzene_file if command == "clar-fries" else bowtie_file
     code, _out = run(capsys, command, path)
     assert code == 0
     assert calls["certificate_checks"] == 1
+    # the auxiliary network goes to the solver unwrapped
+    assert calls["CirculationInstance"] == 0
+    # the solver's weights, rendered from the certificate (integer weights
+    # need no scaled copy)
+    assert calls["WeightPair"] == 1
     if command == "solve-digraph":
         # the input digraph only: the doubled graph and the auxiliary
         # network are derived from it without re-validation

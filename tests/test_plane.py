@@ -422,10 +422,9 @@ def test_orientation_degrees():
     # matched edges point into S, so S nodes get exactly one entering arc
     for g in (g for _, g in benzenoid_catalog()):
         m = perfect_matching(g)
-        orient = orient_by_matching(g, m)
         indeg = [0] * g.node_count
         outdeg = [0] * g.node_count
-        for u, v in orient.digraph.arcs:
+        for u, v in orient_by_matching(g, m).arcs:
             outdeg[u] += 1
             indeg[v] += 1
         for v in range(g.node_count):
