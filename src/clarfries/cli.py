@@ -99,10 +99,7 @@ def _face_number(args, solve, key: str) -> int:
         {
             "value": jsonio.render_value(value),
             key: sorted(g.faces[f].name for f in faces),
-            "matching": sorted(
-                [g.node_name(g.edges[e][0]), g.node_name(g.edges[e][1])]
-                for e in matching
-            ),
+            "matching": jsonio.matching_to_json(g, matching),
         },
         args.pretty,
     )
@@ -119,13 +116,7 @@ def cmd_fries(args) -> int:
 
 def cmd_clar_fries(args) -> int:
     g = _load_plane(args.input)
-    result = plane.solve_clar_fries(g)
-    payload = jsonio.clar_fries_to_json(g, result)
-    cert = result.certificate
-    face_names = tuple(f.name for f in g.faces)
-    payload["certificate"] = jsonio.certificate_to_json(
-        cert.digraph, face_names, cert.weights, cert
-    )
+    payload = jsonio.clar_fries_to_json(g, plane.solve_clar_fries(g))
     _require_checks(payload)
     _emit(payload, args.pretty)
     return 0

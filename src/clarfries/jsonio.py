@@ -1,7 +1,9 @@
 """JSON reading and writing for digraphs, weights, and certificates.
 
-Node names only exist at this boundary; the solvers work on integer
-indices.  Exact rationals are written as ``"p/q"`` strings and read back
+Node names only exist at this boundary, and must be strings; the solvers
+work on integer indices.  Every weight map is read by
+:func:`node_weights_from_json`, where ``null`` reads as an absent map.
+Exact rationals are written as ``"p/q"`` strings and read back
 from ints, strings, or decimal floats (converted via their decimal text,
 so 0.1 means one tenth).
 """
@@ -18,7 +20,7 @@ from .sourcesink import (
     SinkStableResult,
     SourceSinkCertificate,
     WeightPair,
-    parse_weight_value,
+    node_weights_from_json,
 )
 
 
@@ -37,7 +39,10 @@ def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
     for key in ("nodes", "arcs"):
         if not isinstance(data[key], (list, tuple)):
             raise InputError(f"'{key}' must be a list")
-    names = tuple(str(x) for x in data["nodes"])
+    names = tuple(data["nodes"])
+    for name in names:
+        if not isinstance(name, str):
+            raise InputError(f"bad node name {name!r}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise InputError("duplicate node names")
@@ -51,22 +56,6 @@ def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
             raise InputError(f"arc {i} references an unknown node")
         arcs.append((index[u], index[v]))
     return Digraph(len(names), arcs), names
-
-
-def node_weights_from_json(
-    raw, names: Sequence[str], default, what: str
-) -> tuple:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, Mapping):
-        raise InputError(f"{what} must be a map from node name to weight")
-    index = {name: i for i, name in enumerate(names)}
-    vec = [default] * len(names)
-    for name, value in raw.items():
-        if name not in index:
-            raise InputError(f"{what} references unknown node {name!r}")
-        vec[index[name]] = parse_weight_value(value, f"{what}[{name}]")
-    return tuple(vec)
 
 
 def weight_pair_from_json(data, names: Sequence[str], default=0) -> WeightPair:
@@ -133,14 +122,22 @@ def sink_stable_to_json(
     }
 
 
+def matching_to_json(g: PlaneBipartiteGraph, matching) -> list:
+    """The matched edges as sorted ``[S-node, T-node]`` name pairs."""
+    return sorted(
+        [g.node_name(g.edges[e][0]), g.node_name(g.edges[e][1])] for e in matching
+    )
+
+
 def clar_fries_to_json(g: PlaneBipartiteGraph, result: ClarFriesResult) -> dict:
+    """The answer with face and node names, and its certificate on the
+    planar dual, whose nodes are the faces."""
     face_names = [f.name for f in g.faces]
+    cert = result.certificate
     return {
         "value": render_value(result.value),
-        "matching": sorted(
-            [g.node_name(g.edges[e][0]), g.node_name(g.edges[e][1])]
-            for e in result.matching
-        ),
+        "matching": matching_to_json(g, result.matching),
         "cw_faces": sorted(face_names[f] for f in result.cw_faces),
         "acw_faces": sorted(face_names[f] for f in result.acw_faces),
+        "certificate": certificate_to_json(cert.digraph, face_names, cert.weights, cert),
     }

@@ -33,7 +33,7 @@ from .sourcesink import (
     SourceSinkCertificate,
     WeightPair,
     max_source_sink,
-    parse_weight_value,
+    node_weights_from_json,
 )
 
 Weight = int | Fraction
@@ -315,25 +315,15 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     if outer_name not in face_index:
         raise InputError(f"outer face {outer_name!r} not among faces")
 
-    def weight_vector(key: str) -> list[Weight]:
-        raw = data.get(key, {})
-        if not isinstance(raw, Mapping):
-            raise InputError(f"{key!r} must be a map from face id to weight")
-        vec: list[Weight] = [0] * len(faces)
-        for name, value in raw.items():
-            if name not in face_index:
-                raise InputError(f"{key!r} references unknown face {name!r}")
-            vec[face_index[name]] = parse_weight_value(value, f"{key}[{name}]")
-        return vec
-
+    face_names = [f.name for f in faces]
     return PlaneBipartiteGraph(
         s_names,
         t_names,
         edges,
         faces,
         face_index[outer_name],
-        weight_vector("w1"),
-        weight_vector("w2"),
+        node_weights_from_json(data.get("w1"), face_names, 0, "w1", "face"),
+        node_weights_from_json(data.get("w2"), face_names, 0, "w2", "face"),
     )
 
 

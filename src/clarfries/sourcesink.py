@@ -22,8 +22,11 @@ of arc multiplicity vectors (the source exits and the sink entries) whose
 sum is a circulation, one sending enough flow out of every node to pay its
 source weight, the other enough into every node to pay its sink weight.
 
-Rational weights are cleared to integers by a common denominator before
-solving and scaled back afterwards, so all reported values are exact.
+Rational weights are cleared to integers inside the auxiliary network:
+its lower bounds are the weights times ``scale``, the lcm of their
+denominators, and the value and cover are divided by ``scale`` afterwards,
+so all reported values are exact and every network is a valid
+:func:`mincost.solve` input.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import mincost
 from .digraph import (
@@ -86,6 +89,29 @@ def parse_weight_value(value, what: str) -> Weight:
     return w
 
 
+def node_weights_from_json(
+    raw, names: Sequence[str], default, what: str, item: str = "node"
+) -> tuple:
+    """Read ``raw``, the JSON weight map named ``what`` (name -> weight),
+    into one weight per entry of ``names``, ``default`` where a name is
+    missing.
+
+    ``null`` reads as an absent map.  ``item`` is the kind of name (node or
+    face) that error messages cite.
+    """
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{what} must be a map from {item} name to weight")
+    index = {name: i for i, name in enumerate(names)}
+    vec = [default] * len(names)
+    for name, value in raw.items():
+        if name not in index:
+            raise InputError(f"{what} references unknown {item} {name!r}")
+        vec[index[name]] = parse_weight_value(value, f"{what}[{name}]")
+    return tuple(vec)
+
+
 @dataclass(frozen=True)
 class WeightPair:
     """Per-node source and sink weights, nonnegative and exact."""
@@ -110,21 +136,6 @@ class WeightPair:
     @property
     def integral(self) -> bool:
         return all(isinstance(x, int) for x in self.source_weight + self.sink_weight)
-
-    def scaled_integral(self) -> tuple["WeightPair", int]:
-        """Clear denominators: returns (integer pair, scale factor)."""
-        if self.integral:
-            return self, 1
-        denom = lcm(
-            *(Fraction(x).denominator for x in self.source_weight + self.sink_weight)
-        )
-        return (
-            WeightPair(
-                tuple(int(x * denom) for x in self.source_weight),
-                tuple(int(x * denom) for x in self.sink_weight),
-            ),
-            denom,
-        )
 
     @classmethod
     def uniform(cls, node_count: int, value: Weight = 1) -> "WeightPair":
@@ -159,8 +170,9 @@ class AuxNetwork:
     its vertical has no capacity limit.
 
     ``digraph``, ``lower`` and ``cost`` are the fields :func:`mincost.solve`
-    reads; costs are 0 or 1 and lower bounds are the weights, so the network
-    goes to the solver unwrapped when ``weights`` is integral.
+    reads, and every network goes to the solver unwrapped: costs are 0 or 1,
+    and lower bounds are the weights times ``scale``, the lcm of their
+    denominators (1 for integral weights), so they are ints too.
 
     The network's digraph is derived from ``d`` without re-validation: its
     node ids lie in ``0 .. 3n - 1``, no arc joins a layer to itself, the
@@ -168,21 +180,27 @@ class AuxNetwork:
     ends through an in-layer copy, so it is connected because ``d`` is.
     """
 
-    __slots__ = ("digraph", "lower", "cost", "bi")
+    __slots__ = ("digraph", "lower", "cost", "bi", "scale")
 
     def __init__(self, d: Digraph, weights: WeightPair):
         if weights.node_count != d.node_count:
             raise InputError("weight vectors must have one entry per node")
         n = d.node_count
+        source, sink = weights.source_weight, weights.sink_weight
+        scale = 1
+        if not weights.integral:
+            scale = lcm(*(x.denominator for x in source + sink))
+            source = tuple(int(x * scale) for x in source)
+            sink = tuple(int(x * scale) for x in sink)
         bi = bidirect(d)
         # one int object per copy, shared by all arcs at that copy
         out_id = list(range(n, 2 * n))
         in_id = list(range(2 * n, 3 * n))
         arcs: list[tuple[int, int]] = []
-        lower: list[Weight] = []
+        lower: list[int] = []
         for v in range(n):
             arcs += ((in_id[v], v), (v, out_id[v]))
-            lower += (weights.sink_weight[v], weights.source_weight[v])
+            lower += (sink[v], source[v])
         for u, w in bi.arcs:
             arcs += ((u, in_id[w]), (out_id[u], w))
         m = bi.m
@@ -191,6 +209,7 @@ class AuxNetwork:
         # bi lists the m original arcs (cost 1) before their reverse copies
         self.cost = (0,) * (2 * n) + (1,) * (2 * m) + (0,) * (2 * m)
         self.bi = bi
+        self.scale = scale
 
     @property
     def base_node_count(self) -> int:
@@ -419,15 +438,14 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
     certificate carries the witness potential and a circular cover of equal
     cost, and has passed :func:`certificate_checks`.
     """
-    scaled, denom = weights.scaled_integral()
-    aux = build_aux_network(d, scaled)
+    aux = build_aux_network(d, weights)
     solution = mincost.solve(aux)
     source_set, sink_set, potential = extract_pair(aux, solution.potential)
     cover = extract_cover(aux, solution.flow)
     value: Weight = solution.objective
-    if denom != 1:
-        cover = cover.scaled(Fraction(1, denom))
-        value = Fraction(solution.objective, denom)
+    if aux.scale != 1:
+        cover = cover.scaled(Fraction(1, aux.scale))
+        value = Fraction(solution.objective, aux.scale)
         if value.denominator == 1:
             value = int(value)
     cert = SourceSinkCertificate(source_set, sink_set, potential, cover, value)
@@ -500,7 +518,7 @@ def max_resonant(d: Digraph, weight: Sequence[Weight]) -> SourceSinkCertificate:
     part of a common reorientation; the certificate's two sets provide the
     partition and their union is the resonant set.
     """
-    w = _check_weight_vector(weight, "weight")
+    w = tuple(weight)
     return max_source_sink(d, WeightPair(w, w))
 
 
@@ -510,20 +528,10 @@ def max_cardinality_within(
     """Largest source-sink pair with sources drawn from ``source_pool`` and
     sinks from ``sink_pool`` (disjoint pools).
 
-    Solved with indicator weights; nodes outside the pools carry weight 0
-    and are dropped from the reported pair, which keeps the certificate
-    valid and the value equal to the reported pair's size.
+    With nothing forced, :func:`constrained_source_sink` weighs every pool
+    node 1 and every other node 0, so its value is the reported pair's size.
     """
-    so_pool = frozenset(source_pool)
-    si_pool = frozenset(sink_pool)
-    if so_pool & si_pool:
-        raise InputError("source and sink pools overlap")
-    for v in so_pool | si_pool:
-        if not (0 <= v < d.node_count):
-            raise InputError(f"node {v} out of range")
-    cert = max_source_sink(d, WeightPair.indicator(d.node_count, so_pool, si_pool))
-    return _restrict_pair(d, cert, so_pool, si_pool,
-                          WeightPair.indicator(d.node_count, so_pool, si_pool))
+    return constrained_source_sink(d, (), source_pool, (), sink_pool)
 
 
 def constrained_source_sink(
@@ -562,28 +570,13 @@ def constrained_source_sink(
     )
     weights = WeightPair(w_source, w_sink)
     cert = max_source_sink(d, weights)
-    cert = _restrict_pair(d, cert, a_so, a_si, weights)
+    # Zero-weight nodes outside the pools leave the reported pair.  Shrinking
+    # the pair only relaxes the potential's obligations and keeps its weight,
+    # so both witnesses still apply; the certificate is re-checked anyway.
+    restricted = replace(
+        cert, source_set=cert.source_set & a_so, sink_set=cert.sink_set & a_si
+    )
+    cert = _self_checked(d, weights, restricted, "restricted certificate")
     if not (f_so <= cert.source_set and f_si <= cert.sink_set):
         return None
     return cert
-
-
-def _restrict_pair(
-    d: Digraph,
-    cert: SourceSinkCertificate,
-    source_pool: frozenset[int],
-    sink_pool: frozenset[int],
-    weights: WeightPair,
-) -> SourceSinkCertificate:
-    """Drop zero-weight nodes outside the pools from the reported pair.
-
-    Shrinking the pair only relaxes the potential's obligations and leaves
-    the pair weight unchanged, so the original witnesses still apply; the
-    rebuilt certificate is re-checked to be safe.
-    """
-    restricted = replace(
-        cert,
-        source_set=cert.source_set & source_pool,
-        sink_set=cert.sink_set & sink_pool,
-    )
-    return _self_checked(d, weights, restricted, "restricted certificate")

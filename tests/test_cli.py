@@ -28,10 +28,20 @@ def bowtie_half_weight_file(tmp_path):
     inst = {
         "nodes": list(BOWTIE_NAMES),
         "arcs": [[u, v] for u, v in BOWTIE_ARCS],
+        "w_o": {"a1": "1/2"},
         "w": {"a1": "1/2"},
     }
     path = tmp_path / "bowtie_half.json"
     path.write_text(json.dumps(inst))
+    return str(path)
+
+
+@pytest.fixture
+def benzene_half_weight_file(tmp_path):
+    data = benzenoid(BENZENE_CENTERS)
+    data["w2"] = {"f0": "1/2"}
+    path = tmp_path / "benzene_half.json"
+    path.write_text(json.dumps(data))
     return str(path)
 
 
@@ -295,9 +305,12 @@ def _benzene_with_boundary_edge(edge):
         ("clar", _benzene_input(S=3)),
         ("clar", _benzene_input(edges=[[["s0"], "t0"]])),
         ("clar", _benzene_with_boundary_edge("x")),
+        ("solve-digraph", {"nodes": [1, 2], "arcs": [[1, 2]]}),
+        ("solve-digraph", {"nodes": [None, True], "arcs": [["None", "True"]]}),
     ],
     ids=["nodes-int", "arcs-int", "arc-endpoint-list", "S-int",
-         "edge-endpoint-list", "boundary-edge-str"],
+         "edge-endpoint-list", "boundary-edge-str", "node-names-int",
+         "node-names-null-bool"],
 )
 def test_malformed_shape_is_input_error(capsys, tmp_path, command, data):
     path = tmp_path / "malformed.json"
@@ -305,6 +318,30 @@ def test_malformed_shape_is_input_error(capsys, tmp_path, command, data):
     code, out = run(capsys, command, str(path))
     assert code == 1
     assert list(out) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "command, data",
+    [
+        ("solve-digraph", _digraph_input(w_o=None)),
+        ("clar-fries", _benzene_input(w1=None)),
+    ],
+    ids=["w_o", "w1"],
+)
+def test_null_weight_map_reads_as_absent(capsys, tmp_path, command, data):
+    path = tmp_path / "null.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, command, str(path))
+    assert code == 0
+    assert out["value"] == 0
+
+
+def test_unknown_face_weight_names_the_face(capsys, tmp_path):
+    path = tmp_path / "unknown_face.json"
+    path.write_text(json.dumps(_benzene_input(w1={"zz": 1})))
+    code, out = run(capsys, "clar-fries", str(path))
+    assert code == 1
+    assert "unknown face 'zz'" in out["error"]
 
 
 def _count_constructions(monkeypatch, cls, method, calls):
@@ -320,28 +357,42 @@ def _count_constructions(monkeypatch, cls, method, calls):
 
 
 @pytest.mark.parametrize(
-    "command", ["solve-digraph", "resonant", "sink-stable", "clar-fries"]
+    "command, input_file",
+    [
+        ("solve-digraph", "bowtie_file"),
+        ("resonant", "bowtie_file"),
+        ("sink-stable", "bowtie_file"),
+        ("clar-fries", "benzene_file"),
+        ("solve-digraph", "bowtie_half_weight_file"),
+        ("resonant", "bowtie_half_weight_file"),
+        ("clar-fries", "benzene_half_weight_file"),
+    ],
+    ids=["solve-digraph", "resonant", "sink-stable", "clar-fries",
+         "solve-digraph-pq", "resonant-pq", "clar-fries-pq"],
 )
 def test_request_checks_each_certificate_once(
-    capsys, monkeypatch, bowtie_file, benzene_file, command
+    capsys, monkeypatch, request, command, input_file
 ):
-    calls = {"certificate_checks": 0}
+    calls = {"certificate_checks": 0, "_check_weight_vector": 0}
     _count_calls(monkeypatch, [sourcesink, jsonio], "certificate_checks", calls)
+    _count_calls(monkeypatch, [sourcesink], "_check_weight_vector", calls)
     for cls, method in [
         (Digraph, "__init__"),
         (CirculationInstance, "__post_init__"),
         (WeightPair, "__post_init__"),
     ]:
         _count_constructions(monkeypatch, cls, method, calls)
-    path = benzene_file if command == "clar-fries" else bowtie_file
-    code, _out = run(capsys, command, path)
+    code, out = run(capsys, command, request.getfixturevalue(input_file))
     assert code == 0
+    if "half" in input_file:
+        assert out["value"] == "1/2"
     assert calls["certificate_checks"] == 1
     # the auxiliary network goes to the solver unwrapped
     assert calls["CirculationInstance"] == 0
-    # the solver's weights, rendered from the certificate (integer weights
-    # need no scaled copy)
+    # the solver's weights, rendered from the certificate; the auxiliary
+    # network clears their denominators without a scaled copy
     assert calls["WeightPair"] == 1
+    assert calls["_check_weight_vector"] == 2
     if command == "solve-digraph":
         # the input digraph only: the doubled graph and the auxiliary
         # network are derived from it without re-validation

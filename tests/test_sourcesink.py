@@ -56,11 +56,12 @@ def test_weight_pair_validation():
         WeightPair((True, False), (0, 0))
     w = WeightPair((Fraction(1, 3), 0), (Fraction(1, 2), 1))
     assert not w.integral
-    scaled, factor = w.scaled_integral()
-    assert factor == 6
-    assert scaled.source_weight == (2, 0)
-    assert scaled.sink_weight == (3, 6)
-    assert scaled.integral
+    # the aux network clears denominators: verticals of node 0, then node 1,
+    # each sink weight before its source weight, times the lcm 6
+    aux = build_aux_network(single_arc(), w)
+    assert aux.scale == 6
+    assert aux.lower[:4] == (3, 2, 6, 0)
+    CirculationInstance(aux.digraph, aux.lower, aux.cost)
 
 
 def test_weight_pair_helpers():
