@@ -5,7 +5,8 @@ work on integer indices.  Every weight map is read by
 :func:`node_weights_from_json`, where ``null`` reads as an absent map.
 Exact rationals are written as ``"p/q"`` strings and read back
 from ints, strings, or decimal floats (converted via their decimal text,
-so 0.1 means one tenth).
+so 0.1 means one tenth).  A certificate carries its digraph and weights,
+so rendering one takes only the names of its digraph's nodes.
 """
 
 from __future__ import annotations
@@ -75,15 +76,10 @@ def _cover_entries(d: Digraph, names: Sequence[str], vector) -> list:
     return out
 
 
-def certificate_to_json(
-    d: Digraph,
-    names: Sequence[str],
-    weights: WeightPair,
-    cert: SourceSinkCertificate,
-) -> dict:
-    """The certificate with node names, exact values rendered, and its
-    ``checks`` on ``(d, weights)``, recorded by the solver or recomputed."""
-    checks = dict(cert.checks_for(d, weights))
+def certificate_to_json(names: Sequence[str], cert: SourceSinkCertificate) -> dict:
+    """The certificate with the names of its digraph's nodes, exact values
+    rendered, and its ``checks``."""
+    d = cert.digraph
     return {
         "value": render_value(cert.value),
         "Y_o": sorted(names[v] for v in cert.source_set),
@@ -94,17 +90,12 @@ def certificate_to_json(
             "z_i": _cover_entries(d, names, cert.cover.in_cover),
         },
         "cover_cost": render_value(cert.cover.cost),
-        "checks": checks,
+        "checks": dict(cert.checks),
     }
 
 
-def sink_stable_to_json(
-    d: Digraph,
-    names: Sequence[str],
-    weights: WeightPair,
-    result: SinkStableResult,
-) -> dict:
-    bi = bidirect(d)
+def sink_stable_to_json(names: Sequence[str], result: SinkStableResult) -> dict:
+    bi = bidirect(result.certificate.digraph)
     circuits = []
     for cycle, mult in result.circuits:
         circuits.append(
@@ -118,7 +109,7 @@ def sink_stable_to_json(
         "value": render_value(result.value),
         "Y": sorted(names[v] for v in result.sink_set),
         "circuits": circuits,
-        "certificate": certificate_to_json(d, names, weights, result.certificate),
+        "certificate": certificate_to_json(names, result.certificate),
     }
 
 
@@ -133,11 +124,10 @@ def clar_fries_to_json(g: PlaneBipartiteGraph, result: ClarFriesResult) -> dict:
     """The answer with face and node names, and its certificate on the
     planar dual, whose nodes are the faces."""
     face_names = [f.name for f in g.faces]
-    cert = result.certificate
     return {
         "value": render_value(result.value),
         "matching": matching_to_json(g, result.matching),
         "cw_faces": sorted(face_names[f] for f in result.cw_faces),
         "acw_faces": sorted(face_names[f] for f in result.acw_faces),
-        "certificate": certificate_to_json(cert.digraph, face_names, cert.weights, cert),
+        "certificate": certificate_to_json(face_names, result.certificate),
     }

@@ -20,7 +20,10 @@ The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
 this certifies optimality, and :func:`solve` checks all three before
 returning.  All arithmetic is on Python ints; ``math.inf`` marks the absence
-of a capacity, never a sentinel integer.
+of a capacity, never a sentinel integer.  Augmentations leave an infinite
+residual capacity unchanged: adding an int beyond the float range (about
+1.8e308) to ``inf`` raises ``OverflowError``, so ``inf`` only ever meets ints
+in comparisons, which Python makes exactly.
 """
 
 from __future__ import annotations
@@ -237,8 +240,10 @@ def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
             if v == snk:
                 aug = min(cap[e] for e in path)
                 for e in path:
-                    cap[e] -= aug
-                    cap[e ^ 1] += aug
+                    if cap[e] != INF:
+                        cap[e] -= aug
+                    if cap[e ^ 1] != INF:
+                        cap[e ^ 1] += aug
                 total += aug
                 # retreat to the first saturated edge on the path
                 keep = 0

@@ -27,12 +27,17 @@ its lower bounds are the weights times ``scale``, the lcm of their
 denominators, and the value and cover are divided by ``scale`` afterwards,
 so all reported values are exact and every network is a valid
 :func:`mincost.solve` input.
+
+Every answer is a :class:`SourceSinkCertificate` that carries the digraph
+and weights it answers, so :func:`certificate_checks` audits it from the
+certificate alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -283,38 +288,29 @@ class CircularCover:
 
 @dataclass(frozen=True)
 class SourceSinkCertificate:
-    """An optimal pair together with both optimality witnesses.
+    """An optimal pair together with both optimality witnesses, and the
+    instance ``(digraph, weights)`` they answer.
 
     ``potential`` lives on the original nodes, drops only by 0 or 1 along
     arcs, and reorienting the drop-1 arcs turns ``source_set`` into sources
     and ``sink_set`` into sinks.  ``cover`` is the matching upper-bound
     certificate; its cost equals ``value``, which equals the pair's weight.
-
-    ``checks`` is the dict of :func:`certificate_checks` that the solver
-    computed (all true) when it produced this certificate, and ``digraph``
-    and ``weights`` are the instance it computed them on.  All three are
-    ``None`` on a certificate built or copied (``dataclasses.replace``) by
-    hand.
     """
 
+    digraph: Digraph
+    weights: WeightPair
     source_set: frozenset[int]
     sink_set: frozenset[int]
     potential: tuple[int, ...]
     cover: CircularCover
     value: Weight
-    checks: dict[str, bool] | None = field(
-        default=None, init=False, compare=False, repr=False
-    )
-    digraph: Digraph | None = field(default=None, init=False, compare=False, repr=False)
-    weights: WeightPair | None = field(default=None, init=False, compare=False, repr=False)
 
-    def checks_for(self, d: Digraph, weights: WeightPair) -> dict[str, bool]:
-        """:func:`certificate_checks` of this certificate on ``(d, weights)``:
-        the recorded ``checks`` when they were computed on an equal instance,
-        else computed afresh."""
-        if (self.digraph, self.weights) == (d, weights):
-            return self.checks
-        return certificate_checks(d, weights, self)
+    @cached_property
+    def checks(self) -> dict[str, bool]:
+        """:func:`certificate_checks` of this certificate, computed on the
+        first read and kept; a ``dataclasses.replace`` copy computes its
+        own."""
+        return certificate_checks(self)
 
 
 def extract_pair(
@@ -378,13 +374,15 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
     return cover
 
 
-def certificate_checks(d: Digraph, weights: WeightPair, cert: SourceSinkCertificate) -> dict:
-    """Exact validity checks for a certificate against its instance.
+def certificate_checks(cert: SourceSinkCertificate) -> dict:
+    """Exact validity checks for a certificate against the instance it
+    carries.
 
     All entries must be true for a certificate produced by this module;
     they are recomputed from scratch so external consumers can audit a
     stored certificate.
     """
+    d, weights = cert.digraph, cert.weights
     checks: dict[str, bool] = {}
     checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
 
@@ -448,22 +446,15 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
         value = Fraction(solution.objective, aux.scale)
         if value.denominator == 1:
             value = int(value)
-    cert = SourceSinkCertificate(source_set, sink_set, potential, cover, value)
-    return _self_checked(d, weights, cert, "certificate")
+    cert = SourceSinkCertificate(d, weights, source_set, sink_set, potential, cover, value)
+    return _self_checked(cert, "certificate")
 
 
-def _self_checked(
-    d: Digraph, weights: WeightPair, cert: SourceSinkCertificate, what: str
-) -> SourceSinkCertificate:
-    """Run :func:`certificate_checks` once, raise unless all pass, and
-    record the passing dict and its instance on ``cert``."""
-    checks = certificate_checks(d, weights, cert)
-    if not all(checks.values()):
-        failed = sorted(k for k, ok in checks.items() if not ok)
+def _self_checked(cert: SourceSinkCertificate, what: str) -> SourceSinkCertificate:
+    """Return ``cert`` when all its ``checks`` pass, else raise."""
+    failed = sorted(k for k, ok in cert.checks.items() if not ok)
+    if failed:
         raise InvariantError(f"{what} failed self-checks: {failed}")
-    object.__setattr__(cert, "checks", checks)
-    object.__setattr__(cert, "digraph", d)
-    object.__setattr__(cert, "weights", weights)
     return cert
 
 
@@ -568,15 +559,14 @@ def constrained_source_sink(
     w_sink = tuple(
         big if v in f_si else 1 if v in a_si else 0 for v in range(d.node_count)
     )
-    weights = WeightPair(w_source, w_sink)
-    cert = max_source_sink(d, weights)
+    cert = max_source_sink(d, WeightPair(w_source, w_sink))
     # Zero-weight nodes outside the pools leave the reported pair.  Shrinking
     # the pair only relaxes the potential's obligations and keeps its weight,
     # so both witnesses still apply; the certificate is re-checked anyway.
     restricted = replace(
         cert, source_set=cert.source_set & a_so, sink_set=cert.sink_set & a_si
     )
-    cert = _self_checked(d, weights, restricted, "restricted certificate")
+    cert = _self_checked(restricted, "restricted certificate")
     if not (f_so <= cert.source_set and f_si <= cert.sink_set):
         return None
     return cert

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -210,8 +211,8 @@ def test_error_exits(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "raw", [b'{"nodes": ["\xff"], "arcs": []}', b"[" * 100000],
-    ids=["non-utf8", "deeply-nested"],
+    "raw", [b'{"nodes": ["\xff"], "arcs": []}', b"[" * 100000, b"1" * 5000],
+    ids=["non-utf8", "deeply-nested", "huge-int"],
 )
 def test_unreadable_json_is_input_error(capsys, tmp_path, raw):
     path = tmp_path / "unreadable.json"
@@ -342,6 +343,51 @@ def test_unknown_face_weight_names_the_face(capsys, tmp_path):
     code, out = run(capsys, "clar-fries", str(path))
     assert code == 1
     assert "unknown face 'zz'" in out["error"]
+
+
+_BIG = 10**160
+
+
+@pytest.mark.parametrize(
+    "command, data, value",
+    [
+        ("solve-digraph", _digraph_input(w_o={"a": "1" + "0" * 309}), 10**309),
+        ("clar-fries", _benzene_input(w2={"f0": 10**309}), 10**309),
+        # every weight is below 1; the lcm of their denominators is not
+        (
+            "solve-digraph",
+            {
+                "nodes": ["a", "b", "c"],
+                "arcs": [["a", "b"], ["b", "c"]],
+                "w_o": {"a": f"1/{_BIG + 1}", "b": f"1/{_BIG + 3}", "c": f"1/{_BIG + 7}"},
+            },
+            Fraction(1, _BIG + 1) + Fraction(1, _BIG + 7),
+        ),
+    ],
+    ids=["arc-1e309", "benzene-1e309", "path-1e-160-denominators"],
+)
+def test_weights_beyond_the_float_range_solve_exactly(capsys, tmp_path, command, data, value):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, command, str(path))
+    assert code == 0
+    cert = out.get("certificate", out)
+    expected = jsonio.render_value(value)
+    assert out["value"] == cert["value"] == cert["cover_cost"] == expected
+    assert all(cert["checks"].values())
+
+
+def test_failed_self_check_exits_internal(capsys, monkeypatch, bowtie_file):
+    original = sourcesink.certificate_checks
+    monkeypatch.setattr(
+        sourcesink,
+        "certificate_checks",
+        lambda cert: {**original(cert), "minmax_equal": False},
+    )
+    code, out = run(capsys, "solve-digraph", bowtie_file)
+    assert code == 2
+    assert out["kind"] == "internal"
+    assert "minmax_equal" in out["error"]
 
 
 def _count_constructions(monkeypatch, cls, method, calls):

@@ -25,6 +25,7 @@ from clarfries import (
     sources_sinks,
     verify_source_sink,
 )
+from clarfries import sourcesink
 from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
 from fixtures import (
@@ -191,7 +192,7 @@ def test_single_arc_instance():
     assert cert.cover.cost == 2
     assert cert.source_set | cert.sink_set == {0, 1}
     assert cert.source_set.isdisjoint(cert.sink_set)
-    assert all(certificate_checks(d, ones(2), cert).values())
+    assert all(certificate_checks(cert).values())
 
 
 def test_two_cycle_has_no_pair():
@@ -211,7 +212,7 @@ def test_bowtie_all_ones():
     assert cert.value == 4
     chosen = {names[v] for v in cert.source_set | cert.sink_set}
     assert chosen == {"a2", "a3", "b1", "b2"}
-    assert all(certificate_checks(d, ones(7), cert).values())
+    assert all(certificate_checks(cert).values())
 
 
 def test_bowtie_indicator_weights():
@@ -231,7 +232,7 @@ def test_rational_weights_stay_exact():
     cert = max_source_sink(d, w)
     assert cert.value == Fraction(4, 3)
     assert cert.cover.cost == Fraction(4, 3)
-    checks = certificate_checks(d, w, cert)
+    checks = certificate_checks(cert)
     checks.pop("cover_integral", None)  # not promised for fractional weights
     assert all(checks.values())
 
@@ -240,12 +241,19 @@ def test_scaling_weights_scales_value():
     d, names = bowtie()
     w = WeightPair((0, 1, 2, 0, 3, 0, 1), (1, 0, 1, 2, 0, 2, 0))
     base = max_source_sink(d, w)
-    tripled = max_source_sink(
-        d,
-        WeightPair(tuple(3 * x for x in w.source_weight), tuple(3 * x for x in w.sink_weight)),
-    )
-    assert tripled.value == 3 * base.value
-    assert tripled.cover.cost == 3 * base.cover.cost
+    # 10**400 is past the float range: the solver's arithmetic stays on ints
+    for factor in (3, 10**400):
+        scaled = max_source_sink(
+            d,
+            WeightPair(
+                tuple(factor * x for x in w.source_weight),
+                tuple(factor * x for x in w.sink_weight),
+            ),
+        )
+        assert scaled.value == factor * base.value
+        assert scaled.cover.cost == factor * base.cover.cost
+        assert (scaled.source_set, scaled.sink_set) == (base.source_set, base.sink_set)
+        assert scaled.potential == base.potential
 
 
 def test_pair_becomes_sources_and_sinks():
@@ -269,28 +277,46 @@ def test_certificate_checks_catch_tampering():
     import dataclasses
 
     doctored = dataclasses.replace(cert, value=cert.value + 1)
-    checks = certificate_checks(d, ones(2), doctored)
+    checks = certificate_checks(doctored)
     assert not checks["minmax_equal"]
 
     overlapping = dataclasses.replace(cert, sink_set=cert.source_set)
-    checks = certificate_checks(d, ones(2), overlapping)
+    checks = certificate_checks(overlapping)
     assert not all(checks.values())
 
 
 def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
     d = single_arc()
     cert = max_source_sink(d, ones(2))
-    assert cert.checks == certificate_checks(d, ones(2), cert)
+    assert (cert.digraph, cert.weights) == (d, ones(2))
+    assert cert.checks == certificate_checks(cert)
     import dataclasses
 
     doctored = dataclasses.replace(cert, value=cert.value + 1)
-    assert doctored.checks is None
-    rendered = certificate_to_json(d, ("u", "v"), ones(2), doctored)["checks"]
-    assert rendered == certificate_checks(d, ones(2), doctored)
+    rendered = certificate_to_json(("u", "v"), doctored)["checks"]
+    assert rendered == certificate_checks(doctored)
     assert not rendered["minmax_equal"]
-    # recorded checks hold for the instance they were computed on only
-    other = WeightPair((2, 0), (0, 2))
-    assert not all(certificate_to_json(d, ("u", "v"), other, cert)["checks"].values())
+    # checks hold for the instance the certificate carries only
+    other = dataclasses.replace(cert, weights=WeightPair((2, 0), (0, 2)))
+    assert not all(certificate_to_json(("u", "v"), other)["checks"].values())
+
+
+def test_checks_are_computed_once_per_certificate(monkeypatch):
+    import dataclasses
+
+    cert = dataclasses.replace(max_source_sink(single_arc(), ones(2)))
+    calls = []
+    original = sourcesink.certificate_checks
+
+    def counted(c):
+        calls.append(c)
+        return original(c)
+
+    monkeypatch.setattr(sourcesink, "certificate_checks", counted)
+    first = cert.checks
+    assert cert.checks is first
+    assert len(calls) == 1 and calls[0] is cert
+    assert all(first.values())
 
 
 def test_extract_cover_reads_entry_and_exit_flow():
