@@ -29,10 +29,15 @@ def _load(path: str):
 
 
 def _emit(obj: dict, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2, sort_keys=False))
-    else:
-        print(json.dumps(obj, separators=(",", ":")))
+    try:
+        if pretty:
+            text = json.dumps(obj, indent=2, sort_keys=False)
+        else:
+            text = json.dumps(obj, separators=(",", ":"))
+    except ValueError as exc:
+        # the interpreter's int-string digit limit, as in _load
+        raise InputError("answer has an integer over the interpreter's 4300-digit limit") from exc
+    print(text)
 
 
 def _within_weights(args, data, names) -> tuple:

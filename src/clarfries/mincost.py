@@ -4,17 +4,30 @@ The instances solved here have integer lower bounds, nonnegative integer
 costs, and no upper capacities.  Substituting ``x = lower + x'`` turns the
 lower bounds into node excesses, which are routed from a super source to a
 super sink by successive shortest augmenting paths with node potentials.
-All augmentations sharing one shortest distance are batched into a single
-blocking-flow computation over the tight (zero reduced cost) residual arcs,
-which keeps the number of Dijkstra rounds small on large instances.
+Each round runs Dijkstra on reduced costs, then batches every augmentation
+at that shortest distance into one blocking-flow computation over the tight
+(zero reduced cost) residual arcs, which keeps the number of Dijkstra rounds
+small on large instances.
+
+Dijkstra keeps its queue as one list of nodes per tentative distance, plus a
+heap of the distinct distances (Dial's bucket queue, CACM 1969, with a heap
+over the bucket keys so that costs of any size work).  Nodes at one distance
+leave in insertion order, but ties cannot change the potential: every node
+closer than the sink is settled, and every other one is raised by the sink's
+distance.
 
 Potentials change only between Dijkstra rounds, so each round first lists
 every node's tight residual slots (a slot and its reverse partner are tight
-together) and its Dinic phases scan only those lists.  Each phase's
-breadth-first search stops as soon as it reaches the sink's level: deeper
-nodes cannot lie on a shortest augmenting path.  Both keep the scan order
-of the full residual adjacency, so the augmenting paths, and hence the
-returned flow and potential, do not depend on these shortcuts.
+together) and its Dinic phases scan only those lists.  Each phase labels
+every node with the fewest tight residual arcs on a path from it to the
+sink, by one breadth-first search backwards from the sink that stops once
+the source is labelled, and the depth-first search from the source steps
+only to a node one arc closer to the sink.  Those are the arcs of the
+forward level graph that lie on a shortest augmenting path, met in the same
+order, so the search finds the same augmenting paths as a forward Dinic
+phase without entering its dead ends.  The scan order of the full residual
+adjacency is kept throughout, so the returned flow and potential do not
+depend on these shortcuts.
 
 The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
@@ -29,8 +42,8 @@ in comparisons, which Python makes exactly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .digraph import BiDigraph, Digraph
@@ -175,30 +188,43 @@ def _dijkstra(adj, head, cap, cst, pot, src, snk, nn):
     """Shortest reduced-cost distances from ``src``, stopping at ``snk``.
 
     Nodes never settled have true distance >= dist[snk], which is all the
-    potential update needs.
+    potential update needs.  The queue is a bucket per tentative distance,
+    with a heap of the distinct distances only, so costs of any size work.
+    A node is listed again when its distance drops; the stale entry is
+    skipped because the node is settled by then.
     """
-    from heapq import heappop, heappush
-
     dist = [INF] * nn
     done = bytearray(nn)
     dist[src] = 0
-    h = [(0, src)]
-    while h:
-        dv, v = heappop(h)
-        if done[v]:
-            continue
-        done[v] = 1
-        if v == snk:
-            break
-        pv = pot[v]
-        for e in adj[v]:
-            if cap[e] > 0:
-                w = head[e]
-                if not done[w]:
-                    nd = dv + cst[e] + pv - pot[w]
+    buckets = {0: [src]}
+    keys = [0]
+    while keys:
+        dv = heappop(keys)
+        bucket = buckets[dv]
+        # A zero reduced cost appends to this bucket while it is scanned;
+        # the list iterator picks those nodes up.
+        for v in bucket:
+            if done[v]:
+                continue
+            done[v] = 1
+            if v == snk:
+                return dist, done
+            pv = dv + pot[v]
+            for e in adj[v]:
+                if cap[e] > 0:
+                    # reduced costs are nonnegative, so a settled w keeps
+                    # dist[w] <= dv <= nd
+                    w = head[e]
+                    nd = pv + cst[e] - pot[w]
                     if nd < dist[w]:
                         dist[w] = nd
-                        heappush(h, (nd, w))
+                        b = buckets.get(nd)
+                        if b is None:
+                            buckets[nd] = [w]
+                            heappush(keys, nd)
+                        else:
+                            b.append(w)
+        del buckets[dv]
     return dist, done
 
 
@@ -209,6 +235,11 @@ def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
     call, so each node's tight slots are listed once, in ``adj`` order and
     whatever their residual capacity: pushing flow only changes which listed
     slots have capacity.
+
+    ``dist[v]`` counts the fewest tight residual arcs from ``v`` to ``snk``.
+    An arc ``v -> w`` of the forward level graph lies on a shortest
+    ``src``-``snk`` path exactly when ``dist[w] == dist[v] - 1``, so the
+    depth-first search advances on those arcs only.
     """
     tight = []
     for v in range(nn):
@@ -216,22 +247,21 @@ def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
         tight.append([e for e in adj[v] if cst[e] + pv == pot[head[e]]])
     total = 0
     while True:
-        level = [-1] * nn
-        level[src] = 0
-        q = deque([src])
-        while q:
-            v = q.popleft()
-            lv = level[v]
-            if lv == level[snk]:
-                break  # every node at the sink's level is labelled
-            lv += 1
-            for e in tight[v]:
-                if cap[e] > 0:
-                    w = head[e]
-                    if level[w] < 0:
-                        level[w] = lv
-                        q.append(w)
-        if level[snk] < 0:
+        dist = [-1] * nn
+        dist[snk] = 0
+        q = [snk]
+        for w in q:  # a list grown while iterated: the queue of the search
+            dw = dist[w] + 1
+            for f in tight[w]:
+                # f ^ 1 is the tight slot from head[f] into w
+                if cap[f ^ 1] > 0:
+                    v = head[f]
+                    if dist[v] < 0:
+                        dist[v] = dw
+                        q.append(v)
+            if dist[src] >= 0:
+                break  # every node closer to snk than src is labelled
+        if dist[src] < 0:
             return total
         it = [0] * nn
         path: list[int] = []
@@ -253,25 +283,22 @@ def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
                 v = head[path[-1]] if path else src
                 continue
             a = tight[v]
-            advanced = False
             i = it[v]
             la = len(a)
-            lw = level[v] + 1
+            dw = dist[v] - 1
             while i < la:
                 e = a[i]
-                if cap[e] > 0 and level[head[e]] == lw:
-                    it[v] = i
-                    path.append(e)
-                    v = head[e]
-                    advanced = True
+                if cap[e] > 0 and dist[head[e]] == dw:
                     break
                 i += 1
-            if advanced:
+            it[v] = i
+            if i < la:
+                path.append(e)
+                v = head[e]
                 continue
-            it[v] = la
             if v == src:
                 break
-            level[v] = -1  # dead end; prune from this level graph
+            dist[v] = -1  # dead end: saturated since the phase's search
             e = path.pop()
             v = head[e ^ 1]
             it[v] += 1

@@ -222,6 +222,20 @@ def test_unreadable_json_is_input_error(capsys, tmp_path, raw):
     assert list(out) == ["error"]
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+def test_answer_over_the_digit_limit_is_input_error(capsys, tmp_path, pretty):
+    # the value 2 * (10**4300 - 1) has 4301 digits
+    path = tmp_path / "big_answer.json"
+    path.write_text(json.dumps({
+        "nodes": ["a", "b"], "arcs": [["a", "b"]],
+        "w_o": {"a": "9" * 4300}, "w_i": {"b": "9" * 4300},
+    }))
+    code, out = run(capsys, "solve-digraph", *pretty, str(path))
+    assert code == 1
+    assert list(out) == ["error"]
+    assert "4300-digit" in out["error"]
+
+
 def test_pretty_output(capsys, bowtie_file):
     code = main(["solve-digraph", "--pretty", bowtie_file])
     out = capsys.readouterr().out

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from heapq import heappop, heappush
 
 import pytest
 
@@ -9,9 +10,11 @@ from clarfries import (
     Digraph,
     InfeasibleCirculation,
     InputError,
+    WeightPair,
     bidirect,
     decompose,
     is_circulation,
+    max_source_sink,
     mincost,
     solve,
 )
@@ -217,6 +220,32 @@ def _reference_blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
             it[v] += 1
 
 
+def _reference_dijkstra(adj, head, cap, cst, pot, src, snk, nn):
+    """Binary-heap Dijkstra over (distance, node) pairs.  Reference for the
+    bucket-queue version."""
+    dist = [mincost.INF] * nn
+    done = bytearray(nn)
+    dist[src] = 0
+    h = [(0, src)]
+    while h:
+        dv, v = heappop(h)
+        if done[v]:
+            continue
+        done[v] = 1
+        if v == snk:
+            break
+        pv = pot[v]
+        for e in adj[v]:
+            if cap[e] > 0:
+                w = head[e]
+                if not done[w]:
+                    nd = dv + cst[e] + pv - pot[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        heappush(h, (nd, w))
+    return dist, done
+
+
 def _sweep_instances():
     """The random instances of the LP and certificate sweeps above."""
     for seed, count, nodes, arcs, lo, co in ((99, 60, 6, 10, 3, 4), (7, 80, 7, 12, 2, 3)):
@@ -234,6 +263,17 @@ def _parallelogram_aux_instance(n, m):
     return CirculationInstance(aux.digraph, aux.lower, aux.cost)
 
 
+def _huge_cost_instances():
+    """Seeded instances with costs up to 10**40, some of them infeasible."""
+    rng = random.Random(40)
+    for _ in range(40):
+        d = random_digraph(rng, max_nodes=12, max_arcs=30)
+        m = d.arc_count
+        lower = tuple(rng.randrange(0, 3) if rng.random() < 0.2 else 0 for _ in range(m))
+        cost = tuple(rng.randrange(0, 10**40) for _ in range(m))
+        yield CirculationInstance(d, lower=lower, cost=cost)
+
+
 def _solve_outcome(inst):
     try:
         sol = solve(inst)
@@ -248,6 +288,80 @@ def test_blocking_flow_matches_full_scan_reference(monkeypatch):
     monkeypatch.setattr(mincost, "_blocking_flow", _reference_blocking_flow)
     reference = [_solve_outcome(inst) for inst in instances]
     assert fast == reference
+
+
+def test_dijkstra_matches_heap_reference(monkeypatch):
+    instances = (
+        list(_sweep_instances())
+        + [_parallelogram_aux_instance(24, 28)]
+        + list(_huge_cost_instances())
+    )
+    fast = [_solve_outcome(inst) for inst in instances]
+    assert any(isinstance(out, frozenset) for out in fast)
+    assert any(isinstance(out, tuple) and out[2] > 10**39 for out in fast)
+    monkeypatch.setattr(mincost, "_dijkstra", _reference_dijkstra)
+    reference = [_solve_outcome(inst) for inst in instances]
+    assert fast == reference
+
+
+def _seeded_digraph(seed, n, m):
+    """A random spanning tree on ``n`` nodes plus random arcs, ``m`` in all,
+    with source and sink weights 0..10."""
+    rng = random.Random(seed)
+    arcs = []
+    for v in range(1, n):
+        u = rng.randrange(v)
+        arcs.append((u, v) if rng.random() < 0.5 else (v, u))
+    while len(arcs) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.append((u, v))
+    w = WeightPair(
+        tuple(rng.randrange(0, 11) for _ in range(n)),
+        tuple(rng.randrange(0, 11) for _ in range(n)),
+    )
+    return Digraph(n, arcs), w
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [lambda: _seeded_digraph(300, 300, 1500), lambda: parallelogram_dual(12, 12)],
+    ids=["digraph-300", "parallelogram-12x12"],
+)
+def test_work_does_not_grow_with_weight_size(monkeypatch, instance):
+    """The solve is strongly polynomial: scaling every weight by 10**30
+    leaves the number of Dijkstra rounds and blocking-flow calls as it is."""
+    calls = {"_dijkstra": 0, "_blocking_flow": 0}
+    for name in calls:
+        inner = getattr(mincost, name)
+
+        def counted(*args, inner=inner, name=name):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(mincost, name, counted)
+
+    def solve_counted(d, w):
+        for name in calls:
+            calls[name] = 0
+        return max_source_sink(d, w), dict(calls)
+
+    d, w = instance()
+    base, base_calls = solve_counted(d, w)
+    factor = 10**30
+    scaled, scaled_calls = solve_counted(
+        d,
+        WeightPair(
+            tuple(factor * x for x in w.source_weight),
+            tuple(factor * x for x in w.sink_weight),
+        ),
+    )
+    assert base_calls["_dijkstra"] > 1
+    assert scaled_calls == base_calls
+    assert base.value > 0
+    assert scaled.value == factor * base.value
+    assert (scaled.source_set, scaled.sink_set) == (base.source_set, base.sink_set)
+    assert scaled.potential == base.potential
 
 
 # --- circuit decomposition ---------------------------------------------------
