@@ -21,14 +21,14 @@ from .sourcesink import (
     SinkStableResult,
     SourceSinkCertificate,
     WeightPair,
+    _whole,
     node_weights_from_json,
 )
 
 
 def render_value(v):
-    if isinstance(v, Fraction):
-        return int(v) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return v
+    v = _whole(v)
+    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
 
 
 def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
@@ -66,13 +66,14 @@ def weight_pair_from_json(data, names: Sequence[str], default=0) -> WeightPair:
     )
 
 
-def _cover_entries(d: Digraph, names: Sequence[str], vector) -> list:
+def _cover_entries(d: Digraph, names: Sequence[str], vector, scale: int) -> list:
+    """Nonzero entries of a cover vector in units of ``1/scale``, exact."""
     bi = bidirect(d)
     out = []
-    for j, value in enumerate(vector):
-        if value:
+    for j, z in enumerate(vector):
+        if z:
             u, v = bi.arcs[j]
-            out.append([[names[u], names[v]], render_value(value)])
+            out.append([[names[u], names[v]], render_value(Fraction(z, scale))])
     return out
 
 
@@ -86,8 +87,8 @@ def certificate_to_json(names: Sequence[str], cert: SourceSinkCertificate) -> di
         "Y_i": sorted(names[v] for v in cert.sink_set),
         "potential": {names[v]: cert.potential[v] for v in range(d.node_count)},
         "cover": {
-            "z_o": _cover_entries(d, names, cert.cover.out_cover),
-            "z_i": _cover_entries(d, names, cert.cover.in_cover),
+            "z_o": _cover_entries(d, names, cert.cover.out_cover, cert.cover.scale),
+            "z_i": _cover_entries(d, names, cert.cover.in_cover, cert.cover.scale),
         },
         "cover_cost": render_value(cert.cover.cost),
         "checks": dict(cert.checks),

@@ -24,19 +24,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .digraph import Digraph, potential_drops
 from .errors import InputError, InvariantError
 from .sourcesink import (
     SourceSinkCertificate,
+    Weight,
     WeightPair,
     max_source_sink,
     node_weights_from_json,
 )
-
-Weight = int | Fraction
 
 
 class NonBipartiteError(InputError):
@@ -294,8 +292,9 @@ def parse_validate(data) -> PlaneBipartiteGraph:
 
     faces = []
     for fobj in data["faces"]:
-        if not isinstance(fobj, Mapping) or "id" not in fobj or "boundary" not in fobj:
-            raise InputError("each face needs an 'id' and a 'boundary'")
+        if not (isinstance(fobj, Mapping) and isinstance(fobj.get("id"), str)
+                and "boundary" in fobj):
+            raise InputError("each face needs a string 'id' and a 'boundary'")
         if not isinstance(fobj["boundary"], (list, tuple)):
             raise InputError(f"face {fobj['id']!r}: boundary must be a list")
         boundary = []
@@ -308,11 +307,11 @@ def parse_validate(data) -> PlaneBipartiteGraph:
             if sign not in ("+", "-"):
                 raise InputError(f"face {fobj['id']!r}: bad side sign {sign!r}")
             boundary.append((e, sign == "+"))
-        faces.append(Face(str(fobj["id"]), tuple(boundary)))
+        faces.append(Face(fobj["id"], tuple(boundary)))
 
     face_index = {f.name: i for i, f in enumerate(faces)}
-    outer_name = str(data["outer"])
-    if outer_name not in face_index:
+    outer_name = data["outer"]
+    if not (isinstance(outer_name, str) and outer_name in face_index):
         raise InputError(f"outer face {outer_name!r} not among faces")
 
     face_names = [f.name for f in faces]

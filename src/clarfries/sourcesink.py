@@ -24,9 +24,10 @@ source weight, the other enough into every node to pay its sink weight.
 
 Rational weights are cleared to integers inside the auxiliary network:
 its lower bounds are the weights times ``scale``, the lcm of their
-denominators, and the value and cover are divided by ``scale`` afterwards,
-so all reported values are exact and every network is a valid
-:func:`mincost.solve` input.
+denominators, so every network is a valid :func:`mincost.solve` input.
+The cover keeps the network's integer flows, in units of ``1/scale``, and
+records the scale; only the reported value is divided by it, so values are
+exact and the checks run on ints.
 
 Every answer is a :class:`SourceSinkCertificate` that carries the digraph
 and weights it answers, so :func:`certificate_checks` audits it from the
@@ -56,6 +57,11 @@ from .errors import InputError, InvariantError
 Weight = int | Fraction
 
 
+def _whole(x):
+    """``x`` as an int when it is a whole Fraction, else ``x`` unchanged."""
+    return int(x) if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
 def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     out = []
     for i, x in enumerate(w):
@@ -63,9 +69,7 @@ def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
             raise InputError(f"{what}[{i}] = {x!r}; weights must be int or Fraction")
         if x < 0:
             raise InputError(f"{what}[{i}] = {x} is negative")
-        if isinstance(x, Fraction) and x.denominator == 1:
-            x = int(x)
-        out.append(x)
+        out.append(_whole(x))
     return tuple(out)
 
 
@@ -89,9 +93,7 @@ def parse_weight_value(value, what: str) -> Weight:
         raise InputError(f"{what}: cannot read weight {value!r}")
     if w < 0:
         raise InputError(f"{what}: weight must be nonnegative")
-    if isinstance(w, Fraction) and w.denominator == 1:
-        w = int(w)
-    return w
+    return _whole(w)
 
 
 def node_weights_from_json(
@@ -243,16 +245,21 @@ def build_aux_network(d: Digraph, weights: WeightPair) -> AuxNetwork:
 class CircularCover:
     """Certificate that no pair can weigh more than ``cost``.
 
-    ``out_cover`` and ``in_cover`` assign multiplicities to the doubled arc
-    set.  ``out_cover`` sends at least the source weight out of every node,
-    ``in_cover`` at least the sink weight into every node, their sum is a
-    circulation, and only original arcs are charged.
+    ``out_cover`` and ``in_cover`` assign integer multiplicities to the
+    doubled arc set, in units of ``1/scale``: the flows of the auxiliary
+    network, whose weights are scaled by ``scale``.  ``out_cover`` sends at
+    least the source weight out of every node, ``in_cover`` at least the
+    sink weight into every node, their sum is a circulation, and only
+    original arcs are charged.
     """
 
     out_cover: tuple
     in_cover: tuple
+    scale: int = 1
 
     def __post_init__(self):
+        if isinstance(self.scale, bool) or not isinstance(self.scale, int) or self.scale < 1:
+            raise InputError(f"cover scale {self.scale!r} is not a positive int")
         if len(self.out_cover) != len(self.in_cover):
             raise InputError("cover vectors differ in length")
         if len(self.out_cover) % 2:
@@ -266,24 +273,19 @@ class CircularCover:
         return len(self.out_cover)
 
     def combined(self) -> tuple:
+        """Sum of both covers, in units of ``1/scale``."""
         return tuple(a + b for a, b in zip(self.out_cover, self.in_cover))
 
     @property
-    def cost(self):
+    def charge(self) -> int:
+        """Total multiplicity on original arcs, in units of ``1/scale``."""
         m = self.doubled_arc_count // 2
-        return sum(self.out_cover[j] + self.in_cover[j] for j in range(m))
+        return sum(self.out_cover[:m]) + sum(self.in_cover[:m])
 
-    def scaled(self, factor: Fraction) -> "CircularCover":
-        def conv(x):
-            if not x:
-                return x
-            y = x * factor
-            return int(y) if isinstance(y, Fraction) and y.denominator == 1 else y
-
-        return CircularCover(
-            tuple(conv(x) for x in self.out_cover),
-            tuple(conv(x) for x in self.in_cover),
-        )
+    @property
+    def cost(self) -> Weight:
+        """The exact cover cost: ``charge`` over ``scale``."""
+        return _whole(Fraction(self.charge, self.scale))
 
 
 @dataclass(frozen=True)
@@ -368,8 +370,8 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
     # first + 2j + 1 (source_exit_arc); they fill the rest of the arc
     # list, so each stride-2 slice has one entry per j.
     first = 2 * aux.base_node_count
-    cover = CircularCover(tuple(flow[first + 1::2]), tuple(flow[first::2]))
-    if cover.cost != original_cost:
+    cover = CircularCover(tuple(flow[first + 1::2]), tuple(flow[first::2]), aux.scale)
+    if cover.charge != original_cost:
         raise InvariantError("cover cost differs from the circulation cost")
     return cover
 
@@ -380,9 +382,12 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
 
     All entries must be true for a certificate produced by this module;
     they are recomputed from scratch so external consumers can audit a
-    stored certificate.
+    stored certificate.  The cover is compared in its own units, against
+    the weights times its scale, so a cover proves its bound whatever
+    positive scale it states.
     """
-    d, weights = cert.digraph, cert.weights
+    d, weights, cover = cert.digraph, cert.weights, cert.cover
+    scale = cover.scale
     checks: dict[str, bool] = {}
     checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
 
@@ -403,29 +408,21 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     bi = bidirect(d)
     out_at = [0] * d.node_count
     in_at = [0] * d.node_count
-    for j, (u, v) in enumerate(bi.arcs):
-        zo = cert.cover.out_cover[j]
-        zi = cert.cover.in_cover[j]
+    for (u, v), zo, zi in zip(bi.arcs, cover.out_cover, cover.in_cover):
         if zo:
             out_at[u] += zo
         if zi:
             in_at[v] += zi
-    checks["cover_out"] = all(
-        out_at[v] >= weights.source_weight[v] for v in range(d.node_count)
-    )
-    checks["cover_in"] = all(
-        in_at[v] >= weights.sink_weight[v] for v in range(d.node_count)
-    )
-    checks["cover_circulation"] = is_circulation(bi, cert.cover.combined())
+    checks["cover_out"] = all(z >= w * scale for z, w in zip(out_at, weights.source_weight))
+    checks["cover_in"] = all(z >= w * scale for z, w in zip(in_at, weights.sink_weight))
+    checks["cover_circulation"] = is_circulation(bi, cover.combined())
     if weights.integral:
-        checks["cover_integral"] = all(
-            isinstance(x, int) for x in cert.cover.out_cover + cert.cover.in_cover
-        )
+        checks["cover_integral"] = all(x % scale == 0 for x in cover.out_cover + cover.in_cover)
 
     pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
         weights.sink_weight[v] for v in cert.sink_set
     )
-    checks["minmax_equal"] = pair_weight == cert.value == cert.cover.cost
+    checks["minmax_equal"] = pair_weight == cert.value == cover.cost
     return checks
 
 
@@ -440,13 +437,7 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
     solution = mincost.solve(aux)
     source_set, sink_set, potential = extract_pair(aux, solution.potential)
     cover = extract_cover(aux, solution.flow)
-    value: Weight = solution.objective
-    if aux.scale != 1:
-        cover = cover.scaled(Fraction(1, aux.scale))
-        value = Fraction(solution.objective, aux.scale)
-        if value.denominator == 1:
-            value = int(value)
-    cert = SourceSinkCertificate(d, weights, source_set, sink_set, potential, cover, value)
+    cert = SourceSinkCertificate(d, weights, source_set, sink_set, potential, cover, cover.cost)
     return _self_checked(cert, "certificate")
 
 
@@ -480,10 +471,9 @@ def max_sink_stable(d: Digraph, sink_weight: Sequence[int]) -> SinkStableResult:
     Integer weights only: the circuit-family certificate needs an integral
     cover.
     """
-    for x in sink_weight:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise InputError("sink-stable weights must be integers")
     weights = WeightPair.sink_only(sink_weight)
+    if not weights.integral:
+        raise InputError("sink-stable weights must be integers")
     cert = max_source_sink(d, weights)
     bi = bidirect(d)
     family = mincost.decompose(bi, cert.cover.combined())
@@ -496,7 +486,7 @@ def max_sink_stable(d: Digraph, sink_weight: Sequence[int]) -> SinkStableResult:
             covered[bi.arcs[e][0]] += mult
     if arc_total != cert.value:
         raise InvariantError("circuit family does not add up to the optimum")
-    bad = [v for v in range(d.node_count) if covered[v] < sink_weight[v]]
+    bad = [v for v, w in enumerate(weights.sink_weight) if covered[v] < w]
     if bad:
         raise InvariantError(f"circuit family leaves nodes under-covered: {bad}")
     return SinkStableResult(cert.sink_set, tuple(family), cert.value, cert)

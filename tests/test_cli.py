@@ -311,6 +311,17 @@ def _benzene_with_boundary_edge(edge):
     return data
 
 
+def _benzene_with_face_id(face_id, outer=None):
+    """Benzene whose inner face is named ``face_id``; with ``outer``, the
+    outer face is named ``"1"`` and ``outer`` names the outer face."""
+    data = benzenoid(BENZENE_CENTERS)
+    data["faces"][0]["id"] = face_id
+    if outer is not None:
+        data["faces"][1]["id"] = "1"
+        data["outer"] = outer
+    return data
+
+
 @pytest.mark.parametrize(
     "command, data",
     [
@@ -322,10 +333,16 @@ def _benzene_with_boundary_edge(edge):
         ("clar", _benzene_with_boundary_edge("x")),
         ("solve-digraph", {"nodes": [1, 2], "arcs": [[1, 2]]}),
         ("solve-digraph", {"nodes": [None, True], "arcs": [["None", "True"]]}),
+        ("clar-fries", _benzene_with_face_id(None)),
+        ("clar-fries", _benzene_with_face_id(0)),
+        ("clar-fries", _benzene_with_face_id(True)),
+        ("clar-fries", _benzene_with_face_id([1])),
+        ("clar-fries", _benzene_with_face_id("f0", outer=1)),
     ],
     ids=["nodes-int", "arcs-int", "arc-endpoint-list", "S-int",
          "edge-endpoint-list", "boundary-edge-str", "node-names-int",
-         "node-names-null-bool"],
+         "node-names-null-bool", "face-id-null", "face-id-int", "face-id-bool",
+         "face-id-list", "outer-int"],
 )
 def test_malformed_shape_is_input_error(capsys, tmp_path, command, data):
     path = tmp_path / "malformed.json"
@@ -481,3 +498,58 @@ def test_parser_reused_with_fresh_parser_output(capsys, monkeypatch, bowtie_file
     cli._shared_parser.cache_clear()
     assert [respond(argv) for argv in requests] == fresh
     assert calls["build_parser"] == 1
+
+
+_GOLDEN_CHECKS = (
+    '"checks":{"pair_disjoint":true,"potential_small_dropping":true,'
+    '"pair_verified":true,"cover_out":true,"cover_in":true,"cover_circulation":true,'
+)
+_GOLDEN = {
+    "solve-digraph-pq": (
+        '{"value":"1/2","Y_o":["a1"],"Y_i":["a2"],'
+        '"potential":{"a1":1,"a2":0,"a3":0,"x":0,"b1":0,"b2":0,"b3":0},'
+        '"cover":{"z_o":[[["x","a1"],"1/2"],[["a1","x"],"1/2"]],"z_i":[]},'
+        '"cover_cost":"1/2",' + _GOLDEN_CHECKS + '"minmax_equal":true}}'
+    ),
+    "resonant-pq": (
+        '{"value":"1/2","Y_o":["a1"],"Y_i":["a2"],'
+        '"potential":{"a1":1,"a2":0,"a3":0,"x":0,"b1":0,"b2":0,"b3":0},'
+        '"cover":{"z_o":[[["a1","x"],"1/2"]],"z_i":[[["x","a1"],"1/2"]]},'
+        '"cover_cost":"1/2",' + _GOLDEN_CHECKS + '"minmax_equal":true},'
+        '"resonant_set":["a1","a2"]}'
+    ),
+    "clar-fries-pq": (
+        '{"value":"1/2","matching":[["s0","t2"],["s1","t0"],["s2","t1"]],'
+        '"cw_faces":["f1"],"acw_faces":["f0"],'
+        '"certificate":{"value":"1/2","Y_o":["f0"],"Y_i":["f1"],'
+        '"potential":{"f0":1,"f1":0},'
+        '"cover":{"z_o":[[["f1","f0"],"1/2"],[["f0","f1"],"1/2"]],"z_i":[]},'
+        '"cover_cost":"1/2",' + _GOLDEN_CHECKS + '"minmax_equal":true}}}'
+    ),
+    "sink-stable": (
+        '{"value":2,"Y":["a3","b1"],"circuits":['
+        '{"nodes":["x","a1","a2","a3"],"multiplicity":1,"original_arcs":1},'
+        '{"nodes":["x","b3","b2","b1"],"multiplicity":1,"original_arcs":1}],'
+        '"certificate":{"value":2,"Y_o":[],"Y_i":["a3","b1"],'
+        '"potential":{"a1":2,"a2":2,"a3":1,"x":1,"b1":0,"b2":1,"b3":1},'
+        '"cover":{"z_o":[[["b1","x"],1]],"z_i":[[["x","a1"],1],[["a1","a2"],1],'
+        '[["a2","a3"],1],[["a3","x"],1],[["b2","b1"],1],[["b3","b2"],1],[["x","b3"],1]]},'
+        '"cover_cost":2,' + _GOLDEN_CHECKS + '"cover_integral":true,"minmax_equal":true}}}'
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, command, input_file",
+    [
+        ("solve-digraph-pq", "solve-digraph", "bowtie_half_weight_file"),
+        ("resonant-pq", "resonant", "bowtie_half_weight_file"),
+        ("clar-fries-pq", "clar-fries", "benzene_half_weight_file"),
+        ("sink-stable", "sink-stable", "bowtie_file"),
+    ],
+    ids=["solve-digraph-pq", "resonant-pq", "clar-fries-pq", "sink-stable"],
+)
+def test_golden_stdout(capsys, request, case, command, input_file):
+    # the whole compact answer, "p/q" cover entries included, byte for byte
+    assert main([command, request.getfixturevalue(input_file)]) == 0
+    assert capsys.readouterr().out == _GOLDEN[case] + "\n"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -235,6 +236,79 @@ def test_rational_weights_stay_exact():
     checks = certificate_checks(cert)
     checks.pop("cover_integral", None)  # not promised for fractional weights
     assert all(checks.values())
+
+
+def _random_pq_instances(seed, count):
+    """Seeded digraphs with ``"p/q"`` weights, at least one not whole, and
+    the lcm of their denominators."""
+    rng = random.Random(seed)
+    while count:
+        d = random_digraph(rng, max_nodes=6, max_arcs=9)
+        w = WeightPair(
+            *(
+                tuple(Fraction(rng.randint(0, 4), rng.choice((1, 2, 3, 4, 6)))
+                      for _ in range(d.node_count))
+                for _ in range(2)
+            )
+        )
+        if w.integral:
+            continue
+        count -= 1
+        yield d, w, lcm(*(Fraction(x).denominator for x in w.source_weight + w.sink_weight))
+
+
+def test_rational_cover_keeps_the_integer_units():
+    for d, w, s in _random_pq_instances(12, 60):
+        cert = max_source_sink(d, w)
+        whole = max_source_sink(
+            d,
+            WeightPair(
+                tuple(s * x for x in w.source_weight), tuple(s * x for x in w.sink_weight)
+            ),
+        )
+        assert (cert.cover.scale, whole.cover.scale) == (s, 1)
+        assert cert.cover.out_cover == whole.cover.out_cover
+        assert cert.cover.in_cover == whole.cover.in_cover
+        assert all(type(x) is int for x in cert.cover.out_cover + cert.cover.in_cover)
+        assert (cert.source_set, cert.sink_set) == (whole.source_set, whole.sink_set)
+        assert cert.potential == whole.potential
+        assert cert.value == cert.cover.cost == Fraction(whole.value, s)
+
+
+def test_doctored_cover_scale_fails_the_checks():
+    import dataclasses
+
+    tampered = 0
+    for d, w, s in _random_pq_instances(13, 40):
+        cert = max_source_sink(d, w)
+        with pytest.raises(InputError):
+            dataclasses.replace(cert.cover, scale=0)
+        if not cert.value:
+            continue  # a cover that charges nothing bounds the value by 0 at any scale
+        for scale in (2 * s, s + 1):
+            doctored = dataclasses.replace(
+                cert, cover=dataclasses.replace(cert.cover, scale=scale)
+            )
+            checks = certificate_checks(doctored)
+            assert not (checks["cover_out"] and checks["cover_in"] and checks["minmax_equal"])
+        tampered += 1
+    assert tampered > 20
+
+    # the same integral cover in units of 1/2 proves the same bound
+    d, _ = bowtie()
+    cert = max_source_sink(d, ones(7))
+    halves = dataclasses.replace(
+        cert.cover,
+        out_cover=tuple(2 * x for x in cert.cover.out_cover),
+        in_cover=tuple(2 * x for x in cert.cover.in_cover),
+        scale=2,
+    )
+    assert all(certificate_checks(dataclasses.replace(cert, cover=halves)).values())
+    odd = dataclasses.replace(halves, out_cover=(1,) + halves.out_cover[1:])
+    assert not certificate_checks(dataclasses.replace(cert, cover=odd))["cover_integral"]
+    for scale in (True, 1.0, -2):
+        with pytest.raises(InputError):
+            dataclasses.replace(cert.cover, scale=scale)
 
 
 def test_scaling_weights_scales_value():
