@@ -42,11 +42,15 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 def _within_weights(args, data, names) -> tuple:
     """Node weights of a sink-stable or resonant request: 1 inside
-    ``--within`` and 0 outside, else the input's ``"w"`` map, else all 1."""
-    if args.within is None and "w" in data:
-        return jsonio.node_weights_from_json(data["w"], names, 0, "w")
-    if not args.within:
+    ``--within`` and 0 outside, else the input's ``"w"`` map, else all 1.
+
+    An empty ``--within`` names no pool and is an input error."""
+    if args.within is None:
+        if "w" in data:
+            return jsonio.node_weights_from_json(data["w"], names, 0, "w")
         return (1,) * len(names)
+    if not args.within.strip():
+        raise InputError("--within needs at least one node name")
     index = {name: i for i, name in enumerate(names)}
     vec = [0] * len(names)
     for name in args.within.split(","):

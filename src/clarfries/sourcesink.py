@@ -6,21 +6,24 @@ sources and sinks simultaneously.  Each node carries two nonnegative
 weights, one collected if it becomes a source and one if it becomes a sink;
 the goal is a pair of maximum total weight.
 
-The maximum is computed on an auxiliary circulation network with three
-copies of every node: the node itself, an out-layer copy reached by a
-vertical arc carrying the source weight as a lower bound, and an in-layer
-copy feeding it through a vertical arc carrying the sink weight.  Every arc
+The maximum is computed on an auxiliary circulation network.  Besides the
+original nodes it has an out-layer copy of every node with a positive
+source weight, reached by a vertical arc carrying that weight as a lower
+bound, and an in-layer copy of every node with a positive sink weight,
+feeding it through a vertical arc carrying the sink weight.  Every arc
 u -> w of the doubled digraph (every arc plus its reverse copy) enters the
-network twice, as the sink entry u -> in(w) and as the source exit
-out(u) -> w.  Arcs that exist in the original digraph cost 1, reverse
-copies and verticals cost 0.  A direct arc u -> w would add nothing: it is
-dominated by the path u -> in(w) -> w, which costs the same through an
-uncapacitated vertical.  A minimum-cost circulation on this network has
-the pair weight as its cost, the optimal pair falls out of the node
-potential, and the flow is a circular cover certifying optimality: a pair
-of arc multiplicity vectors (the source exits and the sink entries) whose
-sum is a circulation, one sending enough flow out of every node to pay its
-source weight, the other enough into every node to pay its sink weight.
+network as the sink entry u -> in(w) when in(w) exists, as the source exit
+out(u) -> w when out(u) exists, and as the direct arc u -> w when neither
+does.  Arcs that exist in the original digraph cost 1, reverse copies and
+verticals cost 0.  A copy of a zero weight would add nothing: its vertical
+has lower bound 0 and no capacity limit, so its route costs what the
+direct arc costs.  A minimum-cost circulation on this network has the pair
+weight as its cost, the optimal pair falls out of the node potential, and
+the flow is a circular cover certifying optimality: a pair of arc
+multiplicity vectors (the source exits, and the sink entries with the
+direct arcs) whose sum is a circulation, one sending enough flow out of
+every node to pay its source weight, the other enough into every node to
+pay its sink weight.
 
 Rational weights are cleared to integers inside the auxiliary network:
 its lower bounds are the weights times ``scale``, the lcm of their
@@ -36,6 +39,7 @@ certificate alone.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -167,14 +171,28 @@ class WeightPair:
 class AuxNetwork:
     """Circulation network whose optimum is the best pair weight.
 
-    Nodes 0..n-1 are the original nodes; ``n + v`` and ``2n + v`` are v's
-    copies in the out and in layers.  Arcs, in index order: for each node v
-    the vertical ``2n + v -> v`` with the sink weight as lower bound and
-    ``v -> n + v`` with the source weight; then for each doubled arc
-    j = (u, w) the sink entry ``u -> 2n + w`` and the source exit
-    ``n + u -> w``, each costing 1 exactly when j is an original arc.  No
-    arc joins u to w directly, since ``u -> 2n + w -> w`` costs the same and
-    its vertical has no capacity limit.
+    Nodes 0..n-1 are the original nodes.  Node v has an out-layer copy
+    ``out_node[v]`` when its source weight is positive and an in-layer copy
+    ``in_node[v]`` when its sink weight is; otherwise the entry is ``None``.
+    Out copies are numbered from n in node order, in copies after them.
+    Arcs, in index order: for each node v the vertical ``in(v) -> v`` with
+    the sink weight as lower bound and ``v -> out(v)`` with the source
+    weight, for the copies that exist; then for each doubled arc
+    j = (u, w) the sink entry ``u -> in(w)`` and the source exit
+    ``out(u) -> w``, for the copies that exist, or the direct arc
+    ``u -> w`` when neither does.  Each of them costs 1 exactly when j is
+    an original arc.
+
+    A copy with lower bound 0 would add nothing: ``u -> out(u) -> w`` and
+    ``u -> in(w) -> w`` cost what ``u -> w`` costs, through a vertical with
+    no capacity limit.  So every doubled arc has its route from u to w:
+    through ``in(w)``, through ``out(u)``, or direct.
+
+    ``out_arc[j]`` indexes j's source exit, whose flow is the out-cover of
+    j, and ``in_arc[j]`` its sink entry or direct arc, whose flow is the
+    in-cover of j; an absent arc is -1 and covers 0.  A direct arc
+    may count as in-cover because its head has sink weight 0, which the
+    cover need not pay.
 
     ``digraph``, ``lower`` and ``cost`` are the fields :func:`mincost.solve`
     reads, and every network goes to the solver unwrapped: costs are 0 or 1,
@@ -182,12 +200,14 @@ class AuxNetwork:
     denominators (1 for integral weights), so they are ints too.
 
     The network's digraph is derived from ``d`` without re-validation: its
-    node ids lie in ``0 .. 3n - 1``, no arc joins a layer to itself, the
-    verticals tie every copy to its node, and every arc of ``d`` joins its
-    ends through an in-layer copy, so it is connected because ``d`` is.
+    node ids lie in ``0 .. n + copies - 1``, no arc is a loop, the verticals
+    tie every copy to its node, and every arc of ``d`` joins its ends
+    through a copy or directly, so it is connected because ``d`` is.
     """
 
-    __slots__ = ("digraph", "lower", "cost", "bi", "scale")
+    __slots__ = (
+        "digraph", "lower", "cost", "bi", "scale", "out_node", "in_node", "out_arc", "in_arc"
+    )
 
     def __init__(self, d: Digraph, weights: WeightPair):
         if weights.node_count != d.node_count:
@@ -200,41 +220,58 @@ class AuxNetwork:
             source = tuple(int(x * scale) for x in source)
             sink = tuple(int(x * scale) for x in sink)
         bi = bidirect(d)
-        # one int object per copy, shared by all arcs at that copy
-        out_id = list(range(n, 2 * n))
-        in_id = list(range(2 * n, 3 * n))
+        out_node: list[int | None] = [None] * n
+        in_node: list[int | None] = [None] * n
+        node_count = n
+        for copy, weight in ((out_node, source), (in_node, sink)):
+            for v in range(n):
+                if weight[v]:
+                    copy[v] = node_count
+                    node_count += 1
         arcs: list[tuple[int, int]] = []
         lower: list[int] = []
         for v in range(n):
-            arcs += ((in_id[v], v), (v, out_id[v]))
-            lower += (sink[v], source[v])
-        for u, w in bi.arcs:
-            arcs += ((u, in_id[w]), (out_id[u], w))
+            if in_node[v] is not None:
+                arcs.append((in_node[v], v))
+                lower.append(sink[v])
+            if out_node[v] is not None:
+                arcs.append((v, out_node[v]))
+                lower.append(source[v])
+        cost = [0] * len(arcs)
+        # typed arrays: one machine word per doubled arc, not an int object
+        out_arc = array("q")
+        in_arc = array("q")
         m = bi.m
-        self.digraph = Digraph._derived(3 * n, tuple(arcs))
-        self.lower = tuple(lower) + (0,) * (4 * m)
-        # bi lists the m original arcs (cost 1) before their reverse copies
-        self.cost = (0,) * (2 * n) + (1,) * (2 * m) + (0,) * (2 * m)
+        for j, (u, w) in enumerate(bi.arcs):
+            # bi lists the m original arcs (cost 1) before their reverse copies
+            c = 1 if j < m else 0
+            o, i = out_node[u], in_node[w]
+            if o is None or i is not None:
+                # the sink entry, or the direct arc when neither copy exists
+                in_arc.append(len(arcs))
+                arcs.append((u, w if i is None else i))
+                cost.append(c)
+            else:
+                in_arc.append(-1)
+            if o is not None:
+                out_arc.append(len(arcs))
+                arcs.append((o, w))
+                cost.append(c)
+            else:
+                out_arc.append(-1)
+        self.digraph = Digraph._derived(node_count, tuple(arcs))
+        self.lower = tuple(lower) + (0,) * (len(arcs) - len(lower))
+        self.cost = tuple(cost)
         self.bi = bi
         self.scale = scale
+        self.out_node = out_node
+        self.in_node = in_node
+        self.out_arc = out_arc
+        self.in_arc = in_arc
 
     @property
     def base_node_count(self) -> int:
         return self.bi.node_count
-
-    def vertical_in_arc(self, v: int) -> int:
-        return 2 * v
-
-    def vertical_out_arc(self, v: int) -> int:
-        return 2 * v + 1
-
-    def sink_entry_arc(self, j: int) -> int:
-        """Arc from the tail of doubled arc j into the in-layer copy of its head."""
-        return 2 * self.base_node_count + 2 * j
-
-    def source_exit_arc(self, j: int) -> int:
-        """Arc from the out-layer copy of the tail of doubled arc j to its head."""
-        return 2 * self.base_node_count + 2 * j + 1
 
 
 def build_aux_network(d: Digraph, weights: WeightPair) -> AuxNetwork:
@@ -322,7 +359,9 @@ def extract_pair(
 
     The vertical arcs absorb slack 0 or 1 apiece; a node joins the source
     set when its out-vertical is slack, the sink set when its in-vertical
-    is.  A vertical slack outside {0, 1} cannot come from a cost-feasible
+    is.  A node without a copy on one side has weight 0 there and stays
+    out of that set, so the pair holds positive-weight nodes only.  A
+    vertical slack sum outside {0, 1} cannot come from a cost-feasible
     potential and signals a solver bug.
     """
     dg = aux.digraph
@@ -334,9 +373,9 @@ def extract_pair(
     n = aux.base_node_count
     source_set = []
     sink_set = []
-    for v in range(n):
-        slack_out = potential[v] - potential[n + v]
-        slack_in = potential[2 * n + v] - potential[v]
+    for v, (o, i) in enumerate(zip(aux.out_node, aux.in_node)):
+        slack_out = 0 if o is None else potential[v] - potential[o]
+        slack_in = 0 if i is None else potential[i] - potential[v]
         if slack_out + slack_in not in (0, 1):
             raise InvariantError(
                 f"vertical slacks at node {v} sum to {slack_out + slack_in}"
@@ -350,8 +389,8 @@ def extract_pair(
 
 def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
     """Turn a feasible circulation of the network into a circular cover:
-    the source-exit arcs carry the out-cover, the sink-entry arcs the
-    in-cover."""
+    the source exits carry the out-cover, the sink entries and direct arcs
+    the in-cover."""
     dg = aux.digraph
     if len(flow) != dg.arc_count:
         raise InputError("flow length does not match the network")
@@ -366,11 +405,11 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
         raise InputError("flow is not a circulation")
 
     original_cost = sum(c * f for c, f in zip(aux.cost, flow) if f)
-    # Doubled arc j owns aux arcs first + 2j (sink_entry_arc) and
-    # first + 2j + 1 (source_exit_arc); they fill the rest of the arc
-    # list, so each stride-2 slice has one entry per j.
-    first = 2 * aux.base_node_count
-    cover = CircularCover(tuple(flow[first + 1::2]), tuple(flow[first::2]), aux.scale)
+    cover = CircularCover(
+        tuple(0 if a < 0 else flow[a] for a in aux.out_arc),
+        tuple(0 if a < 0 else flow[a] for a in aux.in_arc),
+        aux.scale,
+    )
     if cover.charge != original_cost:
         raise InvariantError("cover cost differs from the circulation cost")
     return cover

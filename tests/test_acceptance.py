@@ -213,11 +213,17 @@ def test_criterion_07_extraction_invariants():
             break
         aux = build_aux_network(d, w)
         sol = solve(CirculationInstance(aux.digraph, aux.lower, aux.cost))
-        for v in range(d.node_count):
-            tail_o, head_o = aux.digraph.arcs[aux.vertical_out_arc(v)]
-            tail_i, head_i = aux.digraph.arcs[aux.vertical_in_arc(v)]
-            s_out = sol.potential[tail_o] - sol.potential[head_o]
-            s_in = sol.potential[tail_i] - sol.potential[head_i]
+        p = sol.potential
+        for v, (o, i) in enumerate(zip(aux.out_node, aux.in_node)):
+            # a node has a vertical on a side exactly when its weight there
+            # is positive; a missing vertical has no slack
+            if (o is not None) != (w.source_weight[v] > 0) or (i is not None) != (
+                w.sink_weight[v] > 0
+            ):
+                ok, detail = False, f"copies of node {v} do not follow its weights"
+                break
+            s_out = 0 if o is None else p[v] - p[o]
+            s_in = 0 if i is None else p[i] - p[v]
             if s_out not in (0, 1) or s_in not in (0, 1) or s_out + s_in > 1:
                 ok, detail = False, f"vertical slack pair ({s_out},{s_in}) at node {v}"
                 break

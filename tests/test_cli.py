@@ -120,6 +120,15 @@ def test_resonant_within(capsys, bowtie_file):
     assert out["cover_cost"] == 2
 
 
+@pytest.mark.parametrize("command", ["sink-stable", "resonant"])
+@pytest.mark.parametrize("within", ["", " "], ids=["empty", "blank"])
+def test_empty_within_is_an_input_error(capsys, bowtie_file, command, within):
+    # an empty pool is not "every node": it is rejected, naming the option
+    code, out = run(capsys, command, "--within", within, bowtie_file)
+    assert code == 1
+    assert list(out) == ["error"] and "--within" in out["error"]
+
+
 def test_clar_and_fries(capsys, benzene_file):
     code, out = run(capsys, "clar", benzene_file)
     assert code == 0
@@ -506,24 +515,24 @@ _GOLDEN_CHECKS = (
 )
 _GOLDEN = {
     "solve-digraph-pq": (
-        '{"value":"1/2","Y_o":["a1"],"Y_i":["a2"],'
+        '{"value":"1/2","Y_o":["a1"],"Y_i":[],'
         '"potential":{"a1":1,"a2":0,"a3":0,"x":0,"b1":0,"b2":0,"b3":0},'
-        '"cover":{"z_o":[[["x","a1"],"1/2"],[["a1","x"],"1/2"]],"z_i":[]},'
+        '"cover":{"z_o":[[["a1","x"],"1/2"]],"z_i":[[["x","a1"],"1/2"]]},'
         '"cover_cost":"1/2",' + _GOLDEN_CHECKS + '"minmax_equal":true}}'
     ),
     "resonant-pq": (
-        '{"value":"1/2","Y_o":["a1"],"Y_i":["a2"],'
+        '{"value":"1/2","Y_o":["a1"],"Y_i":[],'
         '"potential":{"a1":1,"a2":0,"a3":0,"x":0,"b1":0,"b2":0,"b3":0},'
         '"cover":{"z_o":[[["a1","x"],"1/2"]],"z_i":[[["x","a1"],"1/2"]]},'
         '"cover_cost":"1/2",' + _GOLDEN_CHECKS + '"minmax_equal":true},'
-        '"resonant_set":["a1","a2"]}'
+        '"resonant_set":["a1"]}'
     ),
     "clar-fries-pq": (
         '{"value":"1/2","matching":[["s0","t2"],["s1","t0"],["s2","t1"]],'
-        '"cw_faces":["f1"],"acw_faces":["f0"],'
-        '"certificate":{"value":"1/2","Y_o":["f0"],"Y_i":["f1"],'
+        '"cw_faces":[],"acw_faces":["f0"],'
+        '"certificate":{"value":"1/2","Y_o":["f0"],"Y_i":[],'
         '"potential":{"f0":1,"f1":0},'
-        '"cover":{"z_o":[[["f1","f0"],"1/2"],[["f0","f1"],"1/2"]],"z_i":[]},'
+        '"cover":{"z_o":[[["f0","f1"],"1/2"]],"z_i":[[["f1","f0"],"1/2"]]},'
         '"cover_cost":"1/2",' + _GOLDEN_CHECKS + '"minmax_equal":true}}}'
     ),
     "sink-stable": (
@@ -532,7 +541,7 @@ _GOLDEN = {
         '{"nodes":["x","b3","b2","b1"],"multiplicity":1,"original_arcs":1}],'
         '"certificate":{"value":2,"Y_o":[],"Y_i":["a3","b1"],'
         '"potential":{"a1":2,"a2":2,"a3":1,"x":1,"b1":0,"b2":1,"b3":1},'
-        '"cover":{"z_o":[[["b1","x"],1]],"z_i":[[["x","a1"],1],[["a1","a2"],1],'
+        '"cover":{"z_o":[],"z_i":[[["x","a1"],1],[["b1","x"],1],[["a1","a2"],1],'
         '[["a2","a3"],1],[["a3","x"],1],[["b2","b1"],1],[["b3","b2"],1],[["x","b3"],1]]},'
         '"cover_cost":2,' + _GOLDEN_CHECKS + '"cover_integral":true,"minmax_equal":true}}}'
     ),

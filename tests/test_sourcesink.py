@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarfries import (
     CirculationInstance,
@@ -21,6 +23,7 @@ from clarfries import (
     max_resonant,
     max_sink_stable,
     max_source_sink,
+    normalize_potential,
     solve,
     solve_clar_fries,
     sources_sinks,
@@ -58,8 +61,9 @@ def test_weight_pair_validation():
         WeightPair((True, False), (0, 0))
     w = WeightPair((Fraction(1, 3), 0), (Fraction(1, 2), 1))
     assert not w.integral
-    # the aux network clears denominators: verticals of node 0, then node 1,
-    # each sink weight before its source weight, times the lcm 6
+    # the aux network clears denominators: node 0's verticals, sink weight
+    # before source weight, then node 1's sink vertical (its source weight
+    # is 0, so it has no out copy), times the lcm 6; then an arc with none
     aux = build_aux_network(single_arc(), w)
     assert aux.scale == 6
     assert aux.lower[:4] == (3, 2, 6, 0)
@@ -94,38 +98,63 @@ def test_aux_network_bounds_and_costs():
     d = single_arc()
     w = WeightPair((2, 0), (0, 3))
     aux = build_aux_network(d, w)
-    assert aux.lower[aux.vertical_out_arc(0)] == 2
-    assert aux.lower[aux.vertical_out_arc(1)] == 0
-    assert aux.lower[aux.vertical_in_arc(1)] == 3
+    # copies only where a weight is positive: out(0) and in(1)
+    assert aux.out_node == [2, None] and aux.in_node == [None, 3]
+    arcs = aux.digraph.arcs
+    assert aux.digraph.node_count == 4
+    assert aux.lower[arcs.index((0, 2))] == 2
+    assert aux.lower[arcs.index((3, 1))] == 3
     # unit cost exactly on the two images of the one original arc
     unit = {j for j, c in enumerate(aux.cost) if c == 1}
-    assert unit == {aux.sink_entry_arc(0), aux.source_exit_arc(0)}
-    # layer wiring for the original arc (u, v) and its copy (v, u)
+    assert unit == {aux.in_arc[0], aux.out_arc[0]}
+    # layer wiring for the original arc (u, v) and its copy (v, u): the
+    # copy has neither out(v) nor in(u), so it enters directly
     u, v = 0, 1
-    n = 2
-    assert aux.digraph.arcs[aux.sink_entry_arc(0)] == (u, 2 * n + v)
-    assert aux.digraph.arcs[aux.source_exit_arc(0)] == (n + u, v)
-    assert aux.digraph.arcs[aux.sink_entry_arc(1)] == (v, 2 * n + u)
-    assert aux.digraph.arcs[aux.source_exit_arc(1)] == (n + v, u)
-    assert (u, v) not in aux.digraph.arcs and (v, u) not in aux.digraph.arcs
+    assert arcs[aux.in_arc[0]] == (u, aux.in_node[v])
+    assert arcs[aux.out_arc[0]] == (aux.out_node[u], v)
+    assert arcs[aux.in_arc[1]] == (v, u) and aux.out_arc[1] == -1
+    assert aux.cost[aux.in_arc[1]] == 0
+    assert (u, v) not in arcs
+    assert aux.digraph.arc_count == 2 + 3
 
 
-def _three_layer_instance(d, weights):
-    """The aux network with a middle layer, as a reference: every doubled
-    arc j = (u, w) also gets a direct arc u -> w, at index 2n + 3j, ahead
-    of its sink entry and source exit."""
+def _reference_aux_network(d, weights, direct=False):
+    """The aux network with all three copies of every node, as a reference:
+    ``n + v`` and ``2n + v`` are v's out and in copies whatever its
+    weights; the verticals of node v come first (``2n + v -> v`` with the
+    sink weight, ``v -> n + v`` with the source weight), then for each
+    doubled arc j = (u, w) the sink entry ``u -> 2n + w`` and the source
+    exit ``n + u -> w``, after the direct arc ``u -> w`` when ``direct``.
+    Weights are scaled to ints by the lcm of their denominators, as in
+    :class:`AuxNetwork`."""
     n = d.node_count
-    arcs, lower, cost = [], [], []
+    weight = weights.source_weight + weights.sink_weight
+    scale = lcm(*(Fraction(x).denominator for x in weight))
+    arcs, lower = [], []
     for v in range(n):
         arcs += [(2 * n + v, v), (v, n + v)]
-        lower += [weights.sink_weight[v], weights.source_weight[v]]
-        cost += [0, 0]
+        lower += [int(weights.sink_weight[v] * scale), int(weights.source_weight[v] * scale)]
     bi = bidirect(d)
+    cost = [0] * (2 * n)
     for (u, w), c in zip(bi.arcs, bi.cost_vector()):
-        arcs += [(u, w), (u, 2 * n + w), (n + u, w)]
-        lower += [0, 0, 0]
-        cost += [c, c, c]
+        images = [(u, w)] if direct else []
+        images += [(u, 2 * n + w), (n + u, w)]
+        arcs += images
+        lower += [0] * len(images)
+        cost += [c] * len(images)
     return CirculationInstance(Digraph(3 * n, arcs), tuple(lower), tuple(cost))
+
+
+def _reference_pair(weights, potential):
+    """The pair read off a potential of :func:`_reference_aux_network`,
+    restricted to positive-weight nodes."""
+    n = len(weights.source_weight)
+    source = {v for v in range(n) if potential[v] - potential[n + v] == 1}
+    sink = {v for v in range(n) if potential[2 * n + v] - potential[v] == 1}
+    return (
+        {v for v in source if weights.source_weight[v] > 0},
+        {v for v in sink if weights.sink_weight[v] > 0},
+    )
 
 
 def _reference_instances():
@@ -139,14 +168,90 @@ def _reference_instances():
 
 def test_two_layer_network_matches_three_layer_reference():
     for d, weights in _reference_instances():
+        n = d.node_count
         aux = build_aux_network(d, weights)
         two = solve(CirculationInstance(aux.digraph, aux.lower, aux.cost))
-        three = solve(_three_layer_instance(d, weights))
-        assert (two.objective, two.potential) == (three.objective, three.potential)
+        three = solve(_reference_aux_network(d, weights, direct=True))
+        assert two.objective == three.objective
+        assert two.potential[:n] == three.potential[:n]
         cert = max_source_sink(d, weights)
-        pair = (cert.source_set, cert.sink_set, cert.potential)
-        assert pair == extract_pair(aux, three.potential)
+        assert (cert.source_set, cert.sink_set) == _reference_pair(weights, three.potential)
+        assert cert.potential == normalize_potential(three.potential[:n])
         assert cert.value == three.objective
+
+
+def test_network_matches_all_copies_reference():
+    """Leaving out the copies of zero weights keeps the optimum, the
+    potential on the original nodes and the positive-weight pair."""
+    for d, weights in _reference_instances():
+        n = d.node_count
+        aux = build_aux_network(d, weights)
+        pruned = solve(aux)
+        full = solve(_reference_aux_network(d, weights))
+        assert pruned.objective == full.objective
+        assert normalize_potential(pruned.potential[:n]) == normalize_potential(
+            full.potential[:n]
+        )
+        source_set, sink_set, _ = extract_pair(aux, pruned.potential)
+        assert (source_set, sink_set) == _reference_pair(weights, full.potential)
+
+
+_weights = st.one_of(
+    st.integers(0, 3),
+    st.fractions(min_value=0, max_value=3, max_denominator=4),
+)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = random_digraph(random.Random(seed), max_nodes=6, max_arcs=9)
+    n = d.node_count
+    zero = (0,) * n
+    side = st.lists(_weights, min_size=n, max_size=n).map(tuple)
+    source = draw(st.one_of(st.just(zero), side))
+    sink = draw(st.one_of(st.just(zero), side))
+    return d, WeightPair(source, sink)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs())
+def test_network_value_matches_reference_property(instance):
+    d, weights = instance
+    cert = max_source_sink(d, weights)
+    reference = solve(_reference_aux_network(d, weights))
+    scale = lcm(*(Fraction(x).denominator for x in weights.source_weight + weights.sink_weight))
+    assert cert.value == Fraction(reference.objective, scale)
+    assert all(cert.checks.values())
+
+
+def test_sink_only_network_has_no_out_layer():
+    rng = random.Random(31)
+    for _ in range(40):
+        d = random_digraph(rng, max_nodes=7, max_arcs=12)
+        sink = tuple(rng.randint(0, 2) for _ in range(d.node_count))
+        aux = build_aux_network(d, WeightPair.sink_only(sink))
+        positive = sum(1 for x in sink if x > 0)
+        assert aux.digraph.node_count == d.node_count + positive
+        assert aux.out_node == [None] * d.node_count
+        assert list(aux.out_arc) == [-1] * (2 * d.arc_count)
+        assert aux.digraph.arc_count == positive + 2 * d.arc_count
+
+
+def test_zero_weights_give_direct_arcs_only():
+    d, _ = bowtie()
+    n, m = d.node_count, d.arc_count
+    weights = WeightPair((0,) * n, (0,) * n)
+    aux = build_aux_network(d, weights)
+    assert aux.digraph.node_count == n
+    assert aux.digraph.arcs == bidirect(d).arcs
+    assert aux.digraph.arc_count == 2 * m
+    assert aux.cost == bidirect(d).cost_vector()
+    assert list(aux.in_arc) == list(range(2 * m))
+    cert = max_source_sink(d, weights)
+    assert cert.value == 0
+    assert cert.source_set == cert.sink_set == frozenset()
+    assert all(cert.checks.values())
 
 
 def test_derived_graphs_pass_the_full_checks(monkeypatch):
@@ -397,22 +502,27 @@ def test_extract_cover_reads_entry_and_exit_flow():
     d = single_arc()
     w = WeightPair((1, 0), (0, 1))
     aux = build_aux_network(d, w)
+    # out(0) and in(1) exist; the reverse copy (1, 0) has neither out(1)
+    # nor in(0), so it enters as the direct arc 1 -> 0
+    arcs = aux.digraph.arcs
+    out0, in1 = aux.out_node[0], aux.in_node[1]
+    assert arcs[aux.out_arc[0]] == (out0, 1) and arcs[aux.in_arc[0]] == (0, in1)
+    assert arcs[aux.in_arc[1]] == (1, 0) and aux.out_arc[1] == -1
     z = [0] * aux.digraph.arc_count
-    # 0 -> out(0) -> 1 -> in(0) -> 0: the source exit of the original arc,
-    # then the sink entry of its free reverse copy
-    z[aux.vertical_out_arc(0)] = 1
-    z[aux.source_exit_arc(0)] = 1
-    z[aux.sink_entry_arc(1)] = 1
-    z[aux.vertical_in_arc(0)] = 1
-    # 0 -> in(1) -> 1 -> out(1) -> 0, twice: the sink entry of the original
-    # arc, then the source exit of the reverse copy
-    z[aux.sink_entry_arc(0)] = 2
-    z[aux.vertical_in_arc(1)] = 2
-    z[aux.vertical_out_arc(1)] = 2
-    z[aux.source_exit_arc(1)] = 2
+    # 0 -> out(0) -> 1 -> 0: the source exit of the original arc, then the
+    # direct arc of its free reverse copy
+    z[arcs.index((0, out0))] = 1
+    z[aux.out_arc[0]] = 1
+    z[aux.in_arc[1]] = 1
+    # 0 -> in(1) -> 1 -> 0, twice: the sink entry of the original arc, then
+    # the direct arc again
+    z[aux.in_arc[0]] = 2
+    z[arcs.index((in1, 1))] = 2
+    z[aux.in_arc[1]] += 2
     cover = extract_cover(aux, z)
-    assert cover.out_cover == (1, 2)
-    assert cover.in_cover == (2, 1)
+    # the direct arc's flow is in-cover; the absent source exit covers 0
+    assert cover.out_cover == (1, 0)
+    assert cover.in_cover == (2, 3)
     assert cover.cost == 3 == sum(c * f for c, f in zip(aux.cost, z))
     assert is_circulation(bidirect(d), cover.combined())
 
