@@ -2,38 +2,47 @@
 
 The instances solved here have integer lower bounds, nonnegative integer
 costs, and no upper capacities.  Substituting ``x = lower + x'`` turns the
-lower bounds into node excesses, which are routed from a super source to a
-super sink by successive shortest augmenting paths with node potentials.
-Each round runs Dijkstra on reduced costs, then batches every augmentation
-at that shortest distance into one blocking-flow computation over the tight
-(zero reduced cost) residual arcs, which keeps the number of Dijkstra rounds
-small on large instances.
+lower bounds into node excesses and deficits, which are cancelled by
+successive shortest paths with node potentials on the residual network
+itself: there is no super source or sink.  Each round runs Dijkstra on
+reduced costs from every node with excess and stops at the first deficit
+it settles, raises the potentials, and then routes as much excess as the
+tight (zero reduced cost) residual arcs can carry to the deficits.  The
+rounds stay few on large instances, and their number does not depend on
+the size of the costs.
 
 Dijkstra keeps its queue as one list of nodes per tentative distance, plus a
 heap of the distinct distances (Dial's bucket queue, CACM 1969, with a heap
 over the bucket keys so that costs of any size work).  Nodes at one distance
 leave in insertion order, but ties cannot change the potential: every node
-closer than the sink is settled, and every other one is raised by the sink's
-distance.
+closer than the first deficit is settled, and every other one is raised by
+that deficit's distance.
 
 Potentials change only between Dijkstra rounds, so each round first lists
 every node's tight residual slots (a slot and its reverse partner are tight
-together) and its Dinic phases scan only those lists.  Each phase labels
-every node with the fewest tight residual arcs on a path from it to the
-sink, by one breadth-first search backwards from the sink that stops once
-the source is labelled, and the depth-first search from the source steps
-only to a node one arc closer to the sink.  Those are the arcs of the
-forward level graph that lie on a shortest augmenting path, met in the same
-order, so the search finds the same augmenting paths as a forward Dinic
-phase without entering its dead ends.  The scan order of the full residual
-adjacency is kept throughout, so the returned flow and potential do not
-depend on these shortcuts.
+together), and the round's flow scans only those lists.  Its first two
+steps are Dinic phases.  Each labels every node with the fewest tight
+residual arcs on a path from it to a deficit, by one breadth-first search
+backwards from the deficits that stops at the first node with excess, and
+a depth-first search from each excess at that distance steps only to a
+node one arc closer.  Those are the arcs of the forward level graph that
+lie on a shortest path, met in the same order, so the search finds the
+same paths as a forward Dinic phase without entering its dead ends.  The
+later phases of a round each find only a few paths at the cost of a whole
+search, so the rest of the round is FIFO push-relabel over the same lists
+(Goldberg and Tarjan, JACM 1988), with exact labels recomputed by the
+backward search at the start and after every 0.15 n relabels (Cherkassky
+and Goldberg, Algorithmica 1997).  An excess that can reach no deficit
+stays where push-relabel left it, and the next round's Dijkstra starts from
+there.  On every instance the tests sweep, the potentials and deficient
+sets equal those of Dinic phases run to the end of each round; the flow
+routed may differ.
 
 The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
 this certifies optimality, and :func:`solve` checks all three before
 returning.  All arithmetic is on Python ints; ``math.inf`` marks the absence
-of a capacity, never a sentinel integer.  Augmentations leave an infinite
+of a capacity, never a sentinel integer.  Flow moves leave an infinite
 residual capacity unchanged: adding an int beyond the float range (about
 1.8e308) to ``inf`` raises ``OverflowError``, so ``inf`` only ever meets ints
 in comparisons, which Python makes exactly.
@@ -42,6 +51,7 @@ in comparisons, which Python makes exactly.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
@@ -50,6 +60,12 @@ from .digraph import BiDigraph, Digraph
 from .errors import InfeasibleCirculation, InputError, InvariantError
 
 INF = math.inf
+
+# Dinic phases per round before push-relabel routes the rest of its flow.
+DINIC_PHASES = 2
+
+# Push-relabel recomputes exact labels after this share of n relabels.
+GLOBAL_RELABEL_SHARE = 0.15
 
 
 @dataclass(frozen=True)
@@ -105,98 +121,66 @@ def solve(instance: CirculationInstance) -> McfSolution:
     lower = instance.lower
     cost = instance.cost
 
-    nn = n + 2
-    src = n
-    snk = n + 1
-
-    # Paired residual slots: edge 2k is forward, 2k+1 its reverse.
-    head: list[int] = []
-    cap: list = []
-    cst: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nn)]
-    ha, ca, sa = head.append, cap.append, cst.append
-
-    for a in range(m):
-        u, v = arcs[a]
-        e = 2 * a
+    # Paired residual slots: slot 2a is arc a, slot 2a + 1 its reverse.
+    tail = [0] * (2 * m)
+    tail[0::2] = [u for u, _ in arcs]
+    tail[1::2] = [v for _, v in arcs]
+    head = [0] * (2 * m)
+    head[0::2] = tail[1::2]
+    head[1::2] = tail[0::2]
+    cap = [INF, 0] * m
+    cst = [0] * (2 * m)
+    cst[0::2] = cost
+    cst[1::2] = [-c for c in cost]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for e, u in enumerate(tail):
         adj[u].append(e)
-        adj[v].append(e + 1)
-        ha(v)
-        ha(u)
-        ca(INF)
-        ca(0)
-        c = cost[a]
-        sa(c)
-        sa(-c)
 
     excess = [0] * n
-    for a in range(m):
-        f = lower[a]
+    for (u, v), f in zip(arcs, lower):
         if f:
-            u, v = arcs[a]
             excess[u] -= f
             excess[v] += f
+    supply = sum(b for b in excess if b > 0)
 
-    total_supply = 0
-    for v in range(n):
-        b = excess[v]
-        if b > 0:
-            e = len(head)
-            adj[src].append(e)
-            adj[v].append(e + 1)
-            ha(v)
-            ha(src)
-            ca(b)
-            ca(0)
-            sa(0)
-            sa(0)
-            total_supply += b
-        elif b < 0:
-            e = len(head)
-            adj[v].append(e)
-            adj[snk].append(e + 1)
-            ha(snk)
-            ha(v)
-            ca(-b)
-            ca(0)
-            sa(0)
-            sa(0)
+    pot = [0] * n
+    while supply:
+        dist, bound = _dijkstra(adj, head, cap, cst, pot, excess)
+        if bound is None:
+            raise InfeasibleCirculation(frozenset(v for v in range(n) if dist[v] < INF))
+        pot = [p + (dv if dv < bound else bound) for p, dv in zip(pot, dist)]
+        delivered = _round_flow(adj, head, cap, cst, pot, excess)
+        if delivered <= 0:
+            raise InvariantError("augmentation round delivered no flow")
+        supply -= delivered
 
-    pot = [0] * nn
-    sent = 0
-    while sent < total_supply:
-        dist, done = _dijkstra(adj, head, cap, cst, pot, src, snk, nn)
-        if not done[snk]:
-            reachable = frozenset(v for v in range(n) if dist[v] < INF)
-            raise InfeasibleCirculation(reachable)
-        bound = dist[snk]
-        for v in range(nn):
-            pot[v] += dist[v] if done[v] else bound
-        pushed = _blocking_flow(adj, head, cap, cst, pot, src, snk, nn)
-        if pushed <= 0:
-            raise InvariantError("augmentation phase pushed no flow")
-        sent += pushed
-
-    flow = tuple(lower[a] + cap[2 * a + 1] for a in range(m))
-    potential = tuple(pot[:n])
+    flow = tuple(low + f for low, f in zip(lower, cap[1::2]))
+    potential = tuple(pot)
     objective = sum(c * f for c, f in zip(cost, flow) if f)
     _certify(d, lower, cost, flow, potential, objective)
     return McfSolution(flow, potential, objective)
 
 
-def _dijkstra(adj, head, cap, cst, pot, src, snk, nn):
-    """Shortest reduced-cost distances from ``src``, stopping at ``snk``.
+def _dijkstra(adj, head, cap, cst, pot, excess):
+    """Shortest reduced-cost distances from the nodes with excess, stopping
+    at the first node with a deficit settled.
 
-    Nodes never settled have true distance >= dist[snk], which is all the
-    potential update needs.  The queue is a bucket per tentative distance,
-    with a heap of the distinct distances only, so costs of any size work.
-    A node is listed again when its distance drops; the stale entry is
-    skipped because the node is settled by then.
+    Returns ``(dist, bound)``, where ``bound`` is the distance of that node,
+    or ``None`` when no deficit is reachable.  Every node closer than
+    ``bound`` is settled, and every other node's true distance is at least
+    ``bound``, which is all the potential update needs.  The queue is a
+    bucket per tentative distance, with a heap of the distinct distances
+    only, so costs of any size work.  A node is listed again when its
+    distance drops; the stale entry is skipped because the node is settled
+    by then.
     """
-    dist = [INF] * nn
-    done = bytearray(nn)
-    dist[src] = 0
-    buckets = {0: [src]}
+    n = len(adj)
+    dist = [INF] * n
+    done = bytearray(n)
+    roots = [v for v in range(n) if excess[v] > 0]
+    for v in roots:
+        dist[v] = 0
+    buckets = {0: roots}
     keys = [0]
     while keys:
         dv = heappop(keys)
@@ -207,8 +191,8 @@ def _dijkstra(adj, head, cap, cst, pot, src, snk, nn):
             if done[v]:
                 continue
             done[v] = 1
-            if v == snk:
-                return dist, done
+            if excess[v] < 0:
+                return dist, dv
             pv = dv + pot[v]
             for e in adj[v]:
                 if cap[e] > 0:
@@ -225,83 +209,210 @@ def _dijkstra(adj, head, cap, cst, pot, src, snk, nn):
                         else:
                             b.append(w)
         del buckets[dv]
-    return dist, done
+    return dist, None
 
 
-def _blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
-    """Repeated blocking flows over tight residual arcs until none remain.
+def _round_flow(adj, head, cap, cst, pot, excess):
+    """Move excess to deficits over tight residual arcs until no node with
+    excess reaches a deficit through them; return the deficit met.
 
     Tightness depends only on the potentials, which stay fixed for the whole
     call, so each node's tight slots are listed once, in ``adj`` order and
     whatever their residual capacity: pushing flow only changes which listed
-    slots have capacity.
-
-    ``dist[v]`` counts the fewest tight residual arcs from ``v`` to ``snk``.
-    An arc ``v -> w`` of the forward level graph lies on a shortest
-    ``src``-``snk`` path exactly when ``dist[w] == dist[v] - 1``, so the
-    depth-first search advances on those arcs only.
+    slots have capacity.  The first :data:`DINIC_PHASES` Dinic phases route
+    most of the flow; push-relabel routes the rest.
     """
     tight = []
-    for v in range(nn):
+    for v in range(len(adj)):
         pv = pot[v]
         tight.append([e for e in adj[v] if cst[e] + pv == pot[head[e]]])
+    delivered = 0
+    for _ in range(DINIC_PHASES):
+        pushed = _dinic_phase(tight, head, cap, excess)
+        if not pushed:
+            return delivered
+        delivered += pushed
+    return delivered + _push_relabel(tight, head, cap, excess)[0]
+
+
+def _dinic_phase(tight, head, cap, excess):
+    """One blocking flow along shortest tight residual paths from the nodes
+    with excess to the nodes with a deficit; return the deficit met.
+
+    ``dist[v]`` counts the fewest tight residual arcs from ``v`` to a
+    deficit, by one breadth-first search backwards from the deficits (in
+    node order) that stops at the first node with excess it reaches.  An
+    arc ``v -> w`` of the forward level graph lies on a shortest path
+    exactly when ``dist[w] == dist[v] - 1``, so the depth-first search from
+    each excess at that distance, in node order, advances on those arcs
+    only.
+    """
+    n = len(tight)
+    dist = [-1] * n
+    q = [v for v in range(n) if excess[v] < 0]
+    for v in q:
+        dist[v] = 0
+    top = -1
+    for w in q:  # a list grown while iterated: the queue of the search
+        if excess[w] > 0:
+            top = dist[w]  # every node closer to a deficit is labelled
+            break
+        dw = dist[w] + 1
+        for f in tight[w]:
+            # f ^ 1 is the tight slot from head[f] into w
+            if cap[f ^ 1] > 0:
+                v = head[f]
+                if dist[v] < 0:
+                    dist[v] = dw
+                    q.append(v)
+    if top < 0:
+        return 0
     total = 0
-    while True:
-        dist = [-1] * nn
-        dist[snk] = 0
-        q = [snk]
-        for w in q:  # a list grown while iterated: the queue of the search
-            dw = dist[w] + 1
-            for f in tight[w]:
-                # f ^ 1 is the tight slot from head[f] into w
-                if cap[f ^ 1] > 0:
-                    v = head[f]
-                    if dist[v] < 0:
-                        dist[v] = dw
-                        q.append(v)
-            if dist[src] >= 0:
-                break  # every node closer to snk than src is labelled
-        if dist[src] < 0:
-            return total
-        it = [0] * nn
+    it = [0] * n
+    for r in range(n):
+        if excess[r] <= 0 or dist[r] != top:
+            continue
         path: list[int] = []
-        v = src
+        v = r
         while True:
-            if v == snk:
-                aug = min(cap[e] for e in path)
+            dv = dist[v]
+            if dv == 0 and excess[v] < 0:
+                aug = min(excess[r], -excess[v])
+                for e in path:
+                    if cap[e] < aug:
+                        aug = cap[e]
                 for e in path:
                     if cap[e] != INF:
                         cap[e] -= aug
                     if cap[e ^ 1] != INF:
                         cap[e ^ 1] += aug
+                excess[r] -= aug
+                excess[v] += aug
                 total += aug
+                if not excess[r]:
+                    break
                 # retreat to the first saturated edge on the path
                 keep = 0
                 while keep < len(path) and cap[path[keep]] > 0:
                     keep += 1
                 del path[keep:]
-                v = head[path[-1]] if path else src
+                v = head[path[-1]] if path else r
                 continue
-            a = tight[v]
-            i = it[v]
-            la = len(a)
-            dw = dist[v] - 1
-            while i < la:
-                e = a[i]
-                if cap[e] > 0 and dist[head[e]] == dw:
-                    break
-                i += 1
-            it[v] = i
-            if i < la:
-                path.append(e)
-                v = head[e]
-                continue
-            if v == src:
+            if dv > 0:
+                a = tight[v]
+                i = it[v]
+                la = len(a)
+                dw = dv - 1
+                while i < la:
+                    e = a[i]
+                    if cap[e] > 0 and dist[head[e]] == dw:
+                        break
+                    i += 1
+                it[v] = i
+                if i < la:
+                    path.append(e)
+                    v = head[e]
+                    continue
+            dist[v] = -1  # dead end: saturated or met since the search
+            if not path:
                 break
-            dist[v] = -1  # dead end: saturated since the phase's search
             e = path.pop()
             v = head[e ^ 1]
             it[v] += 1
+    return total
+
+
+def _global_relabel(tight, head, cap, excess):
+    """Exact labels: the fewest tight residual arcs from each node to a
+    deficit, ``len(tight)`` where none is reachable."""
+    n = len(tight)
+    label = [n] * n
+    q = [v for v in range(n) if excess[v] < 0]
+    for v in q:
+        label[v] = 0
+    for w in q:
+        dw = label[w] + 1
+        for f in tight[w]:
+            if cap[f ^ 1] > 0:
+                v = head[f]
+                if label[v] == n:
+                    label[v] = dw
+                    q.append(v)
+    return label
+
+
+def _push_relabel(tight, head, cap, excess):
+    """FIFO push-relabel over the tight residual arcs, from the excesses
+    towards the deficits; return ``(deficit met, pushes, relabels)``, the
+    counts for callers that measure the work.
+
+    Labels start exact (:func:`_global_relabel`) and are recomputed after
+    every :data:`GLOBAL_RELABEL_SHARE` times n relabels.  A node labelled
+    n reaches no deficit, so its excess stays put for the next round's
+    Dijkstra to start from.  Pushes never change an infinite capacity.
+    """
+    n = len(tight)
+    label = _global_relabel(tight, head, cap, excess)
+    it = [0] * n
+    queue = deque(v for v in range(n) if excess[v] > 0 and label[v] < n)
+    period = max(1, int(GLOBAL_RELABEL_SHARE * n))
+    due = period
+    delivered = pushes = relabels = 0
+    while queue:
+        if relabels >= due:
+            label = _global_relabel(tight, head, cap, excess)
+            it = [0] * n
+            due = relabels + period
+        v = queue.popleft()
+        dv = label[v]
+        if dv >= n:
+            continue
+        ex = excess[v]
+        a = tight[v]
+        la = len(a)
+        i = it[v]
+        while True:
+            dw = dv - 1
+            while i < la:
+                e = a[i]
+                c = cap[e]
+                if c > 0:
+                    w = head[e]
+                    if label[w] == dw:
+                        delta = ex if ex < c else c
+                        if c != INF:
+                            cap[e] = c - delta
+                        f = e ^ 1
+                        if cap[f] != INF:
+                            cap[f] += delta
+                        xw = excess[w]
+                        excess[w] = xw + delta
+                        if xw < 0:
+                            delivered += delta if delta <= -xw else -xw
+                        if xw + delta > 0 >= xw:  # w turns active
+                            queue.append(w)
+                        pushes += 1
+                        ex -= delta
+                        if not ex:
+                            break
+                i += 1
+            if not ex:
+                break
+            # relabel: one above the lowest residual neighbour
+            relabels += 1
+            dv = n
+            for e in a:
+                if cap[e] > 0:
+                    lw = label[head[e]] + 1
+                    if lw < dv:
+                        dv = lw
+            label[v] = dv
+            i = 0
+            if dv >= n:
+                break
+        excess[v] = ex
+        it[v] = i
+    return delivered, pushes, relabels
 
 
 def _certify(d, lower, cost, flow, potential, objective):

@@ -370,6 +370,11 @@ def extract_pair(
     for a, ((u, v), c) in enumerate(zip(dg.arcs, aux.cost)):
         if potential[v] - potential[u] > c:
             raise InputError(f"potential is not cost-feasible on arc {a}")
+    return _read_pair(aux, potential)
+
+
+def _read_pair(aux, potential):
+    """:func:`extract_pair` on a potential known to be cost-feasible."""
     n = aux.base_node_count
     source_set = []
     sink_set = []
@@ -403,14 +408,18 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
             net[v] += f
     if any(net):
         raise InputError("flow is not a circulation")
+    return _read_cover(aux, flow, sum(c * f for c, f in zip(aux.cost, flow) if f))
 
-    original_cost = sum(c * f for c, f in zip(aux.cost, flow) if f)
+
+def _read_cover(aux, flow, cost):
+    """:func:`extract_cover` on a flow known to be a feasible circulation
+    of cost ``cost``."""
     cover = CircularCover(
         tuple(0 if a < 0 else flow[a] for a in aux.out_arc),
         tuple(0 if a < 0 else flow[a] for a in aux.in_arc),
         aux.scale,
     )
-    if cover.charge != original_cost:
+    if cover.charge != cost:
         raise InvariantError("cover cost differs from the circulation cost")
     return cover
 
@@ -474,8 +483,10 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
     """
     aux = build_aux_network(d, weights)
     solution = mincost.solve(aux)
-    source_set, sink_set, potential = extract_pair(aux, solution.potential)
-    cover = extract_cover(aux, solution.flow)
+    # solve has certified the flow and the potential, so the readers skip
+    # extract_pair's and extract_cover's per-arc checks
+    source_set, sink_set, potential = _read_pair(aux, solution.potential)
+    cover = _read_cover(aux, solution.flow, solution.objective)
     cert = SourceSinkCertificate(d, weights, source_set, sink_set, potential, cover, cover.cost)
     return _self_checked(cert, "certificate")
 

@@ -290,5 +290,16 @@ def parallelogram_dual(n: int, m: int):
     return dual, random_weight_pair(random.Random(2428), dual.node_count)
 
 
+def reference_instances():
+    """Seeded small weighted digraphs and the 24 x 28 parallelogram dual:
+    ``(digraph, WeightPair)`` pairs."""
+    for seed, count, nodes, arcs in ((99, 60, 6, 10), (7, 80, 7, 12)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            d = random_digraph(rng, max_nodes=nodes, max_arcs=arcs)
+            yield d, random_weight_pair(rng, d.node_count)
+    yield parallelogram_dual(24, 28)
+
+
 def inner_indicator(g: PlaneBipartiteGraph) -> tuple[int, ...]:
     return tuple(1 if f != g.outer else 0 for f in range(len(g.faces)))

@@ -10,6 +10,7 @@ from clarfries import (
     Digraph,
     InfeasibleCirculation,
     InputError,
+    McfSolution,
     WeightPair,
     bidirect,
     decompose,
@@ -18,7 +19,14 @@ from clarfries import (
     mincost,
     solve,
 )
-from fixtures import acyclic_triangle, bowtie, parallelogram_dual, random_digraph, two_cycle
+from fixtures import (
+    acyclic_triangle,
+    bowtie,
+    parallelogram_dual,
+    random_digraph,
+    reference_instances,
+    two_cycle,
+)
 
 
 def test_instance_validation():
@@ -157,14 +165,48 @@ def test_determinism():
     assert first.potential == second.potential
 
 
-def _reference_blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
-    """Full-scan blocking flow: every phase rescans every residual slot and
-    recomputes its reduced cost.  Reference for the tight-list version."""
+def _reference_dijkstra(adj, head, cap, cst, pot, excess):
+    """Binary-heap Dijkstra over (distance, node) pairs from every node with
+    excess, stopping at the first deficit settled.  Reference for the
+    bucket-queue version."""
+    n = len(adj)
+    dist = [mincost.INF] * n
+    done = bytearray(n)
+    h = []
+    for v in range(n):
+        if excess[v] > 0:
+            dist[v] = 0
+            h.append((0, v))
+    while h:
+        dv, v = heappop(h)
+        if done[v]:
+            continue
+        done[v] = 1
+        if excess[v] < 0:
+            return dist, dv
+        pv = pot[v]
+        for e in adj[v]:
+            if cap[e] > 0:
+                w = head[e]
+                if not done[w]:
+                    nd = dv + cst[e] + pv - pot[w]
+                    if nd < dist[w]:
+                        dist[w] = nd
+                        heappush(h, (nd, w))
+    return dist, None
+
+
+def _reference_blocking_flow(adj, head, cap, cst, pot, excess):
+    """Full-scan Dinic over forward levels until no excess reaches a deficit:
+    every phase rescans every residual slot and recomputes its reduced
+    cost.  Reference for the tight-list phases and the push-relabel tail."""
+    n = len(adj)
     total = 0
     while True:
-        level = [-1] * nn
-        level[src] = 0
-        q = deque([src])
+        level = [-1] * n
+        q = deque(v for v in range(n) if excess[v] > 0)
+        for v in q:
+            level[v] = 0
         while q:
             v = q.popleft()
             lv = level[v] + 1
@@ -175,75 +217,110 @@ def _reference_blocking_flow(adj, head, cap, cst, pot, src, snk, nn):
                     if level[w] < 0 and cst[e] + pv - pot[w] == 0:
                         level[w] = lv
                         q.append(w)
-        if level[snk] < 0:
+        # the level of the nearest deficit; deeper ones wait for a later phase
+        bottom = min((level[v] for v in range(n) if excess[v] < 0 and level[v] >= 0), default=-1)
+        if bottom < 0:
             return total
-        it = [0] * nn
-        path = []
-        v = src
-        while True:
-            if v == snk:
-                aug = min(cap[e] for e in path)
-                for e in path:
-                    cap[e] -= aug
-                    cap[e ^ 1] += aug
-                total += aug
-                keep = 0
-                while keep < len(path) and cap[path[keep]] > 0:
-                    keep += 1
-                del path[keep:]
-                v = head[path[-1]] if path else src
+        it = [0] * n
+        for r in range(n):
+            if excess[r] <= 0 or level[r] != 0:
                 continue
-            a = adj[v]
-            advanced = False
-            i = it[v]
-            la = len(a)
-            pv = pot[v]
-            while i < la:
-                e = a[i]
-                if cap[e] > 0:
-                    w = head[e]
-                    if level[w] == level[v] + 1 and cst[e] + pv - pot[w] == 0:
-                        it[v] = i
-                        path.append(e)
-                        v = w
-                        advanced = True
+            path = []
+            v = r
+            while True:
+                if level[v] == bottom and excess[v] < 0:
+                    aug = min([excess[r], -excess[v]] + [cap[e] for e in path])
+                    for e in path:
+                        if cap[e] != mincost.INF:
+                            cap[e] -= aug
+                        if cap[e ^ 1] != mincost.INF:
+                            cap[e ^ 1] += aug
+                    excess[r] -= aug
+                    excess[v] += aug
+                    total += aug
+                    if not excess[r]:
                         break
-                i += 1
-            if advanced:
-                continue
-            it[v] = la
-            if v == src:
-                break
-            level[v] = -1
-            e = path.pop()
-            v = head[e ^ 1]
-            it[v] += 1
+                    keep = 0
+                    while keep < len(path) and cap[path[keep]] > 0:
+                        keep += 1
+                    del path[keep:]
+                    v = head[path[-1]] if path else r
+                    continue
+                advanced = False
+                if level[v] < bottom:
+                    a = adj[v]
+                    i = it[v]
+                    pv = pot[v]
+                    while i < len(a):
+                        e = a[i]
+                        if cap[e] > 0:
+                            w = head[e]
+                            if level[w] == level[v] + 1 and cst[e] + pv - pot[w] == 0:
+                                it[v] = i
+                                path.append(e)
+                                v = w
+                                advanced = True
+                                break
+                        i += 1
+                    if advanced:
+                        continue
+                    it[v] = i
+                level[v] = -1
+                if not path:
+                    break
+                e = path.pop()
+                v = head[e ^ 1]
+                it[v] += 1
 
 
-def _reference_dijkstra(adj, head, cap, cst, pot, src, snk, nn):
-    """Binary-heap Dijkstra over (distance, node) pairs.  Reference for the
-    bucket-queue version."""
-    dist = [mincost.INF] * nn
-    done = bytearray(nn)
-    dist[src] = 0
-    h = [(0, src)]
-    while h:
-        dv, v = heappop(h)
-        if done[v]:
-            continue
-        done[v] = 1
-        if v == snk:
-            break
-        pv = pot[v]
-        for e in adj[v]:
-            if cap[e] > 0:
-                w = head[e]
-                if not done[w]:
-                    nd = dv + cst[e] + pv - pot[w]
-                    if nd < dist[w]:
-                        dist[w] = nd
-                        heappush(h, (nd, w))
-    return dist, done
+def _reference_solve(inst):
+    """The solver that the excess-driven one replaced: every excess enters
+    from a super source and every deficit leaves to a super sink, and each
+    round runs Dinic phases until no augmenting path is left.
+
+    The super source is the only node with excess and the super sink the
+    only deficit, so the reference Dijkstra and blocking flow above run on
+    this network unchanged."""
+    d = inst.digraph
+    n = d.node_count
+    arcs = d.arcs
+    lower, cost = inst.lower, inst.cost
+    nn = n + 2
+    src, snk = n, n + 1
+    head, cap, cst = [], [], []
+    adj = [[] for _ in range(nn)]
+
+    def add(u, v, capacity, c):
+        adj[u].append(len(head))
+        adj[v].append(len(head) + 1)
+        head.extend((v, u))
+        cap.extend((capacity, 0))
+        cst.extend((c, -c))
+
+    for (u, v), c in zip(arcs, cost):
+        add(u, v, mincost.INF, c)
+    balance = [0] * n
+    for (u, v), f in zip(arcs, lower):
+        balance[u] -= f
+        balance[v] += f
+    for v, b in enumerate(balance):
+        if b > 0:
+            add(src, v, b, 0)
+        elif b < 0:
+            add(v, snk, -b, 0)
+    supply = sum(b for b in balance if b > 0)
+    excess = [0] * n + [supply, -supply]
+    pot = [0] * nn
+    while excess[src]:
+        dist, bound = _reference_dijkstra(adj, head, cap, cst, pot, excess)
+        if bound is None:
+            raise InfeasibleCirculation(frozenset(v for v in range(n) if dist[v] < mincost.INF))
+        pot = [p + min(dv, bound) for p, dv in zip(pot, dist)]
+        assert _reference_blocking_flow(adj, head, cap, cst, pot, excess) > 0
+    flow = tuple(low + cap[2 * a + 1] for a, low in enumerate(lower))
+    objective = sum(c * f for c, f in zip(cost, flow))
+    mincost._certify(d, lower, cost, flow, tuple(pot[:n]), objective)
+    return McfSolution(flow, tuple(pot[:n]), objective)
 
 
 def _sweep_instances():
@@ -258,8 +335,8 @@ def _sweep_instances():
             yield CirculationInstance(d, lower=lower, cost=cost)
 
 
-def _parallelogram_aux_instance(n, m):
-    aux = AuxNetwork(*parallelogram_dual(n, m))
+def _aux_instance(d, weights):
+    aux = AuxNetwork(d, weights)
     return CirculationInstance(aux.digraph, aux.lower, aux.cost)
 
 
@@ -274,34 +351,74 @@ def _huge_cost_instances():
         yield CirculationInstance(d, lower=lower, cost=cost)
 
 
-def _solve_outcome(inst):
+def _all_instances():
+    """The sweep, the 24 x 28 parallelogram's network, the 10**40-cost
+    instances and the networks of ``reference_instances``."""
+    return (
+        list(_sweep_instances())
+        + [_aux_instance(*parallelogram_dual(24, 28))]
+        + list(_huge_cost_instances())
+        + [_aux_instance(d, w) for d, w in reference_instances()]
+    )
+
+
+def _outcome(solver, inst):
     try:
-        sol = solve(inst)
+        sol = solver(inst)
     except InfeasibleCirculation as exc:
         return exc.deficient_set
     return sol.flow, sol.potential, sol.objective
 
 
+def _dinic_tail(tight, head, cap, excess):
+    """Dinic phases in place of push-relabel, until none pushes."""
+    total = 0
+    while pushed := mincost._dinic_phase(tight, head, cap, excess):
+        total += pushed
+    return total, 0, 0
+
+
+def test_dinic_rounds_match_reference_solver(monkeypatch):
+    """Without its push-relabel tail, the excess-driven solver is the super
+    source and sink solver: equal flows, potentials and deficient sets."""
+    instances = _all_instances()
+    reference = [_outcome(_reference_solve, inst) for inst in instances]
+    assert any(isinstance(out, frozenset) for out in reference)
+    assert any(isinstance(out, tuple) and out[2] > 10**39 for out in reference)
+    monkeypatch.setattr(mincost, "_push_relabel", _dinic_tail)
+    assert [_outcome(solve, inst) for inst in instances] == reference
+
+
 def test_blocking_flow_matches_full_scan_reference(monkeypatch):
-    instances = list(_sweep_instances()) + [_parallelogram_aux_instance(24, 28)]
-    fast = [_solve_outcome(inst) for inst in instances]
-    monkeypatch.setattr(mincost, "_blocking_flow", _reference_blocking_flow)
-    reference = [_solve_outcome(inst) for inst in instances]
-    assert fast == reference
+    instances = _all_instances()
+    reference = [_outcome(_reference_solve, inst) for inst in instances]
+    monkeypatch.setattr(mincost, "_round_flow", _reference_blocking_flow)
+    assert [_outcome(solve, inst) for inst in instances] == reference
 
 
 def test_dijkstra_matches_heap_reference(monkeypatch):
-    instances = (
-        list(_sweep_instances())
-        + [_parallelogram_aux_instance(24, 28)]
-        + list(_huge_cost_instances())
-    )
-    fast = [_solve_outcome(inst) for inst in instances]
-    assert any(isinstance(out, frozenset) for out in fast)
-    assert any(isinstance(out, tuple) and out[2] > 10**39 for out in fast)
+    instances = _all_instances()
+    fast = [_outcome(solve, inst) for inst in instances]
     monkeypatch.setattr(mincost, "_dijkstra", _reference_dijkstra)
-    reference = [_solve_outcome(inst) for inst in instances]
-    assert fast == reference
+    assert [_outcome(solve, inst) for inst in instances] == fast
+
+
+def test_push_relabel_keeps_reference_optimum():
+    """Push-relabel routes each round's tail along other paths, so flows
+    may differ; objectives, potentials and deficient sets may not, and
+    every flow passes the optimality check."""
+    changed = 0
+    for inst in _all_instances():
+        ref = _outcome(_reference_solve, inst)
+        out = _outcome(solve, inst)
+        if isinstance(ref, frozenset):
+            assert out == ref
+            continue
+        flow, potential, objective = out
+        assert (potential, objective) == ref[1:]
+        mincost._certify(inst.digraph, inst.lower, inst.cost, flow, potential, objective)
+        changed += flow != ref[0]
+    assert changed
 
 
 def _seeded_digraph(seed, n, m):
@@ -330,34 +447,44 @@ def _seeded_digraph(seed, n, m):
 )
 def test_work_does_not_grow_with_weight_size(monkeypatch, instance):
     """The solve is strongly polynomial: scaling every weight by 10**30
-    leaves the number of Dijkstra rounds and blocking-flow calls as it is."""
-    calls = {"_dijkstra": 0, "_blocking_flow": 0}
-    for name in calls:
+    leaves the Dijkstra rounds, Dinic phases, pushes, relabels and global
+    relabels as they are, and the rounds stay within 3n + 2 for a digraph
+    of n nodes (costs are 0 or 1, so the nearest deficit's distance rises
+    by at least 1 a round)."""
+    work = dict.fromkeys(
+        ("_dijkstra", "_dinic_phase", "_global_relabel", "_push_relabel", "pushes", "relabels"), 0
+    )
+    for name in ("_dijkstra", "_dinic_phase", "_global_relabel", "_push_relabel"):
         inner = getattr(mincost, name)
 
         def counted(*args, inner=inner, name=name):
-            calls[name] += 1
-            return inner(*args)
+            work[name] += 1
+            out = inner(*args)
+            if name == "_push_relabel":
+                work["pushes"] += out[1]
+                work["relabels"] += out[2]
+            return out
 
         monkeypatch.setattr(mincost, name, counted)
 
     def solve_counted(d, w):
-        for name in calls:
-            calls[name] = 0
-        return max_source_sink(d, w), dict(calls)
+        for name in work:
+            work[name] = 0
+        return max_source_sink(d, w), dict(work)
 
     d, w = instance()
-    base, base_calls = solve_counted(d, w)
+    base, base_work = solve_counted(d, w)
     factor = 10**30
-    scaled, scaled_calls = solve_counted(
+    scaled, scaled_work = solve_counted(
         d,
         WeightPair(
             tuple(factor * x for x in w.source_weight),
             tuple(factor * x for x in w.sink_weight),
         ),
     )
-    assert base_calls["_dijkstra"] > 1
-    assert scaled_calls == base_calls
+    assert 1 < base_work["_dijkstra"] <= 3 * d.node_count + 2
+    assert base_work["pushes"] > 0 and base_work["relabels"] > 0
+    assert scaled_work == base_work
     assert base.value > 0
     assert scaled.value == factor * base.value
     assert (scaled.source_set, scaled.sink_set) == (base.source_set, base.sink_set)

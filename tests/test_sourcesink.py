@@ -10,6 +10,7 @@ from clarfries import (
     CirculationInstance,
     Digraph,
     InputError,
+    InvariantError,
     WeightPair,
     apply_reorientation,
     bidirect,
@@ -37,9 +38,9 @@ from fixtures import (
     benzenoid_catalog,
     bowtie,
     bowtie_nodes,
-    parallelogram_dual,
     random_digraph,
     random_weight_pair,
+    reference_instances,
     single_arc,
     two_cycle,
 )
@@ -157,17 +158,8 @@ def _reference_pair(weights, potential):
     )
 
 
-def _reference_instances():
-    for seed, count, nodes, arcs in ((99, 60, 6, 10), (7, 80, 7, 12)):
-        rng = random.Random(seed)
-        for _ in range(count):
-            d = random_digraph(rng, max_nodes=nodes, max_arcs=arcs)
-            yield d, random_weight_pair(rng, d.node_count)
-    yield parallelogram_dual(24, 28)
-
-
 def test_two_layer_network_matches_three_layer_reference():
-    for d, weights in _reference_instances():
+    for d, weights in reference_instances():
         n = d.node_count
         aux = build_aux_network(d, weights)
         two = solve(CirculationInstance(aux.digraph, aux.lower, aux.cost))
@@ -183,7 +175,7 @@ def test_two_layer_network_matches_three_layer_reference():
 def test_network_matches_all_copies_reference():
     """Leaving out the copies of zero weights keeps the optimum, the
     potential on the original nodes and the positive-weight pair."""
-    for d, weights in _reference_instances():
+    for d, weights in reference_instances():
         n = d.node_count
         aux = build_aux_network(d, weights)
         pruned = solve(aux)
@@ -268,7 +260,7 @@ def test_derived_graphs_pass_the_full_checks(monkeypatch):
 
     monkeypatch.setattr(Digraph, "_derived", classmethod(recording))
     solved = 0
-    for d, weights in _reference_instances():
+    for d, weights in reference_instances():
         max_source_sink(d, weights)
         solved += 1
     # a doubled graph and an aux network per digraph; the 24 x 28 dual
@@ -533,6 +525,23 @@ def test_extract_cover_rejects_bound_violations():
     aux = build_aux_network(d, w)
     with pytest.raises(InputError):
         extract_cover(aux, [0] * aux.digraph.arc_count)
+
+
+def test_solve_path_readers_keep_their_cheap_checks():
+    """``max_source_sink`` reads the certified solution without the public
+    extractors' per-arc checks, but a vertical slack sum outside {0, 1} and
+    a cover charge off the circulation cost still raise."""
+    d = single_arc()
+    aux = build_aux_network(d, ones(2))
+    sol = solve(aux)
+    assert sourcesink._read_pair(aux, sol.potential) == extract_pair(aux, sol.potential)
+    assert sourcesink._read_cover(aux, sol.flow, sol.objective) == extract_cover(aux, sol.flow)
+    doctored = list(sol.potential)
+    doctored[aux.in_node[0]] += 2
+    with pytest.raises(InvariantError):
+        sourcesink._read_pair(aux, doctored)
+    with pytest.raises(InvariantError):
+        sourcesink._read_cover(aux, sol.flow, sol.objective + 1)
 
 
 # --- sink-stable and resonant variants ----------------------------------------
