@@ -51,14 +51,8 @@ def _within_weights(args, data, names) -> tuple:
         return (1,) * len(names)
     if not args.within.strip():
         raise InputError("--within needs at least one node name")
-    index = {name: i for i, name in enumerate(names)}
-    vec = [0] * len(names)
-    for name in args.within.split(","):
-        name = name.strip()
-        if name not in index:
-            raise InputError(f"--within references unknown node {name!r}")
-        vec[index[name]] = 1
-    return tuple(vec)
+    pool = {name.strip(): 1 for name in args.within.split(",")}
+    return jsonio.node_weights_from_json(pool, names, 0, "--within")
 
 
 def cmd_solve_digraph(args) -> int:

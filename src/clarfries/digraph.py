@@ -37,11 +37,11 @@ class Digraph:
     Arcs are identified by their index into ``arcs``; parallel arcs are kept
     distinct.  The underlying undirected graph must be connected and the
     graph must have at least two nodes.  Treat an instance as read-only:
-    its adjacency lists and its doubled graph (:func:`bidirect`) are built
-    on first use and kept.
+    its out-adjacency lists and its doubled graph (:func:`bidirect`) are
+    built on first use and kept.
     """
 
-    __slots__ = ("node_count", "arcs", "_out", "_in", "_bi")
+    __slots__ = ("node_count", "arcs", "_out", "_bi")
 
     def __init__(self, node_count: int, arcs: Iterable[Arc]):
         arcs = tuple((int(u), int(v)) for u, v in arcs)
@@ -55,7 +55,6 @@ class Digraph:
         self.node_count = node_count
         self.arcs = arcs
         self._out = None
-        self._in = None
         self._bi = None
         self._check_weakly_connected()
 
@@ -71,7 +70,6 @@ class Digraph:
         d.node_count = node_count
         d.arcs = arcs
         d._out = None
-        d._in = None
         d._bi = None
         return d
 
@@ -97,24 +95,13 @@ class Digraph:
     def arc_count(self) -> int:
         return len(self.arcs)
 
-    def _build_adjacency(self) -> None:
-        out = [[] for _ in range(self.node_count)]
-        inc = [[] for _ in range(self.node_count)]
-        for a, (u, v) in enumerate(self.arcs):
-            out[u].append(a)
-            inc[v].append(a)
-        self._out = [tuple(x) for x in out]
-        self._in = [tuple(x) for x in inc]
-
     def out_arcs(self, v: int) -> tuple[int, ...]:
         if self._out is None:
-            self._build_adjacency()
+            out = [[] for _ in range(self.node_count)]
+            for a, (u, _) in enumerate(self.arcs):
+                out[u].append(a)
+            self._out = [tuple(x) for x in out]
         return self._out[v]
-
-    def in_arcs(self, v: int) -> tuple[int, ...]:
-        if self._in is None:
-            self._build_adjacency()
-        return self._in[v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):

@@ -118,7 +118,9 @@ def enumerate_matchings(
 ) -> Iterator[frozenset[int]]:
     """Yield every perfect matching as an edge-index set, duplicate-free.
 
-    Backtracks over S-nodes in index order; deterministic.
+    Backtracks over S-nodes in index order, trying each S-node's edges in
+    edge order; deterministic.  The search keeps its path on an explicit
+    stack, so graphs of any size stay within the recursion limit.
     """
     budget = budget or OracleBudget()
     ns = g.s_count
@@ -129,11 +131,11 @@ def enumerate_matchings(
     for i, (s, t) in enumerate(g.edges):
         adj[s].append((t - ns, i))
     used = [False] * nt
-    chosen: list[int] = []
+    chosen: list[int] = []  # the edge taken at each S-node before s
+    pos = [0] * ns  # next adjacency entry to try, per S-node on the path
     count = 0
-
-    def backtrack(s: int) -> Iterator[frozenset[int]]:
-        nonlocal count
+    s = 0
+    while s >= 0:
         if s == ns:
             count += 1
             if count > budget.max_matchings:
@@ -141,16 +143,23 @@ def enumerate_matchings(
                     f"more than {budget.max_matchings} perfect matchings"
                 )
             yield frozenset(chosen)
-            return
-        for t, e in adj[s]:
-            if not used[t]:
+        else:
+            row = adj[s]
+            i = pos[s]
+            while i < len(row) and used[row[i][0]]:
+                i += 1
+            if i < len(row):
+                t, e = row[i]
+                pos[s] = i + 1
                 used[t] = True
                 chosen.append(e)
-                yield from backtrack(s + 1)
-                chosen.pop()
-                used[t] = False
-
-    yield from backtrack(0)
+                s += 1
+                continue
+            pos[s] = 0
+        # every choice at s is spent: undo the one at s - 1
+        s -= 1
+        if s >= 0:
+            used[g.edges[chosen.pop()][1] - ns] = False
 
 
 def brute_clar_fries(

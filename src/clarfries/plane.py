@@ -532,24 +532,13 @@ def solve_clar_fries(
     weights = WeightPair(tuple(acw_weights), tuple(cw_weights))
     cert = max_source_sink(dual, weights)
 
+    # reorienting dual arc i flips edge i between matched and unmatched
     drops = potential_drops(dual, cert.potential)
-    final = set()
-    for i in range(len(g.edges)):
-        into_s = i in start  # arc direction before reorienting
-        if drops[i] == 1:
-            into_s = not into_s
-        if into_s:
-            final.add(i)
-    matching = frozenset(final)
-    hit = [0] * g.node_count
-    for e in matching:
-        s, t = g.edges[e]
-        hit[s] += 1
-        hit[t] += 1
-    if any(h != 1 for h in hit):
-        raise InvariantError("reoriented dual did not yield a perfect matching")
-
-    cw, acw = alternating_faces(g, matching)
+    matching = start ^ frozenset(i for i, dr in enumerate(drops) if dr == 1)
+    try:
+        cw, acw = alternating_faces(g, matching)
+    except InputError as exc:
+        raise InvariantError("reoriented dual did not yield a perfect matching") from exc
     if not (cert.sink_set <= cw and cert.source_set <= acw):
         raise InvariantError("reported faces are not alternating in the new matching")
     return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert)
@@ -568,7 +557,7 @@ def _one_sided_result(
         chosen = result.cw_faces | result.acw_faces
     _check_node_disjoint(g, result.cw_faces)
     _check_node_disjoint(g, result.acw_faces)
-    return result.value, chosen - {g.outer}, result.matching
+    return result.value, chosen, result.matching
 
 
 def _check_node_disjoint(g: PlaneBipartiteGraph, faces: frozenset[int]) -> None:

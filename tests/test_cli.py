@@ -121,6 +121,13 @@ def test_resonant_within(capsys, bowtie_file):
 
 
 @pytest.mark.parametrize("command", ["sink-stable", "resonant"])
+def test_unknown_within_name_is_an_input_error(capsys, bowtie_file, command):
+    code, out = run(capsys, command, "--within", "a1, zz,b1", bowtie_file)
+    assert code == 1
+    assert out == {"error": "--within references unknown node 'zz'"}
+
+
+@pytest.mark.parametrize("command", ["sink-stable", "resonant"])
 @pytest.mark.parametrize("within", ["", " "], ids=["empty", "blank"])
 def test_empty_within_is_an_input_error(capsys, bowtie_file, command, within):
     # an empty pool is not "every node": it is rejected, naming the option
@@ -428,6 +435,16 @@ def test_failed_self_check_exits_internal(capsys, monkeypatch, bowtie_file):
     assert code == 2
     assert out["kind"] == "internal"
     assert "minmax_equal" in out["error"]
+
+
+def test_imperfect_final_matching_exits_internal(capsys, monkeypatch, benzene_file):
+    monkeypatch.setattr(
+        plane, "potential_drops", lambda d, p: (1,) + (0,) * (d.arc_count - 1)
+    )
+    code, out = run(capsys, "clar-fries", benzene_file)
+    assert code == 2
+    assert out["kind"] == "internal"
+    assert "perfect matching" in out["error"]
 
 
 def _count_constructions(monkeypatch, cls, method, calls):

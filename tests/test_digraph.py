@@ -47,7 +47,6 @@ def test_digraph_allows_parallel_and_antiparallel_arcs():
     d = Digraph(2, [(0, 1), (0, 1), (1, 0)])
     assert len(d.arcs) == 3
     assert sorted(d.out_arcs(0)) == [0, 1]
-    assert sorted(d.in_arcs(0)) == [2]
 
 
 def test_bidirect_layout():

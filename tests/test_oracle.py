@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -13,6 +14,7 @@ from clarfries import (
     enumerate_matchings,
     enumerate_reorientations,
     max_source_sink,
+    parse_validate,
     potential_drops,
     solve_clar_fries,
     sources_sinks,
@@ -21,6 +23,8 @@ from clarfries import (
 )
 from fixtures import (
     acyclic_triangle,
+    benzenoid,
+    benzenoid_catalog,
     bowtie,
     naphthalene,
     random_digraph,
@@ -156,6 +160,84 @@ def test_matching_budget():
     g = naphthalene()
     with pytest.raises(BudgetExceeded):
         list(enumerate_matchings(g, OracleBudget(max_matchings=1)))
+
+
+def _reference_enumerate_matchings(g, budget=None):
+    """The recursive backtracking enumerator: one generator frame per
+    S-node, so it overflows the recursion limit on large graphs."""
+    budget = budget or OracleBudget()
+    ns = g.s_count
+    adj = [[] for _ in range(ns)]
+    for i, (s, t) in enumerate(g.edges):
+        adj[s].append((t - ns, i))
+    used = [False] * (g.node_count - ns)
+    chosen = []
+    count = 0
+
+    def backtrack(s):
+        nonlocal count
+        if s == ns:
+            count += 1
+            if count > budget.max_matchings:
+                raise BudgetExceeded(f"more than {budget.max_matchings} perfect matchings")
+            yield frozenset(chosen)
+            return
+        for t, e in adj[s]:
+            if not used[t]:
+                used[t] = True
+                chosen.append(e)
+                yield from backtrack(s + 1)
+                chosen.pop()
+                used[t] = False
+
+    yield from backtrack(0)
+
+
+def _small_benzenoids():
+    yield from (g for _, g in benzenoid_catalog())
+    for rings in range(1, 9):
+        yield parse_validate(benzenoid([(0, r) for r in range(rings)]))
+        yield parse_validate(benzenoid([(r, 0) for r in range(rings)]))
+
+
+def test_matchings_follow_the_recursive_reference():
+    for g in _small_benzenoids():
+        assert list(enumerate_matchings(g)) == list(_reference_enumerate_matchings(g))
+
+
+def test_matching_budget_stops_where_the_reference_does():
+    g = parse_validate(benzenoid([(0, r) for r in range(6)]))  # 7 matchings
+    for cap in range(7):
+        budget = OracleBudget(max_matchings=cap)
+        seen, ref = [], []
+        with pytest.raises(BudgetExceeded):
+            seen.extend(enumerate_matchings(g, budget))
+        with pytest.raises(BudgetExceeded):
+            ref.extend(_reference_enumerate_matchings(g, budget))
+        assert seen == ref and len(seen) == cap
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_matchings_of_a_long_acene_need_no_recursion():
+    # 401 S-nodes: the recursive reference needs a frame per S-node
+    g = parse_validate(benzenoid([(0, r) for r in range(200)]))
+    old_limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        with pytest.raises(RecursionError):
+            list(_reference_enumerate_matchings(g))
+        seen = list(enumerate_matchings(g))
+    finally:
+        sys.setrecursionlimit(old_limit)
+    # an acene of k rings has k + 1 perfect matchings
+    assert len(seen) == 201 and len(set(seen)) == 201
+    assert all(len(m) * 2 == g.node_count for m in seen)
 
 
 def test_brute_clar_fries_agrees_with_solver():

@@ -6,6 +6,7 @@ import pytest
 
 from clarfries import (
     InputError,
+    InvariantError,
     alternating_faces,
     brute_clar_fries,
     clar_number,
@@ -522,6 +523,19 @@ def test_start_matching_does_not_change_value():
         values.add(res.value)
         assert len(res.matching) * 2 == g.node_count
     assert len(values) == 1
+
+
+def _flip_edge_zero(d, potential):
+    """Drops that reorient dual arc 0 alone, which no perfect matching
+    allows: the final matching gains or loses edge 0 only."""
+    return (1,) + (0,) * (d.arc_count - 1)
+
+
+def test_imperfect_final_matching_is_an_invariant_error(monkeypatch):
+    monkeypatch.setattr(plane, "potential_drops", _flip_edge_zero)
+    for _, g in benzenoid_catalog():
+        with pytest.raises(InvariantError, match="perfect matching"):
+            solve_clar_fries(g)
 
 
 def test_rational_weights():

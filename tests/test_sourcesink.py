@@ -634,6 +634,59 @@ def test_constrained_source_sink():
     assert impossible is None
 
 
+def test_constrained_pair_checks_its_certificate_once(monkeypatch):
+    calls = []
+    original = sourcesink.certificate_checks
+
+    def counted(cert):
+        calls.append(cert)
+        return original(cert)
+
+    monkeypatch.setattr(sourcesink, "certificate_checks", counted)
+    d, _ = bowtie()
+    # forcing b1 leaves a pair; forcing a1 with x leaves none
+    for forced, feasible in ((bowtie_nodes("b1"), True), (bowtie_nodes("a1"), False)):
+        calls.clear()
+        cert = constrained_source_sink(
+            d,
+            allowed_sources=bowtie_nodes("b1", "b2", "a1"),
+            allowed_sinks=bowtie_nodes("a2", "a3", "x"),
+            forced_sources=forced,
+            forced_sinks=bowtie_nodes("x"),
+        )
+        assert (cert is not None) == feasible
+        assert len(calls) == 1
+
+
+def test_constrained_pair_is_the_pool_weighted_optimum():
+    # the pool weights' optimal pair holds pool nodes only, so the
+    # constrained answer is max_source_sink's certificate, unrestricted
+    rng = random.Random(29)
+    answered = 0
+    for _ in range(150):
+        d = random_digraph(rng, 7, 11)
+        n = d.node_count
+        side = [rng.choice("oi-") for _ in range(n)]
+        a_so = frozenset(v for v in range(n) if side[v] == "o")
+        a_si = frozenset(v for v in range(n) if side[v] == "i")
+        f_so = frozenset(v for v in a_so if rng.random() < 0.3)
+        f_si = frozenset(v for v in a_si if rng.random() < 0.3)
+        big = 1 + len(a_so) + len(a_si)
+        weights = WeightPair(
+            tuple(big if v in f_so else 1 if v in a_so else 0 for v in range(n)),
+            tuple(big if v in f_si else 1 if v in a_si else 0 for v in range(n)),
+        )
+        reference = max_source_sink(d, weights)
+        assert reference.source_set <= a_so and reference.sink_set <= a_si
+        cert = constrained_source_sink(d, f_so, a_so, f_si, a_si)
+        if f_so <= reference.source_set and f_si <= reference.sink_set:
+            assert cert == reference
+            answered += 1
+        else:
+            assert cert is None
+    assert 0 < answered < 150
+
+
 def test_determinism():
     d, _ = bowtie()
     first = max_source_sink(d, ones(7))
