@@ -94,7 +94,7 @@ def _face_number(args, solve, key: str) -> int:
     _emit(
         {
             "value": jsonio.render_value(value),
-            key: sorted(g.faces[f].name for f in faces),
+            key: sorted(g.face_names[f] for f in faces),
             "matching": jsonio.matching_to_json(g, matching),
         },
         args.pretty,
@@ -135,9 +135,15 @@ def _verify_digraph(data, budget) -> dict:
 
 
 def _verify_plane(data, budget) -> dict:
+    """Solver against oracle on the file's face weights or, when its
+    ``w1`` and ``w2`` maps name no face, on the Fries weights (1 on every
+    inner face in both senses), which reach both sides of the dual."""
     g = plane.parse_validate(data)
-    result = plane.solve_clar_fries(g)
-    brute_value, _m, _cw, _acw = oracle.brute_clar_fries(g, budget=budget)
+    cw = acw = None
+    if not data.get("w1") and not data.get("w2"):
+        cw = acw = tuple(int(f != g.outer) for f in range(len(g.face_names)))
+    result = plane.solve_clar_fries(g, cw, acw)
+    brute_value, _m, _cw, _acw = oracle.brute_clar_fries(g, cw, acw, budget=budget)
     return {
         "agree": result.value == brute_value,
         "solver": jsonio.render_value(result.value),

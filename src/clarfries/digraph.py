@@ -11,12 +11,13 @@ made simultaneous sources and sinks.
 All arithmetic is exact.  Potentials and bounds are integers (or ``None``
 for an absent bound); circulation values may be integers or ``Fraction``s.
 
-``Digraph(n, arcs)`` checks its input in full: integer endpoints in range,
-no loops, weak connectivity.  Graphs derived from one already checked skip
-those checks (``Digraph._derived``), since their validity follows from the
-parent's: the doubled graph of :func:`bidirect` has the parent's nodes and
-its arcs plus their reverses, so it is in range, loopless and connected
-exactly when the parent is.  The derived graphs of other modules say in
+``Digraph(n, arcs)`` checks its input in full: an int node count, int
+endpoints in range (bools are rejected), no loops, weak connectivity.
+Graphs derived from one already checked skip those checks
+(``Digraph._derived``), since their validity follows from the parent's:
+the doubled graph of :func:`bidirect` has the parent's nodes and its arcs
+plus their reverses, so it is in range, loopless and connected exactly
+when the parent is.  The derived graphs of other modules say in
 their docstrings why they are valid.
 """
 
@@ -44,16 +45,22 @@ class Digraph:
     __slots__ = ("node_count", "arcs", "_out", "_bi")
 
     def __init__(self, node_count: int, arcs: Iterable[Arc]):
-        arcs = tuple((int(u), int(v)) for u, v in arcs)
+        if type(node_count) is not int:
+            raise InputError(f"node count {node_count!r} is not an integer")
         if node_count < 2:
             raise InputError(f"need at least 2 nodes, got {node_count}")
+        checked = []
         for a, (u, v) in enumerate(arcs):
+            # exact ints only: a bool is an int too, and a float names no node
+            if type(u) is not int or type(v) is not int:
+                raise InputError(f"arc {a} endpoints ({u!r}, {v!r}) are not integers")
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise InputError(f"arc {a} endpoints ({u}, {v}) out of range")
             if u == v:
                 raise InputError(f"arc {a} is a loop at node {u}")
+            checked.append((u, v))
         self.node_count = node_count
-        self.arcs = arcs
+        self.arcs = tuple(checked)
         self._out = None
         self._bi = None
         self._check_weakly_connected()

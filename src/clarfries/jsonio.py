@@ -124,7 +124,7 @@ def matching_to_json(g: PlaneBipartiteGraph, matching) -> list:
 def clar_fries_to_json(g: PlaneBipartiteGraph, result: ClarFriesResult) -> dict:
     """The answer with face and node names, and its certificate on the
     planar dual, whose nodes are the faces."""
-    face_names = [f.name for f in g.faces]
+    face_names = g.face_names
     return {
         "value": render_value(result.value),
         "matching": matching_to_json(g, result.matching),

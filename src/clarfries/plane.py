@@ -3,6 +3,11 @@
 The input is a 2-connected loopless plane bipartite graph with color
 classes S and T, given with its faces: each face lists its boundary as a
 closed walk of directed edge-sides with the face's interior on the left.
+Edge ``e`` has two sides: side ``2e + 1`` walks it from S to T (``"+"`` in
+the JSON) and side ``2e`` from T to S (``"-"``), so ``k ^ 1`` is the other
+side of side ``k``.  :func:`parse_validate` reads the JSON in one pass
+straight into these side ids and checks each fact once as it goes.
+
 Orienting a perfect matching M toward S and all other edges toward T makes
 every S-node's in-degree and every T-node's out-degree exactly 1, and a
 face is M-alternating exactly when its boundary is a one-way circuit of
@@ -61,17 +66,15 @@ class NoPerfectMatchingError(InputError):
     pass
 
 
-@dataclass(frozen=True)
-class Face:
-    name: str
-    boundary: tuple[tuple[int, bool], ...]  # (edge index, True when walked S -> T)
-
-
 class PlaneBipartiteGraph:
-    """Validated plane bipartite graph with faces and per-face weights.
+    """Validated plane bipartite graph with faces and per-face weights;
+    only :func:`parse_validate` builds one.
 
-    Nodes are indexed S first, then T.  ``edges[i]`` is an (S-node, T-node)
-    pair.  ``cw_weights[f]`` is collected when face ``f`` ends up
+    Nodes are indexed S first, then T.  ``edges[e]`` is an (S-node, T-node)
+    pair.  Side ``k`` of an edge leaves node ``side_tail[k]``, ends at
+    ``side_tail[k ^ 1]`` and lies on face ``side_face[k]``;
+    ``boundaries[f]`` is face ``f``'s walk as a tuple of side ids.
+    ``cw_weights[f]`` is collected when face ``f`` ends up
     clockwise-alternating, ``acw_weights[f]`` when anticlockwise.
     ``matching`` is the perfect matching found while validating, as a set
     of edge indices; it is the default start of :func:`solve_clar_fries`.
@@ -81,33 +84,15 @@ class PlaneBipartiteGraph:
         "s_names",
         "t_names",
         "edges",
-        "faces",
+        "face_names",
+        "boundaries",
         "outer",
+        "side_face",
+        "side_tail",
         "cw_weights",
         "acw_weights",
         "matching",
-        "_side_face",
     )
-
-    def __init__(
-        self,
-        s_names: Sequence[str],
-        t_names: Sequence[str],
-        edges: Sequence[tuple[int, int]],
-        faces: Sequence[Face],
-        outer: int,
-        cw_weights: Sequence[Weight],
-        acw_weights: Sequence[Weight],
-    ):
-        self.s_names = tuple(s_names)
-        self.t_names = tuple(t_names)
-        self.edges = tuple(edges)
-        self.faces = tuple(faces)
-        self.outer = outer
-        self.cw_weights = tuple(cw_weights)
-        self.acw_weights = tuple(acw_weights)
-        self._side_face = None
-        self._validate()
 
     @property
     def node_count(self) -> int:
@@ -123,144 +108,20 @@ class PlaneBipartiteGraph:
         return self.t_names[v - len(self.s_names)]
 
     def inner_faces(self) -> frozenset[int]:
-        return frozenset(f for f in range(len(self.faces)) if f != self.outer)
-
-    # -- validation ----------------------------------------------------
-
-    def _side_endpoints(self, edge: int, toward_t: bool) -> tuple[int, int]:
-        s, t = self.edges[edge]
-        return (s, t) if toward_t else (t, s)
-
-    def _validate(self) -> None:
-        ns, nt = len(self.s_names), len(self.t_names)
-        if ns == 0 or nt == 0 or not self.edges:
-            raise InputError("graph needs nonempty S, T, and edge list")
-        for name in self.s_names + self.t_names:
-            if not isinstance(name, str) or not name:
-                raise InputError(f"bad node name {name!r}")
-        seen = set()
-        for name in self.s_names + self.t_names:
-            if name in seen:
-                raise InputError(f"duplicate node name {name!r}")
-            seen.add(name)
-        for i, (s, t) in enumerate(self.edges):
-            if not (0 <= s < ns):
-                raise NonBipartiteError(f"edge {i}: first endpoint must be an S-node")
-            if not (ns <= t < ns + nt):
-                raise NonBipartiteError(f"edge {i}: second endpoint must be a T-node")
-
-        if len(self.cw_weights) != len(self.faces) or len(self.acw_weights) != len(self.faces):
-            raise InputError("face weight vectors must have one entry per face")
-        for w in self.cw_weights + self.acw_weights:
-            if w < 0:
-                raise InputError("face weights must be nonnegative")
-
-        face_names = set()
-        for face in self.faces:
-            if face.name in face_names:
-                raise InputError(f"duplicate face id {face.name!r}")
-            face_names.add(face.name)
-        if not (0 <= self.outer < len(self.faces)):
-            raise InputError("outer face missing from face list")
-
-        # the face on each edge side, at index 2 * edge + toward_t
-        side_face = [-1] * (2 * len(self.edges))
-        for fi, face in enumerate(self.faces):
-            if not face.boundary:
-                raise FaceBoundaryError(f"face {face.name!r} has an empty boundary")
-            for e, _ in face.boundary:
-                if not (0 <= e < len(self.edges)):
-                    raise FaceBoundaryError(
-                        f"face {face.name!r} references unknown edge {e}"
-                    )
-            nodes_seen = set()
-            for k, (e, toward_t) in enumerate(face.boundary):
-                side = 2 * e + toward_t
-                if side_face[side] >= 0:
-                    raise EdgeSideMismatchError(
-                        f"edge {e} walked twice in the same direction"
-                    )
-                side_face[side] = fi
-                tail, head = self._side_endpoints(e, toward_t)
-                nxt = face.boundary[(k + 1) % len(face.boundary)]
-                nxt_tail, _ = self._side_endpoints(*nxt)
-                if head != nxt_tail:
-                    raise FaceBoundaryError(
-                        f"face {face.name!r} boundary is not a closed walk at step {k}"
-                    )
-                if tail in nodes_seen:
-                    raise FaceBoundaryError(
-                        f"face {face.name!r} boundary revisits node {self.node_name(tail)}"
-                    )
-                nodes_seen.add(tail)
-        for e in range(len(self.edges)):
-            for toward_t in (True, False):
-                if side_face[2 * e + toward_t] < 0:
-                    raise EdgeSideMismatchError(
-                        f"edge {e} never walked {'S->T' if toward_t else 'T->S'}"
-                    )
-            if side_face[2 * e] == side_face[2 * e + 1]:
-                raise NotTwoConnectedError(f"edge {e} is a bridge")
-        self._side_face = side_face
-        self._check_one_surface()
-
-        if self.node_count - len(self.edges) + len(self.faces) != 2:
-            raise EulerError(
-                f"Euler check failed: {self.node_count} - {len(self.edges)} "
-                f"+ {len(self.faces)} != 2"
-            )
-
-        self._check_every_node_on_an_edge()
-        # perfect matchability is part of the input contract
-        self.matching = perfect_matching(self)
-
-    def _check_one_surface(self) -> None:
-        """Reject faces that do not all lie on one surface.
-
-        Crossing edges from face 0 must reach every face, so the planar
-        dual is connected; with the Euler check the faces then tile a
-        sphere.  Two plane graphs glued at two nodes pass every other
-        check but fail this one.
-        """
-        side_face = self._side_face
-        reached = bytearray(len(self.faces))
-        reached[0] = 1
-        stack = [0]
-        while stack:
-            for e, toward_t in self.faces[stack.pop()].boundary:
-                f = side_face[2 * e + (not toward_t)]
-                if not reached[f]:
-                    reached[f] = 1
-                    stack.append(f)
-        if not all(reached):
-            raise FaceBoundaryError("faces do not form one connected surface")
-
-    def _check_every_node_on_an_edge(self) -> None:
-        """Reject isolated nodes; with the checks before it, this makes the
-        graph 2-connected.
-
-        The face walks (closed, no node repeated, each side walked once, no
-        bridge) glue the faces into a closed orientable surface, connected
-        by :meth:`_check_one_surface`.  Its vertices are the corner cycles:
-        one per node on an edge, plus one per pinch (a node whose corners
-        split into several cycles), so its Euler characteristic V' - e + f
-        is at most 2.  The Euler check makes n - e + f = 2, so there are at
-        most as many pinches as isolated nodes.  Once every node lies on an
-        edge, the surface is a sphere and no node is pinched; a plane graph
-        on at least 3 nodes whose faces are all bounded by cycles is
-        2-connected (Mohar and Thomassen, Graphs on Surfaces, 2001).  A
-        genus-g drawing with 2g isolated nodes added, such as a torus grid
-        with two, passes every other check and fails this one.
-        """
-        on_edge = bytearray(self.node_count)
-        for s, t in self.edges:
-            on_edge[s] = on_edge[t] = 1
-        if not all(on_edge):
-            raise NotTwoConnectedError("graph is disconnected")
+        return frozenset(f for f in range(len(self.face_names)) if f != self.outer)
 
 
 def parse_validate(data) -> PlaneBipartiteGraph:
-    """Build a validated plane graph from its JSON form (dict or string)."""
+    """Build a validated plane graph from its JSON form (dict or string).
+
+    One pass reads the node names, the edges and each face's boundary,
+    checking each entry as it is read: names distinct nonempty strings,
+    edges from S to T, and face walks closed, on known edges, with no side
+    walked twice and no node repeated.  Then every side must lie on a
+    face, no edge may be a bridge, the faces must lie on one surface with
+    n - e + f = 2, every node must lie on an edge, and the graph must have
+    a perfect matching.
+    """
     if isinstance(data, str):
         data = json.loads(data)
     if not isinstance(data, dict):
@@ -271,16 +132,19 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     for key in ("S", "T", "edges", "faces"):
         if not isinstance(data[key], (list, tuple)):
             raise InputError(f"{key!r} must be a list")
-    s_names = list(data["S"])
-    t_names = list(data["T"])
-    for name in s_names + t_names:
-        if not isinstance(name, str):
+    s_names = tuple(data["S"])
+    names = s_names + tuple(data["T"])
+    index = {}
+    for name in names:
+        if not isinstance(name, str) or not name:
             raise InputError(f"bad node name {name!r}")
-    # a duplicate name maps to its last index here; the constructor rejects
-    # it, and rejects an edge that does not run from S to T
-    index = {name: i for i, name in enumerate(s_names + t_names)}
+        if name in index:
+            raise InputError(f"duplicate node name {name!r}")
+        index[name] = len(index)
 
+    ns = len(s_names)
     edges = []
+    side_tail = []
     for i, pair in enumerate(data["edges"]):
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise InputError(f"edge {i} must be a [from, to] pair")
@@ -288,42 +152,141 @@ def parse_validate(data) -> PlaneBipartiteGraph:
         # names are strings: any other endpoint, hashable or not, is unknown
         if not (isinstance(u, str) and u in index and isinstance(v, str) and v in index):
             raise InputError(f"edge {i} references unknown node")
-        edges.append((index[u], index[v]))
+        s, t = index[u], index[v]
+        if s >= ns:
+            raise NonBipartiteError(f"edge {i}: first endpoint must be an S-node")
+        if t < ns:
+            raise NonBipartiteError(f"edge {i}: second endpoint must be a T-node")
+        edges.append((s, t))
+        side_tail += (t, s)
+    if not ns or ns == len(names) or not edges:
+        raise InputError("graph needs nonempty S, T, and edge list")
 
-    faces = []
-    for fobj in data["faces"]:
+    side_face = [-1] * len(side_tail)
+    walked_from = [-1] * len(names)  # the last face whose walk left each node
+    face_index: dict[str, int] = {}
+    boundaries = []
+    for fi, fobj in enumerate(data["faces"]):
         if not (isinstance(fobj, Mapping) and isinstance(fobj.get("id"), str)
                 and "boundary" in fobj):
             raise InputError("each face needs a string 'id' and a 'boundary'")
+        name = fobj["id"]
+        if name in face_index:
+            raise InputError(f"duplicate face id {name!r}")
+        face_index[name] = fi
         if not isinstance(fobj["boundary"], (list, tuple)):
-            raise InputError(f"face {fobj['id']!r}: boundary must be a list")
-        boundary = []
-        for side in fobj["boundary"]:
-            if not isinstance(side, (list, tuple)) or len(side) != 2:
-                raise InputError(f"face {fobj['id']!r}: bad boundary side {side!r}")
-            e, sign = side
+            raise InputError(f"face {name!r}: boundary must be a list")
+        if not fobj["boundary"]:
+            raise FaceBoundaryError(f"face {name!r} has an empty boundary")
+        walk = []
+        for entry in fobj["boundary"]:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise InputError(f"face {name!r}: bad boundary side {entry!r}")
+            e, sign = entry
             if isinstance(e, bool) or not isinstance(e, int):
-                raise InputError(f"face {fobj['id']!r}: edge {e!r} is not an edge index")
+                raise InputError(f"face {name!r}: edge {e!r} is not an edge index")
             if sign not in ("+", "-"):
-                raise InputError(f"face {fobj['id']!r}: bad side sign {sign!r}")
-            boundary.append((e, sign == "+"))
-        faces.append(Face(fobj["id"], tuple(boundary)))
+                raise InputError(f"face {name!r}: bad side sign {sign!r}")
+            if not (0 <= e < len(edges)):
+                raise FaceBoundaryError(f"face {name!r} references unknown edge {e}")
+            side = 2 * e + (sign == "+")
+            if side_face[side] >= 0:
+                raise EdgeSideMismatchError(f"edge {e} walked twice in the same direction")
+            side_face[side] = fi
+            tail = side_tail[side]
+            if walk and side_tail[walk[-1] ^ 1] != tail:
+                raise FaceBoundaryError(
+                    f"face {name!r} boundary is not a closed walk at step {len(walk) - 1}"
+                )
+            if walked_from[tail] == fi:
+                raise FaceBoundaryError(f"face {name!r} boundary revisits node {names[tail]}")
+            walked_from[tail] = fi
+            walk.append(side)
+        if side_tail[walk[-1] ^ 1] != side_tail[walk[0]]:
+            raise FaceBoundaryError(
+                f"face {name!r} boundary is not a closed walk at step {len(walk) - 1}"
+            )
+        boundaries.append(tuple(walk))
 
-    face_index = {f.name: i for i, f in enumerate(faces)}
-    outer_name = data["outer"]
-    if not (isinstance(outer_name, str) and outer_name in face_index):
-        raise InputError(f"outer face {outer_name!r} not among faces")
+    outer = data["outer"]
+    if not (isinstance(outer, str) and outer in face_index):
+        raise InputError(f"outer face {outer!r} not among faces")
+    face_names = tuple(face_index)
 
-    face_names = [f.name for f in faces]
-    return PlaneBipartiteGraph(
-        s_names,
-        t_names,
-        edges,
-        faces,
-        face_index[outer_name],
-        node_weights_from_json(data.get("w1"), face_names, 0, "w1", "face"),
-        node_weights_from_json(data.get("w2"), face_names, 0, "w2", "face"),
-    )
+    g = object.__new__(PlaneBipartiteGraph)
+    g.s_names = s_names
+    g.t_names = names[ns:]
+    g.edges = tuple(edges)
+    g.face_names = face_names
+    g.boundaries = tuple(boundaries)
+    g.outer = face_index[outer]
+    g.side_face = side_face
+    g.side_tail = side_tail
+    g.cw_weights = node_weights_from_json(data.get("w1"), face_names, 0, "w1", "face")
+    g.acw_weights = node_weights_from_json(data.get("w2"), face_names, 0, "w2", "face")
+
+    for e in range(len(edges)):
+        plus, minus = side_face[2 * e + 1], side_face[2 * e]
+        if plus < 0 or minus < 0:
+            raise EdgeSideMismatchError(
+                f"edge {e} never walked {'S->T' if plus < 0 else 'T->S'}"
+            )
+        if plus == minus:
+            raise NotTwoConnectedError(f"edge {e} is a bridge")
+    _check_one_surface(g)
+    if len(names) - len(edges) + len(face_names) != 2:
+        raise EulerError(
+            f"Euler check failed: {len(names)} - {len(edges)} "
+            f"+ {len(face_names)} != 2"
+        )
+    _check_every_node_on_an_edge(walked_from)
+    # perfect matchability is part of the input contract
+    g.matching = perfect_matching(g)
+    return g
+
+
+def _check_one_surface(g: PlaneBipartiteGraph) -> None:
+    """Reject faces that do not all lie on one surface.
+
+    Crossing edges from face 0 must reach every face, so the planar
+    dual is connected; with the Euler check the faces then tile a
+    sphere.  Two plane graphs glued at two nodes pass every other
+    check but fail this one.
+    """
+    side_face = g.side_face
+    reached = bytearray(len(g.boundaries))
+    reached[0] = 1
+    stack = [0]
+    while stack:
+        for side in g.boundaries[stack.pop()]:
+            f = side_face[side ^ 1]
+            if not reached[f]:
+                reached[f] = 1
+                stack.append(f)
+    if not all(reached):
+        raise FaceBoundaryError("faces do not form one connected surface")
+
+
+def _check_every_node_on_an_edge(walked_from: Sequence[int]) -> None:
+    """Reject isolated nodes, the nodes no face walk leaves (-1 in
+    ``walked_from``) once every side is walked; with the checks before it,
+    this makes the graph 2-connected.
+
+    The face walks (closed, no node repeated, each side walked once, no
+    bridge) glue the faces into a closed orientable surface, connected
+    by :func:`_check_one_surface`.  Its vertices are the corner cycles:
+    one per node on an edge, plus one per pinch (a node whose corners
+    split into several cycles), so its Euler characteristic V' - e + f
+    is at most 2.  The Euler check makes n - e + f = 2, so there are at
+    most as many pinches as isolated nodes.  Once every node lies on an
+    edge, the surface is a sphere and no node is pinched; a plane graph
+    on at least 3 nodes whose faces are all bounded by cycles is
+    2-connected (Mohar and Thomassen, Graphs on Surfaces, 2001).  A
+    genus-g drawing with 2g isolated nodes added, such as a torus grid
+    with two, passes every other check and fails this one.
+    """
+    if -1 in walked_from:
+        raise NotTwoConnectedError("graph is disconnected")
 
 
 def perfect_matching(g: PlaneBipartiteGraph) -> frozenset[int]:
@@ -446,13 +409,13 @@ def planar_dual(g: PlaneBipartiteGraph, matching: Iterable[int]) -> Digraph:
     """
     matching = frozenset(matching)
     _check_perfect(g, matching)
-    side_face = g._side_face
+    side_face = g.side_face
     arcs = []
     for i in range(len(g.edges)):
         # the oriented edge's left side is its S->T side unless matched
         left = 2 * i + (i not in matching)
         arcs.append((side_face[left], side_face[left ^ 1]))
-    return Digraph._derived(len(g.faces), tuple(arcs))
+    return Digraph._derived(len(g.face_names), tuple(arcs))
 
 
 def alternating_faces(
@@ -468,15 +431,15 @@ def alternating_faces(
     _check_perfect(g, matching)
     cw = []
     acw = []
-    for fi, face in enumerate(g.faces):
+    for fi, walk in enumerate(g.boundaries):
         aligned = 0
-        for e, toward_t in face.boundary:
-            arc_toward_t = e not in matching
-            if arc_toward_t == toward_t:
+        for side in walk:
+            # the arc runs S->T (odd side) unless its edge is matched
+            if (side & 1) != (side >> 1 in matching):
                 aligned += 1
         if aligned == 0:
             cw.append(fi)
-        elif aligned == len(face.boundary):
+        elif aligned == len(walk):
             acw.append(fi)
     return frozenset(cw), frozenset(acw)
 
@@ -517,7 +480,7 @@ def solve_clar_fries(
         cw_weights = g.cw_weights
     if acw_weights is None:
         acw_weights = g.acw_weights
-    if len(cw_weights) != len(g.faces) or len(acw_weights) != len(g.faces):
+    if len(cw_weights) != len(g.face_names) or len(acw_weights) != len(g.face_names):
         raise InputError("need one weight per face")
 
     if start_matching is None:
@@ -547,8 +510,8 @@ def solve_clar_fries(
 def _one_sided_result(
     g: PlaneBipartiteGraph, cw_only: bool
 ) -> tuple[Weight, frozenset[int], frozenset[int]]:
-    inner = tuple(1 if f != g.outer else 0 for f in range(len(g.faces)))
-    zero = (0,) * len(g.faces)
+    inner = tuple(1 if f != g.outer else 0 for f in range(len(g.face_names)))
+    zero = (0,) * len(g.face_names)
     if cw_only:
         result = solve_clar_fries(g, cw_weights=inner, acw_weights=zero)
         chosen = result.cw_faces
@@ -563,8 +526,8 @@ def _one_sided_result(
 def _check_node_disjoint(g: PlaneBipartiteGraph, faces: frozenset[int]) -> None:
     seen: set[int] = set()
     for f in faces:
-        for e, toward_t in g.faces[f].boundary:
-            tail = g.edges[e][0] if toward_t else g.edges[e][1]
+        for side in g.boundaries[f]:
+            tail = g.side_tail[side]
             if tail in seen:
                 raise InvariantError("same-sense alternating faces share a node")
             seen.add(tail)

@@ -302,4 +302,4 @@ def reference_instances():
 
 
 def inner_indicator(g: PlaneBipartiteGraph) -> tuple[int, ...]:
-    return tuple(1 if f != g.outer else 0 for f in range(len(g.faces)))
+    return tuple(1 if f != g.outer else 0 for f in range(len(g.face_names)))

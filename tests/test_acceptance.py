@@ -273,8 +273,8 @@ def test_criterion_09_clar_fries_catalog():
         cval = clar_number(g)[0]
         fval = fries_number(g)[0]
         inner = g.inner_faces()
-        cw_ind = [1 if f in inner else 0 for f in range(len(g.faces))]
-        zero = [0] * len(g.faces)
+        cw_ind = [1 if f in inner else 0 for f in range(len(g.face_names))]
+        zero = [0] * len(g.face_names)
         oc = brute_clar_fries(g, cw_ind, zero)[0]
         of = brute_clar_fries(g, cw_ind, cw_ind)[0]
         if (cval, fval) != (oc, of):

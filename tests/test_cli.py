@@ -175,6 +175,22 @@ def test_verify_plane_file(capsys, benzene_file):
     assert out["solver"] == 5 == out["oracle"]
 
 
+def test_verify_unweighted_plane_file_uses_fries_weights(capsys, tmp_path):
+    data = benzenoid(NAPHTHALENE_CENTERS)  # empty w1 and w2 maps
+    path = tmp_path / "naphthalene.json"
+    path.write_text(json.dumps(data))
+    code, fries = run(capsys, "fries", str(path))
+    assert code == 0
+    for drop in ((), ("w1", "w2")):  # empty maps, then no maps
+        for key in drop:
+            del data[key]
+        path.write_text(json.dumps(data))
+        code, out = run(capsys, "verify", str(path))
+        assert code == 0
+        assert out == {"agree": True, "solver": fries["value"], "oracle": fries["value"]}
+        assert out["solver"] != 0
+
+
 def test_budget_flags_give_input_error_exit(capsys, bowtie_file):
     code, out = run(capsys, "verify", "--budget-arcs", "6", bowtie_file)
     assert code == 1

@@ -43,6 +43,23 @@ def test_digraph_rejects_bad_shapes():
         Digraph(4, [(0, 1), (2, 3)])  # two weak components
 
 
+@pytest.mark.parametrize(
+    "node_count, arcs, message",
+    [
+        (2, [(0, 1.9)], r"arc 0 endpoints \(0, 1.9\) are not integers"),
+        (2, [("0", True)], r"arc 0 endpoints \('0', True\) are not integers"),
+        (3, [(0, 1), (False, 2)], r"arc 1 endpoints \(False, 2\) are not integers"),
+        (2.5, [(0, 1)], r"node count 2.5 is not an integer"),
+        (True, [], r"node count True is not an integer"),
+    ],
+)
+def test_digraph_rejects_non_integer_nodes(node_count, arcs, message):
+    # int() would read 1.9 as 1 and "0" as 0
+    with pytest.raises(InputError, match=message):
+        Digraph(node_count, arcs)
+    assert Digraph(2, [[0, 1]]).arcs == ((0, 1),)
+
+
 def test_digraph_allows_parallel_and_antiparallel_arcs():
     d = Digraph(2, [(0, 1), (0, 1), (1, 0)])
     assert len(d.arcs) == 3

@@ -244,8 +244,8 @@ def test_brute_clar_fries_agrees_with_solver():
     g = naphthalene()
     rng = random.Random(3)
     for _ in range(8):
-        cw = [rng.randrange(0, 3) for _ in g.faces]
-        acw = [rng.randrange(0, 3) for _ in g.faces]
+        cw = [rng.randrange(0, 3) for _ in g.face_names]
+        acw = [rng.randrange(0, 3) for _ in g.face_names]
         value, matching, cw_set, acw_set = brute_clar_fries(g, cw, acw)
         assert value == sum(cw[f] for f in cw_set) + sum(acw[f] for f in acw_set)
         assert solve_clar_fries(g, cw_weights=cw, acw_weights=acw).value == value

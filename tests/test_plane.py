@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clarfries import (
     InputError,
@@ -292,6 +294,121 @@ HALL_VIOLATION = {
 }
 
 
+# two hexagons sharing only the node u0: the outer face walks around both
+# and passes u0 twice
+HEXAGONS_AT_A_CUT_NODE = {
+    "S": ["u0", "u2", "u4", "v2", "v4"],
+    "T": ["u1", "u3", "u5", "v1", "v3", "v5"],
+    "edges": HEXAGON["edges"] + [
+        ["u0", "v1"], ["v2", "v1"], ["v2", "v3"],
+        ["v4", "v3"], ["v4", "v5"], ["u0", "v5"],
+    ],
+    "faces": [
+        HEXAGON["faces"][0],
+        {"id": "inner2", "boundary": [[6, "+"], [7, "-"], [8, "+"], [9, "-"], [10, "+"], [11, "-"]]},
+        {"id": "outer", "boundary": HEXAGON["faces"][1]["boundary"] + [
+            [11, "+"], [10, "-"], [9, "+"], [8, "-"], [7, "+"], [6, "-"]]},
+    ],
+    "outer": "outer",
+}
+
+
+def _hexagon_with(mutate):
+    data = json.loads(json.dumps(HEXAGON))
+    mutate(data)
+    return data
+
+
+def _set_boundary_side(side):
+    def mutate(d):
+        d["faces"][0]["boundary"][0] = side
+    return mutate
+
+
+def _rename_node(data, old, new):
+    data["S"] = [new if x == old else x for x in data["S"]]
+    data["edges"] = [[new if x == old else x for x in pair] for pair in data["edges"]]
+
+
+def _drop_inner_face(d):
+    del d["faces"][0], d["w1"], d["w2"]
+
+
+# one input per check of parse_validate, each breaking that check alone,
+# with the error class and message the parser reports
+REJECTIONS = [
+    ([], InputError, "plane graph input must be a JSON object"),
+    (_hexagon_with(lambda d: d.pop("outer")), InputError, "missing key 'outer'"),
+    (_hexagon_with(lambda d: d.update(S="u0")), InputError, "'S' must be a list"),
+    (_hexagon_with(lambda d: d["T"].__setitem__(0, 7)), InputError, "bad node name 7"),
+    (_hexagon_with(lambda d: _rename_node(d, "u0", "")), InputError, "bad node name ''"),
+    (_hexagon_with(lambda d: d["T"].append("u0")), InputError, "duplicate node name 'u0'"),
+    (_hexagon_with(lambda d: d["edges"].__setitem__(0, ["u0"])), InputError,
+     "edge 0 must be a [from, to] pair"),
+    (_hexagon_with(lambda d: d["edges"].__setitem__(2, ["u2", 3])), InputError,
+     "edge 2 references unknown node"),
+    (_hexagon_with(lambda d: d.update(edges=[])), InputError,
+     "graph needs nonempty S, T, and edge list"),
+    (_hexagon_with(lambda d: d["edges"].__setitem__(0, ["u1", "u0"])), NonBipartiteError,
+     "edge 0: first endpoint must be an S-node"),
+    (_hexagon_with(lambda d: d["edges"].__setitem__(0, ["u0", "u2"])), NonBipartiteError,
+     "edge 0: second endpoint must be a T-node"),
+    (_hexagon_with(lambda d: d["faces"].append({"id": "x"})), InputError,
+     "each face needs a string 'id' and a 'boundary'"),
+    (_hexagon_with(lambda d: d["faces"][0].update(boundary="0+")), InputError,
+     "face 'inner': boundary must be a list"),
+    (_hexagon_with(_set_boundary_side([0])), InputError, "face 'inner': bad boundary side [0]"),
+    (_hexagon_with(_set_boundary_side([True, "+"])), InputError,
+     "face 'inner': edge True is not an edge index"),
+    (_hexagon_with(_set_boundary_side([0, "?"])), InputError, "face 'inner': bad side sign '?'"),
+    (_hexagon_with(lambda d: d.update(outer="nope")), InputError,
+     "outer face 'nope' not among faces"),
+    (_hexagon_with(lambda d: d.update(w1=[5])), InputError,
+     "w1 must be a map from face name to weight"),
+    (_hexagon_with(lambda d: d.update(w1={"ghost": 1})), InputError,
+     "w1 references unknown face 'ghost'"),
+    (_hexagon_with(lambda d: d.update(w2={"inner": -2})), InputError,
+     "w2[inner]: weight must be nonnegative"),
+    (_hexagon_with(lambda d: d.update(w2={"inner": "x"})), InputError,
+     "w2[inner]: cannot parse weight 'x'"),
+    (dict(THETA, faces=THETA["faces"][:2] + [dict(THETA["faces"][2], id="f1")]),
+     InputError, "duplicate face id 'f1'"),
+    (_hexagon_with(lambda d: d["faces"].append({"id": "x", "boundary": []})),
+     FaceBoundaryError, "face 'x' has an empty boundary"),
+    (_hexagon_with(lambda d: d["faces"][0]["boundary"].append([6, "+"])), FaceBoundaryError,
+     "face 'inner' references unknown edge 6"),
+    (_hexagon_with(_set_boundary_side([-1, "+"])), FaceBoundaryError,
+     "face 'inner' references unknown edge -1"),
+    (_hexagon_with(lambda d: d["faces"].__setitem__(1, dict(d["faces"][0], id="outer"))),
+     EdgeSideMismatchError, "edge 0 walked twice in the same direction"),
+    (_hexagon_with(_set_boundary_side([0, "-"])), FaceBoundaryError,
+     "face 'inner' boundary is not a closed walk at step 0"),
+    (HEXAGONS_AT_A_CUT_NODE, FaceBoundaryError, "face 'outer' boundary revisits node u0"),
+    (_hexagon_with(_drop_inner_face), EdgeSideMismatchError, "edge 0 never walked S->T"),
+    (_hexagon_with(lambda d: d.update(faces=d["faces"][:1], outer="inner")),
+     EdgeSideMismatchError, "edge 0 never walked T->S"),
+    (_hexagon_with(lambda d: d["edges"].append(["u0", "u3"])), EdgeSideMismatchError,
+     "edge 6 never walked S->T"),
+    ({"S": ["s1"], "T": ["t1"], "edges": [["s1", "t1"]],
+      "faces": [{"id": "f0", "boundary": [[0, "+"], [0, "-"]]}], "outer": "f0"},
+     NotTwoConnectedError, "edge 0 is a bridge"),
+    (TWO_GLUED_HEXAGONS, FaceBoundaryError, "faces do not form one connected surface"),
+    (torus_grid(4, 4, 0), EulerError, "Euler check failed: 16 - 32 + 16 != 2"),
+    (torus_grid(4, 4, 2), NotTwoConnectedError, "graph is disconnected"),
+    (THETA, NoPerfectMatchingError, "|S| = 2 != |T| = 3"),
+    (HALL_VIOLATION, NoPerfectMatchingError, "graph has no perfect matching"),
+]
+
+
+def test_each_rejection_keeps_its_class_and_message():
+    got = []
+    for data, _, _ in REJECTIONS:
+        with pytest.raises(InputError) as info:
+            parse_validate(data)
+        got.append((info.type, str(info.value)))
+    assert got == [(cls, message) for _, cls, message in REJECTIONS]
+
+
 # --- matchings, orientation, dual ---------------------------------------------
 
 
@@ -476,8 +593,8 @@ def test_same_sense_faces_are_node_disjoint():
                 seen = set()
                 for f in group:
                     nodes = set()
-                    for e, _ in g.faces[f].boundary:
-                        nodes.update(g.edges[e])
+                    for side in g.boundaries[f]:
+                        nodes.update(g.edges[side >> 1])
                     assert seen.isdisjoint(nodes)
                     seen |= nodes
 
@@ -501,8 +618,8 @@ def test_solution_value_matches_alternating_weight():
     g = naphthalene()
     rng = random.Random(2)
     for _ in range(10):
-        cw = [rng.randrange(0, 4) for _ in g.faces]
-        acw = [rng.randrange(0, 4) for _ in g.faces]
+        cw = [rng.randrange(0, 4) for _ in g.face_names]
+        acw = [rng.randrange(0, 4) for _ in g.face_names]
         res = solve_clar_fries(g, cw_weights=cw, acw_weights=acw)
         got_cw, got_acw = alternating_faces(g, res.matching)
         assert res.cw_faces <= got_cw and res.acw_faces <= got_acw
@@ -523,6 +640,36 @@ def test_start_matching_does_not_change_value():
         values.add(res.value)
         assert len(res.matching) * 2 == g.node_count
     assert len(values) == 1
+
+
+@st.composite
+def weighted_kekulean_polyhexes(draw):
+    """A catalog benzenoid or a seeded random polyhex of 2 to 7 hexagons
+    with a perfect matching, and face weights 0..3 on both sides."""
+    if draw(st.booleans()):
+        g = draw(st.sampled_from([g for _, g in benzenoid_catalog()]))
+    else:
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+        size = draw(st.integers(2, 7))
+        while True:
+            try:
+                g = parse_validate(benzenoid(_random_polyhex_centers(rng, size)))
+                break
+            except (AssertionError, NoPerfectMatchingError):
+                continue  # a coronoid, or no perfect matching
+    side = st.lists(st.integers(0, 3), min_size=len(g.face_names), max_size=len(g.face_names))
+    return g, draw(side), draw(side)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(weighted_kekulean_polyhexes())
+def test_every_start_matching_gives_the_optimum_property(instance):
+    g, cw, acw = instance
+    best = brute_clar_fries(g, cw, acw)[0]
+    for m in enumerate_matchings(g):
+        res = solve_clar_fries(g, cw_weights=cw, acw_weights=acw, start_matching=m)
+        assert res.value == best
+        assert res.value == sum(cw[f] for f in res.cw_faces) + sum(acw[f] for f in res.acw_faces)
 
 
 def _flip_edge_zero(d, potential):
@@ -586,7 +733,7 @@ def test_catalog_clar_fries_numbers():
 def test_clar_fries_match_oracle_exactly():
     for g in (g for _, g in benzenoid_catalog()):
         inner = g.inner_faces()
-        cw_ind = [1 if f in inner else 0 for f in range(len(g.faces))]
-        zero = [0] * len(g.faces)
+        cw_ind = [1 if f in inner else 0 for f in range(len(g.face_names))]
+        zero = [0] * len(g.face_names)
         assert clar_number(g)[0] == brute_clar_fries(g, cw_ind, zero)[0]
         assert fries_number(g)[0] == brute_clar_fries(g, cw_ind, cw_ind)[0]
