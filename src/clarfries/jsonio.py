@@ -67,13 +67,15 @@ def weight_pair_from_json(data, names: Sequence[str], default=0) -> WeightPair:
 
 
 def _cover_entries(d: Digraph, names: Sequence[str], vector, scale: int) -> list:
-    """Nonzero entries of a cover vector in units of ``1/scale``, exact."""
-    bi = bidirect(d)
+    """Nonzero entries of a cover vector in units of ``1/scale``, exact;
+    at scale 1 the integer entries are their own rendering."""
+    arcs = bidirect(d).arcs
     out = []
     for j, z in enumerate(vector):
         if z:
-            u, v = bi.arcs[j]
-            out.append([[names[u], names[v]], render_value(Fraction(z, scale))])
+            u, v = arcs[j]
+            value = z if scale == 1 else render_value(Fraction(z, scale))
+            out.append([[names[u], names[v]], value])
     return out
 
 

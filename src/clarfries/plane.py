@@ -123,7 +123,14 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     a perfect matching.
     """
     if isinstance(data, str):
-        data = json.loads(data)
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as exc:
+            raise InputError(str(exc)) from exc
+        except (ValueError, RecursionError) as exc:
+            # ValueError: an integer literal over the interpreter's
+            # int-string digit limit
+            raise InputError(f"cannot read JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("plane graph input must be a JSON object")
     for key in ("S", "T", "edges", "faces", "outer"):
@@ -164,6 +171,7 @@ def parse_validate(data) -> PlaneBipartiteGraph:
 
     side_face = [-1] * len(side_tail)
     walked_from = [-1] * len(names)  # the last face whose walk left each node
+    edge_count = len(edges)
     face_index: dict[str, int] = {}
     boundaries = []
     for fi, fobj in enumerate(data["faces"]):
@@ -183,13 +191,17 @@ def parse_validate(data) -> PlaneBipartiteGraph:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
                 raise InputError(f"face {name!r}: bad boundary side {entry!r}")
             e, sign = entry
-            if isinstance(e, bool) or not isinstance(e, int):
+            # a plain int, the usual entry, skips the subclass tests
+            if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
                 raise InputError(f"face {name!r}: edge {e!r} is not an edge index")
-            if sign not in ("+", "-"):
+            if sign == "+":
+                side = 2 * e + 1
+            elif sign == "-":
+                side = 2 * e
+            else:
                 raise InputError(f"face {name!r}: bad side sign {sign!r}")
-            if not (0 <= e < len(edges)):
+            if not (0 <= e < edge_count):
                 raise FaceBoundaryError(f"face {name!r} references unknown edge {e}")
-            side = 2 * e + (sign == "+")
             if side_face[side] >= 0:
                 raise EdgeSideMismatchError(f"edge {e} walked twice in the same direction")
             side_face[side] = fi

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction
 
@@ -461,6 +462,104 @@ def test_imperfect_final_matching_exits_internal(capsys, monkeypatch, benzene_fi
     assert code == 2
     assert out["kind"] == "internal"
     assert "perfect matching" in out["error"]
+
+
+@pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
+def test_plane_file_holding_a_json_string_is_input_error(capsys, tmp_path, command):
+    # the file parses to the str "{", which the plane reader would decode again
+    path = tmp_path / "string.json"
+    path.write_text('"{"')
+    code = main([command, str(path)])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert len(lines) == 1
+    assert list(json.loads(lines[0])) == ["error"]
+
+
+def _one_of_each_request(capsys, monkeypatch, tmp_path, bowtie_file,
+                         bowtie_half_weight_file, benzene_file) -> list:
+    """Exit codes of one request of each kind through ``main``: every
+    command, both digraph weight forms, both ``verify`` file kinds and
+    ``--random``, an input error and, last, an internal error."""
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": ["a"], "arcs": [["a", "b"]]}')
+    argvs = [
+        ["solve-digraph", bowtie_file],
+        ["solve-digraph", bowtie_half_weight_file],
+        ["resonant", bowtie_file],
+        ["sink-stable", bowtie_file],
+        ["clar", benzene_file],
+        ["fries", benzene_file],
+        ["clar-fries", benzene_file],
+        ["verify", benzene_file],
+        ["verify", bowtie_file],
+        ["verify", "--random", "3"],
+        ["solve-digraph", str(bad)],
+    ]
+    codes = [main(argv) for argv in argvs]
+    monkeypatch.setattr(
+        plane, "potential_drops", lambda d, p: (1,) + (0,) * (d.arc_count - 1)
+    )
+    codes.append(main(["clar-fries", benzene_file]))
+    monkeypatch.undo()
+    capsys.readouterr()
+    return codes
+
+
+def test_a_request_leaves_no_cyclic_garbage(
+    capsys, monkeypatch, tmp_path, bowtie_file, bowtie_half_weight_file, benzene_file
+):
+    """``main`` pauses the cyclic collector, which is safe only while a
+    request builds no reference cycles: reference counting then frees it
+    all.  A warm-up pass fills the caches first (the shared parser, lazy
+    imports), whose objects stay alive."""
+    files = (tmp_path, bowtie_file, bowtie_half_weight_file, benzene_file)
+    expected = [0] * 10 + [1, 2]
+    assert _one_of_each_request(capsys, monkeypatch, *files) == expected
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert _one_of_each_request(capsys, monkeypatch, *files) == expected
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_setting(capsys, monkeypatch, tmp_path, bowtie_file,
+                                             enabled):
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(["solve-digraph", bowtie_file]) == 0
+        assert gc.isenabled() is enabled
+        assert main(["solve-digraph", str(tmp_path / "missing.json")]) == 1
+        assert gc.isenabled() is enabled
+        original = sourcesink.certificate_checks
+        monkeypatch.setattr(
+            sourcesink,
+            "certificate_checks",
+            lambda cert: {**original(cert), "minmax_equal": False},
+        )
+        assert main(["solve-digraph", bowtie_file]) == 2
+        assert gc.isenabled() is enabled
+
+        seen = []
+
+        def crash(path):
+            seen.append(gc.isenabled())
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(cli, "_load", crash)
+        with pytest.raises(RuntimeError):
+            main(["solve-digraph", bowtie_file])
+        assert gc.isenabled() is enabled
+        assert seen == [False]
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+        capsys.readouterr()
 
 
 def _count_constructions(monkeypatch, cls, method, calls):

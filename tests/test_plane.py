@@ -337,6 +337,8 @@ def _drop_inner_face(d):
 # one input per check of parse_validate, each breaking that check alone,
 # with the error class and message the parser reports
 REJECTIONS = [
+    ("{", InputError,
+     "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ([], InputError, "plane graph input must be a JSON object"),
     (_hexagon_with(lambda d: d.pop("outer")), InputError, "missing key 'outer'"),
     (_hexagon_with(lambda d: d.update(S="u0")), InputError, "'S' must be a list"),
@@ -407,6 +409,13 @@ def test_each_rejection_keeps_its_class_and_message():
             parse_validate(data)
         got.append((info.type, str(info.value)))
     assert got == [(cls, message) for _, cls, message in REJECTIONS]
+
+
+def test_json_string_too_deep_to_read_is_input_error():
+    with pytest.raises(InputError) as info:
+        parse_validate("[" * 100_000)
+    assert info.type is InputError
+    assert str(info.value).startswith("cannot read JSON: ")
 
 
 # --- matchings, orientation, dual ---------------------------------------------

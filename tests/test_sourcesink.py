@@ -403,6 +403,19 @@ def test_doctored_cover_scale_fails_the_checks():
     assert all(certificate_checks(dataclasses.replace(cert, cover=halves)).values())
     odd = dataclasses.replace(halves, out_cover=(1,) + halves.out_cover[1:])
     assert not certificate_checks(dataclasses.replace(cert, cover=odd))["cover_integral"]
+    # one more unit on one arc leaves its tail short and its head over
+    for field in ("out_cover", "in_cover"):
+        vector = getattr(cert.cover, field)
+        bumped = dataclasses.replace(cert.cover, **{field: (vector[0] + 1,) + vector[1:]})
+        checks = certificate_checks(dataclasses.replace(cert, cover=bumped))
+        assert not checks["cover_circulation"]
+        assert checks["cover_out"] and checks["cover_in"]
+    # a cover of the wrong length is not a certificate of this digraph
+    short = dataclasses.replace(
+        cert.cover, out_cover=cert.cover.out_cover[:-2], in_cover=cert.cover.in_cover[:-2]
+    )
+    with pytest.raises(InputError, match="one entry per doubled arc"):
+        certificate_checks(dataclasses.replace(cert, cover=short))
     for scale in (True, 1.0, -2):
         with pytest.raises(InputError):
             dataclasses.replace(cert.cover, scale=scale)
