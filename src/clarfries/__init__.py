@@ -4,12 +4,10 @@ dual."""
 
 from .digraph import (
     ArcClass,
-    BiDigraph,
     Digraph,
     ViolatingCircuit,
     apply_reorientation,
     bidirect,
-    circulation_cost,
     classify_arcs,
     feasible_tension,
     is_circulation,

@@ -37,7 +37,7 @@ def _emit(obj: dict, pretty: bool) -> None:
             text = json.dumps(obj, separators=(",", ":"))
     except ValueError as exc:
         # the interpreter's int-string digit limit, as in _load
-        raise InputError("answer has an integer over the interpreter's 4300-digit limit") from exc
+        raise InputError(jsonio.ANSWER_TOO_LONG) from exc
     print(text)
 
 

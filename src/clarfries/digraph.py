@@ -122,57 +122,18 @@ class Digraph:
         return f"Digraph({self.node_count}, {list(self.arcs)!r})"
 
 
-class BiDigraph:
-    """A digraph together with a reverse copy of every arc.
+def bidirect(d: Digraph) -> Digraph:
+    """The doubled graph of ``d``: every arc plus a reverse copy.
 
-    Arc ``i`` with ``i < m`` is the i-th arc of the base digraph; arc
-    ``i + m`` is its reverse copy.  Costs record membership in the original
-    arc set: 1 on originals, 0 on reverse copies.  Circulations live on this
-    doubled arc set.
-
-    It keeps no reference to the base digraph, which caches it
-    (:func:`bidirect`): a cycle between the two would outlive the request
-    until the garbage collector's next full pass.
-    """
-
-    __slots__ = ("digraph", "m")
-
-    def __init__(self, base: Digraph):
-        self.m = base.arc_count
-        rev = tuple((v, u) for u, v in base.arcs)
-        self.digraph = Digraph._derived(base.node_count, base.arcs + rev)
-
-    @property
-    def node_count(self) -> int:
-        return self.digraph.node_count
-
-    @property
-    def arcs(self) -> tuple[Arc, ...]:
-        return self.digraph.arcs
-
-    @property
-    def arc_count(self) -> int:
-        return 2 * self.m
-
-    def reverse(self, i: int) -> int:
-        """Index of the oppositely directed copy of arc ``i``."""
-        return i + self.m if i < self.m else i - self.m
-
-    def cost(self, i: int) -> int:
-        return 1 if i < self.m else 0
-
-    def cost_vector(self) -> tuple[int, ...]:
-        return (1,) * self.m + (0,) * self.m
-
-
-def bidirect(d: Digraph) -> BiDigraph:
-    """Add a reverse copy of every arc of ``d``.
-
-    The doubled graph is built on the first call and cached on ``d``, so
-    every later call returns the same read-only :class:`BiDigraph`.
+    With ``m = d.arc_count``, arc ``j < m`` of the result is arc ``j`` of
+    ``d`` and arc ``j + m`` is its reverse copy.  Circulations on the
+    doubled graph charge only the original arcs ``j < m``.  It is built on
+    the first call and cached on ``d``, so every later call returns the
+    same read-only :class:`Digraph`; the doubled graph keeps no reference
+    back to ``d``, so the two form no cycle for the garbage collector.
     """
     if d._bi is None:
-        d._bi = BiDigraph(d)
+        d._bi = Digraph._derived(d.node_count, d.arcs + tuple((v, u) for u, v in d.arcs))
     return d._bi
 
 
@@ -411,27 +372,16 @@ def sources_sinks(d: Digraph) -> tuple[frozenset[int], frozenset[int]]:
     return so, si
 
 
-def _check_values(b: BiDigraph, values: Sequence) -> None:
-    if len(values) != b.arc_count:
-        raise InputError("circulation vector must have one entry per doubled arc")
-    for i, z in enumerate(values):
+def is_circulation(d: Digraph, values: Sequence) -> bool:
+    """True when the nonnegative arc values ``values`` conserve flow at
+    every node of ``d``, exactly."""
+    if len(values) != d.arc_count:
+        raise InputError("circulation vector must have one entry per arc")
+    net = [0] * d.node_count
+    for i, ((u, v), z) in enumerate(zip(d.arcs, values)):
         if z < 0:
             raise InputError(f"negative circulation value {z} on arc {i}")
-
-
-def is_circulation(b: BiDigraph, values: Sequence) -> bool:
-    """True when ``values`` conserves flow at every node, exactly."""
-    _check_values(b, values)
-    net = [0] * b.node_count
-    for i, (u, v) in enumerate(b.arcs):
-        z = values[i]
         if z:
             net[u] -= z
             net[v] += z
-    return all(x == 0 for x in net)
-
-
-def circulation_cost(b: BiDigraph, values: Sequence):
-    """Total value carried on original arcs (reverse copies are free)."""
-    _check_values(b, values)
-    return sum(values[i] for i in range(b.m))
+    return not any(net)

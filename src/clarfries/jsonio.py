@@ -18,6 +18,7 @@ from .digraph import Digraph, bidirect
 from .errors import InputError
 from .plane import ClarFriesResult, PlaneBipartiteGraph
 from .sourcesink import (
+    DIGIT_LIMIT,
     SinkStableResult,
     SourceSinkCertificate,
     WeightPair,
@@ -26,9 +27,17 @@ from .sourcesink import (
 )
 
 
+ANSWER_TOO_LONG = f"answer has an integer over the interpreter's {DIGIT_LIMIT}-digit limit"
+
+
 def render_value(v):
     v = _whole(v)
-    return f"{v.numerator}/{v.denominator}" if isinstance(v, Fraction) else v
+    if not isinstance(v, Fraction):
+        return v
+    try:
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError as exc:
+        raise InputError(ANSWER_TOO_LONG) from exc
 
 
 def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
@@ -98,14 +107,15 @@ def certificate_to_json(names: Sequence[str], cert: SourceSinkCertificate) -> di
 
 
 def sink_stable_to_json(names: Sequence[str], result: SinkStableResult) -> dict:
-    bi = bidirect(result.certificate.digraph)
+    d = result.certificate.digraph
+    arcs, m = bidirect(d).arcs, d.arc_count
     circuits = []
     for cycle, mult in result.circuits:
         circuits.append(
             {
-                "nodes": [names[bi.arcs[e][0]] for e in cycle],
+                "nodes": [names[arcs[e][0]] for e in cycle],
                 "multiplicity": mult,
-                "original_arcs": sum(1 for e in cycle if e < bi.m),
+                "original_arcs": sum(1 for e in cycle if e < m),
             }
         )
     return {

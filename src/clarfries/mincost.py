@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .digraph import BiDigraph, Digraph
+from .digraph import Digraph, is_circulation
 from .errors import InfeasibleCirculation, InputError, InvariantError
 
 INF = math.inf
@@ -438,27 +438,24 @@ def _certify(d, lower, cost, flow, potential, objective):
         raise InvariantError(f"dual value {dual} != objective {objective}")
 
 
-def decompose(b: BiDigraph, values: Sequence) -> list[tuple[tuple[int, ...], int]]:
-    """Write a nonnegative integer circulation as a weighted sum of one-way
-    circuits of the doubled digraph.
+def decompose(d: Digraph, values: Sequence) -> list[tuple[tuple[int, ...], int]]:
+    """Write a nonnegative integer circulation on ``d`` as a weighted sum of
+    one-way circuits.
 
     Returns ``(circuit, multiplicity)`` pairs where each circuit is a tuple
     of arc indices in traversal order.  Every peeled circuit zeroes at least
     one arc, so at most as many circuits are returned as there are arcs with
     positive value.
     """
-    from .digraph import is_circulation
-
     for z in values:
         if not isinstance(z, int):
             raise InputError("decompose needs an integer circulation")
-    if not is_circulation(b, values):
+    if not is_circulation(d, values):
         raise InputError("values do not form a circulation")
 
     rem = list(values)
-    dg = b.digraph
-    out = [list(dg.out_arcs(v)) for v in range(b.node_count)]
-    ptr = [0] * b.node_count
+    out = [list(d.out_arcs(v)) for v in range(d.node_count)]
+    ptr = [0] * d.node_count
     result: list[tuple[tuple[int, ...], int]] = []
 
     def next_arc(v: int) -> int | None:
@@ -469,7 +466,7 @@ def decompose(b: BiDigraph, values: Sequence) -> list[tuple[tuple[int, ...], int
         ptr[v] = i
         return lst[i] if i < len(lst) else None
 
-    arcs = dg.arcs
+    arcs = d.arcs
     for start_arc in range(len(arcs)):
         if rem[start_arc] == 0:
             continue

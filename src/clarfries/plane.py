@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .digraph import Digraph, potential_drops
 from .errors import InputError, InvariantError
@@ -175,7 +175,7 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     face_index: dict[str, int] = {}
     boundaries = []
     for fi, fobj in enumerate(data["faces"]):
-        if not (isinstance(fobj, Mapping) and isinstance(fobj.get("id"), str)
+        if not (isinstance(fobj, dict) and isinstance(fobj.get("id"), str)
                 and "boundary" in fobj):
             raise InputError("each face needs a string 'id' and a 'boundary'")
         name = fobj["id"]

@@ -59,6 +59,10 @@ from .errors import InputError, InvariantError
 
 Weight = int | Fraction
 
+# the interpreter's default limit on the digits of an int read from or
+# written to a string
+DIGIT_LIMIT = 4300
+
 
 def _whole(x):
     """``x`` as an int when it is a whole Fraction, else ``x`` unchanged."""
@@ -88,10 +92,17 @@ def parse_weight_value(value, what: str) -> Weight:
     if isinstance(value, int):
         w: Weight = value
     elif isinstance(value, (float, str)):
+        text = str(value)
         try:
-            w = Fraction(str(value))
+            # Fraction builds 10**exponent: hold it to the digit limit the
+            # JSON reader puts on int literals
+            _, e, exponent = text.lower().partition("e")
+            exponent = int(exponent) if e else 0
+            w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{what}: cannot parse weight {value!r}") from exc
+        if w is None:
+            raise InputError(f"{what}: weight exponent over {DIGIT_LIMIT} in magnitude")
     else:
         raise InputError(f"{what}: cannot read weight {value!r}")
     if w < 0:
@@ -218,7 +229,6 @@ class AuxNetwork:
             scale = lcm(*(x.denominator for x in source + sink))
             source = tuple(int(x * scale) for x in source)
             sink = tuple(int(x * scale) for x in sink)
-        bi = bidirect(d)
         out_node: list[int | None] = [None] * n
         in_node: list[int | None] = [None] * n
         node_count = n
@@ -240,9 +250,9 @@ class AuxNetwork:
         # typed arrays: one machine word per doubled arc, not an int object
         out_arc = array("q")
         in_arc = array("q")
-        m = bi.m
-        for j, (u, w) in enumerate(bi.arcs):
-            # bi lists the m original arcs (cost 1) before their reverse copies
+        m = d.arc_count
+        for j, (u, w) in enumerate(bidirect(d).arcs):
+            # the m original arcs (cost 1) come before their reverse copies
             c = 1 if j < m else 0
             o, i = out_node[u], in_node[w]
             if o is None or i is not None:
@@ -443,8 +453,8 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     except InputError:
         checks["pair_verified"] = False
 
-    bi = bidirect(d)
-    if len(cover.out_cover) != bi.arc_count:
+    arcs = bidirect(d).arcs
+    if len(cover.out_cover) != len(arcs):
         # the cover's own check keeps its vectors equal in length
         raise InputError("circulation vector must have one entry per doubled arc")
     # one pass over the doubled arcs: what each cover sends out of or into
@@ -452,7 +462,7 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     out_at = [0] * d.node_count
     in_at = [0] * d.node_count
     net = [0] * d.node_count
-    for (u, v), zo, zi in zip(bi.arcs, cover.out_cover, cover.in_cover):
+    for (u, v), zo, zi in zip(arcs, cover.out_cover, cover.in_cover):
         if zo:
             out_at[u] += zo
             net[u] -= zo
@@ -522,15 +532,16 @@ def max_sink_stable(d: Digraph, sink_weight: Sequence[int]) -> SinkStableResult:
     if not weights.integral:
         raise InputError("sink-stable weights must be integers")
     cert = max_source_sink(d, weights)
-    bi = bidirect(d)
-    family = mincost.decompose(bi, cert.cover.combined())
+    doubled = bidirect(d)
+    family = mincost.decompose(doubled, cert.cover.combined())
 
+    m = d.arc_count
     covered = [0] * d.node_count
     arc_total = 0
     for cycle, mult in family:
-        arc_total += mult * sum(1 for e in cycle if e < bi.m)
+        arc_total += mult * sum(1 for e in cycle if e < m)
         for e in cycle:
-            covered[bi.arcs[e][0]] += mult
+            covered[doubled.arcs[e][0]] += mult
     if arc_total != cert.value:
         raise InvariantError("circuit family does not add up to the optimum")
     bad = [v for v, w in enumerate(weights.sink_weight) if covered[v] < w]

@@ -49,6 +49,23 @@ def acyclic_triangle() -> Digraph:
     return Digraph(3, [(0, 1), (0, 2), (1, 2)])
 
 
+def random_closed_walk(rng: random.Random, d: Digraph) -> list[int]:
+    """Arc ids of a closed walk in ``d``, found by following random out-arcs
+    from a random node until a node repeats.  Every node of ``d`` needs an
+    out-arc, as in a doubled graph."""
+    start = rng.randrange(d.node_count)
+    seen = {start: 0}
+    path = []
+    at = start
+    while True:
+        j = rng.choice(d.out_arcs(at))
+        path.append(j)
+        at = d.arcs[j][1]
+        if at in seen:
+            return path[seen[at]:]
+        seen[at] = len(path)
+
+
 # -- fused-hexagon plane graphs -----------------------------------------
 
 def benzenoid(centers: list[tuple[int, int]]) -> dict:

@@ -269,6 +269,21 @@ def test_answer_over_the_digit_limit_is_input_error(capsys, tmp_path, pretty):
     assert "4300-digit" in out["error"]
 
 
+@pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
+def test_rational_answer_over_the_digit_limit_is_input_error(capsys, tmp_path, pretty):
+    # the value 1/(b + 1) + 1/(b + 3) has a denominator of about 6000 digits
+    b = 10**3000
+    path = tmp_path / "big_rational_answer.json"
+    path.write_text(json.dumps({
+        "nodes": ["a", "b", "c"], "arcs": [["a", "b"], ["c", "b"]],
+        "w_o": {"a": f"1/{b + 1}", "c": f"1/{b + 3}"},
+    }))
+    code, out = run(capsys, "solve-digraph", *pretty, str(path))
+    assert code == 1
+    assert list(out) == ["error"]
+    assert "4300-digit" in out["error"]
+
+
 def test_pretty_output(capsys, bowtie_file):
     code = main(["solve-digraph", "--pretty", bowtie_file])
     out = capsys.readouterr().out

@@ -23,6 +23,7 @@ from fixtures import (
     acyclic_triangle,
     bowtie,
     parallelogram_dual,
+    random_closed_walk,
     random_digraph,
     reference_instances,
     two_cycle,
@@ -498,13 +499,19 @@ def test_decompose_single_circuit():
     d = acyclic_triangle()
     b = bidirect(d)
     z = [0] * 6
+    w_to_u = 1 + d.arc_count  # the reverse copy of u->w
     z[0] = z[2] = 1          # u->v, v->w
-    z[b.reverse(1)] = 1      # w->u on the reverse copy
+    z[w_to_u] = 1
     out = decompose(b, z)
     assert len(out) == 1
     circuit, mult = out[0]
     assert mult == 1
-    assert sorted(circuit) == sorted((0, 2, b.reverse(1)))
+    assert sorted(circuit) == sorted((0, 2, w_to_u))
+
+
+def test_decompose_takes_any_digraph():
+    # the two-cycle is a circulation on its own arcs, with no doubling
+    assert decompose(two_cycle(), [1, 1]) == [((0, 1), 1)]
 
 
 def test_decompose_validates_input():
@@ -524,7 +531,7 @@ def test_decompose_reconstructs_random_circulations():
         z = [0] * b.arc_count
         for _ in range(rng.randrange(1, 5)):
             mult = rng.randrange(1, 4)
-            for j in closed_walk(rng, b):
+            for j in random_closed_walk(rng, b):
                 z[j] += mult
         assert is_circulation(b, z)
         parts = decompose(b, z)
@@ -546,18 +553,3 @@ def test_decompose_reconstructs_random_circulations():
                 rebuilt[j] += mult
             assert at == first
         assert rebuilt == list(z)
-
-
-def closed_walk(rng, b):
-    n = b.node_count
-    start = rng.randrange(n)
-    seen = {start: 0}
-    path = []
-    at = start
-    while True:
-        j = rng.choice(b.digraph.out_arcs(at))
-        path.append(j)
-        at = b.arcs[j][1]
-        if at in seen:
-            return path[seen[at]:]
-        seen[at] = len(path)
