@@ -23,11 +23,11 @@ their docstrings why they are valid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, brief
+from .record import Record, set_field
 
 Arc = tuple[int, int]
 
@@ -46,16 +46,18 @@ class Digraph:
 
     def __init__(self, node_count: int, arcs: Iterable[Arc]):
         if type(node_count) is not int:
-            raise InputError(f"node count {node_count!r} is not an integer")
+            raise InputError(f"node count {brief(node_count)} is not an integer")
         if node_count < 2:
             raise InputError(f"need at least 2 nodes, got {node_count}")
         checked = []
         for a, (u, v) in enumerate(arcs):
             # exact ints only: a bool is an int too, and a float names no node
             if type(u) is not int or type(v) is not int:
-                raise InputError(f"arc {a} endpoints ({u!r}, {v!r}) are not integers")
+                raise InputError(
+                    f"arc {a} endpoints ({brief(u)}, {brief(v)}) are not integers"
+                )
             if not (0 <= u < node_count and 0 <= v < node_count):
-                raise InputError(f"arc {a} endpoints ({u}, {v}) out of range")
+                raise InputError(f"arc {a} endpoints ({brief(u)}, {brief(v)}) out of range")
             if u == v:
                 raise InputError(f"arc {a} is a loop at node {u}")
             checked.append((u, v))
@@ -150,8 +152,7 @@ class ArcClass(Enum):
     NEUTRAL = "neutral"
 
 
-@dataclass(frozen=True)
-class ViolatingCircuit:
+class ViolatingCircuit(Record):
     """Closed walk in the underlying undirected graph certifying that no
     feasible tension exists.
 
@@ -161,7 +162,10 @@ class ViolatingCircuit:
     forward arcs, so no potential can satisfy both.
     """
 
-    steps: tuple[tuple[int, bool], ...]
+    _fields = __slots__ = ("steps",)
+
+    def __init__(self, steps: tuple[tuple[int, bool], ...]):
+        set_field(self, "steps", steps)
 
     def arc_ids(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.steps)

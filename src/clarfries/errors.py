@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the helper that keeps
+their messages short."""
 
 
 class InputError(ValueError):
@@ -29,3 +30,15 @@ class InfeasibleCirculation(RuntimeError):
         super().__init__(
             f"no feasible circulation: {len(self.deficient_set)} nodes trap excess flow"
         )
+
+
+# the most characters of an offending value that an error message repeats
+BRIEF_LIMIT = 60
+
+
+def brief(value, form=repr) -> str:
+    """``form(value)``, its repr by default, for an error message: cut
+    after :data:`BRIEF_LIMIT` characters, so that a huge input value does
+    not make a huge message."""
+    text = form(value)
+    return text if len(text) <= BRIEF_LIMIT else text[:BRIEF_LIMIT] + "..."

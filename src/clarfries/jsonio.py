@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .digraph import Digraph, bidirect
-from .errors import InputError
+from .errors import InputError, brief
 from .plane import ClarFriesResult, PlaneBipartiteGraph
 from .sourcesink import (
     DIGIT_LIMIT,
@@ -52,7 +52,7 @@ def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
     names = tuple(data["nodes"])
     for name in names:
         if not isinstance(name, str):
-            raise InputError(f"bad node name {name!r}")
+            raise InputError(f"bad node name {brief(name)}")
     index = {name: i for i, name in enumerate(names)}
     if len(index) != len(names):
         raise InputError("duplicate node names")

@@ -6,10 +6,11 @@ lower bounds into node excesses and deficits, which are cancelled by
 successive shortest paths with node potentials on the residual network
 itself: there is no super source or sink.  Each round runs Dijkstra on
 reduced costs from every node with excess and stops at the first deficit
-it settles, raises the potentials, and then routes as much excess as the
-tight (zero reduced cost) residual arcs can carry to the deficits.  The
-rounds stay few on large instances, and their number does not depend on
-the size of the costs.
+it settles (or reaches at the distance it is settling), raises the
+potentials, and then routes as much excess as the tight (zero reduced
+cost) residual arcs can carry to the deficits.  The rounds stay few on
+large instances, and their number does not depend on the size of the
+costs.
 
 Dijkstra keeps its queue as one list of nodes per tentative distance, plus a
 heap of the distinct distances (Dial's bucket queue, CACM 1969, with a heap
@@ -52,12 +53,12 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
 from .digraph import Digraph, is_circulation
-from .errors import InfeasibleCirculation, InputError, InvariantError
+from .errors import InfeasibleCirculation, InputError, InvariantError, brief
+from .record import Record, set_field
 
 INF = math.inf
 
@@ -68,28 +69,27 @@ DINIC_PHASES = 2
 GLOBAL_RELABEL_SHARE = 0.15
 
 
-@dataclass(frozen=True)
-class CirculationInstance:
+class CirculationInstance(Record):
     """A digraph with per-arc lower bounds and costs, both nonnegative ints."""
 
-    digraph: Digraph
-    lower: tuple[int, ...]
-    cost: tuple[int, ...]
+    _fields = __slots__ = ("digraph", "lower", "cost")
 
-    def __post_init__(self):
-        m = self.digraph.arc_count
-        if len(self.lower) != m or len(self.cost) != m:
+    def __init__(self, digraph: Digraph, lower: tuple[int, ...], cost: tuple[int, ...]):
+        m = digraph.arc_count
+        if len(lower) != m or len(cost) != m:
             raise InputError("lower and cost must have one entry per arc")
         for a in range(m):
-            lb, c = self.lower[a], self.cost[a]
+            lb, c = lower[a], cost[a]
             if not isinstance(lb, int) or lb < 0:
-                raise InputError(f"arc {a}: lower bound {lb!r} must be a nonnegative int")
+                raise InputError(f"arc {a}: lower bound {brief(lb)} must be a nonnegative int")
             if not isinstance(c, int) or c < 0:
-                raise InputError(f"arc {a}: cost {c!r} must be a nonnegative int")
+                raise InputError(f"arc {a}: cost {brief(c)} must be a nonnegative int")
+        set_field(self, "digraph", digraph)
+        set_field(self, "lower", lower)
+        set_field(self, "cost", cost)
 
 
-@dataclass(frozen=True)
-class McfSolution:
+class McfSolution(Record):
     """Optimal flow with a certifying potential.
 
     ``flow[a] >= lower[a]`` for every arc, flow is conserved at every node,
@@ -98,9 +98,12 @@ class McfSolution:
     bound has a tight drop.
     """
 
-    flow: tuple[int, ...]
-    potential: tuple[int, ...]
-    objective: int
+    _fields = __slots__ = ("flow", "potential", "objective")
+
+    def __init__(self, flow: tuple[int, ...], potential: tuple[int, ...], objective: int):
+        set_field(self, "flow", flow)
+        set_field(self, "potential", potential)
+        set_field(self, "objective", objective)
 
 
 def solve(instance: CirculationInstance) -> McfSolution:
@@ -168,7 +171,10 @@ def _dijkstra(adj, head, cap, cst, pot, excess):
     Returns ``(dist, bound)``, where ``bound`` is the distance of that node,
     or ``None`` when no deficit is reachable.  Every node closer than
     ``bound`` is settled, and every other node's true distance is at least
-    ``bound``, which is all the potential update needs.  The queue is a
+    ``bound``, which is all the potential update needs.  So the search
+    also stops, with the same bound, as soon as a relaxation reaches a
+    deficit at the distance being settled: every ``dist`` it leaves
+    unsettled is at least that distance, or ``inf``.  The queue is a
     bucket per tentative distance, with a heap of the distinct distances
     only, so costs of any size work.  A node is listed again when its
     distance drops; the stale entry is skipped because the node is settled
@@ -201,6 +207,10 @@ def _dijkstra(adj, head, cap, cst, pot, excess):
                     w = head[e]
                     nd = pv + cst[e] - pot[w]
                     if nd < dist[w]:
+                        if nd == dv and excess[w] < 0:
+                            # a deficit at the distance being settled:
+                            # the bound is dv, as if it were settled
+                            return dist, dv
                         dist[w] = nd
                         b = buckets.get(nd)
                         if b is None:

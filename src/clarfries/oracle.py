@@ -9,19 +9,21 @@ instance generators feed ``clarfries verify --random`` and the test sweeps.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .digraph import Digraph, sources_sinks
 from .errors import BudgetExceeded, InputError
 from .plane import PlaneBipartiteGraph, alternating_faces
+from .record import Record, set_field
 from .sourcesink import WeightPair
 
 
-@dataclass(frozen=True)
-class OracleBudget:
-    max_arcs: int = 14
-    max_matchings: int = 100_000
+class OracleBudget(Record):
+    _fields = __slots__ = ("max_arcs", "max_matchings")
+
+    def __init__(self, max_arcs: int = 14, max_matchings: int = 100_000):
+        set_field(self, "max_arcs", max_arcs)
+        set_field(self, "max_matchings", max_matchings)
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 7, max_arcs: int = 12) -> Digraph:

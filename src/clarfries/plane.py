@@ -28,11 +28,11 @@ class a Clar-set and the union of both classes a Fries-set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .digraph import Digraph, potential_drops
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, brief
+from .record import Record, set_field
 from .sourcesink import (
     SourceSinkCertificate,
     Weight,
@@ -144,9 +144,9 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     index = {}
     for name in names:
         if not isinstance(name, str) or not name:
-            raise InputError(f"bad node name {name!r}")
+            raise InputError(f"bad node name {brief(name)}")
         if name in index:
-            raise InputError(f"duplicate node name {name!r}")
+            raise InputError(f"duplicate node name {brief(name)}")
         index[name] = len(index)
 
     ns = len(s_names)
@@ -180,49 +180,51 @@ def parse_validate(data) -> PlaneBipartiteGraph:
             raise InputError("each face needs a string 'id' and a 'boundary'")
         name = fobj["id"]
         if name in face_index:
-            raise InputError(f"duplicate face id {name!r}")
+            raise InputError(f"duplicate face id {brief(name)}")
         face_index[name] = fi
         if not isinstance(fobj["boundary"], (list, tuple)):
-            raise InputError(f"face {name!r}: boundary must be a list")
+            raise InputError(f"face {brief(name)}: boundary must be a list")
         if not fobj["boundary"]:
-            raise FaceBoundaryError(f"face {name!r} has an empty boundary")
+            raise FaceBoundaryError(f"face {brief(name)} has an empty boundary")
         walk = []
         for entry in fobj["boundary"]:
             if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise InputError(f"face {name!r}: bad boundary side {entry!r}")
+                raise InputError(f"face {brief(name)}: bad boundary side {brief(entry)}")
             e, sign = entry
             # a plain int, the usual entry, skips the subclass tests
             if type(e) is not int and (isinstance(e, bool) or not isinstance(e, int)):
-                raise InputError(f"face {name!r}: edge {e!r} is not an edge index")
+                raise InputError(f"face {brief(name)}: edge {brief(e)} is not an edge index")
             if sign == "+":
                 side = 2 * e + 1
             elif sign == "-":
                 side = 2 * e
             else:
-                raise InputError(f"face {name!r}: bad side sign {sign!r}")
+                raise InputError(f"face {brief(name)}: bad side sign {brief(sign)}")
             if not (0 <= e < edge_count):
-                raise FaceBoundaryError(f"face {name!r} references unknown edge {e}")
+                raise FaceBoundaryError(f"face {brief(name)} references unknown edge {brief(e)}")
             if side_face[side] >= 0:
                 raise EdgeSideMismatchError(f"edge {e} walked twice in the same direction")
             side_face[side] = fi
             tail = side_tail[side]
             if walk and side_tail[walk[-1] ^ 1] != tail:
                 raise FaceBoundaryError(
-                    f"face {name!r} boundary is not a closed walk at step {len(walk) - 1}"
+                    f"face {brief(name)} boundary is not a closed walk at step {len(walk) - 1}"
                 )
             if walked_from[tail] == fi:
-                raise FaceBoundaryError(f"face {name!r} boundary revisits node {names[tail]}")
+                raise FaceBoundaryError(
+                    f"face {brief(name)} boundary revisits node {brief(names[tail], str)}"
+                )
             walked_from[tail] = fi
             walk.append(side)
         if side_tail[walk[-1] ^ 1] != side_tail[walk[0]]:
             raise FaceBoundaryError(
-                f"face {name!r} boundary is not a closed walk at step {len(walk) - 1}"
+                f"face {brief(name)} boundary is not a closed walk at step {len(walk) - 1}"
             )
         boundaries.append(tuple(walk))
 
     outer = data["outer"]
     if not (isinstance(outer, str) and outer in face_index):
-        raise InputError(f"outer face {outer!r} not among faces")
+        raise InputError(f"outer face {brief(outer)} not among faces")
     face_names = tuple(face_index)
 
     g = object.__new__(PlaneBipartiteGraph)
@@ -456,8 +458,7 @@ def alternating_faces(
     return frozenset(cw), frozenset(acw)
 
 
-@dataclass(frozen=True)
-class ClarFriesResult:
+class ClarFriesResult(Record):
     """Optimal matching with its alternating-face classes and certificate.
 
     ``cw_faces`` and ``acw_faces`` are each node-disjoint families of
@@ -467,11 +468,21 @@ class ClarFriesResult:
     matching, the digraph its nodes, potential and cover refer to.
     """
 
-    matching: frozenset[int]
-    cw_faces: frozenset[int]
-    acw_faces: frozenset[int]
-    value: Weight
-    certificate: SourceSinkCertificate
+    _fields = __slots__ = ("matching", "cw_faces", "acw_faces", "value", "certificate")
+
+    def __init__(
+        self,
+        matching: frozenset[int],
+        cw_faces: frozenset[int],
+        acw_faces: frozenset[int],
+        value: Weight,
+        certificate: SourceSinkCertificate,
+    ):
+        set_field(self, "matching", matching)
+        set_field(self, "cw_faces", cw_faces)
+        set_field(self, "acw_faces", acw_faces)
+        set_field(self, "value", value)
+        set_field(self, "certificate", certificate)
 
 
 def solve_clar_fries(

@@ -40,9 +40,7 @@ certificate alone.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
@@ -55,7 +53,8 @@ from .digraph import (
     normalize_potential,
     potential_drops,
 )
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, brief
+from .record import Record, set_field
 
 Weight = int | Fraction
 
@@ -73,9 +72,9 @@ def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     out = []
     for i, x in enumerate(w):
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-            raise InputError(f"{what}[{i}] = {x!r}; weights must be int or Fraction")
+            raise InputError(f"{what}[{i}] = {brief(x)}; weights must be int or Fraction")
         if x < 0:
-            raise InputError(f"{what}[{i}] = {x} is negative")
+            raise InputError(f"{what}[{i}] = {brief(x, str)} is negative")
         out.append(_whole(x))
     return tuple(out)
 
@@ -100,11 +99,11 @@ def parse_weight_value(value, what: str) -> Weight:
             exponent = int(exponent) if e else 0
             w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
         except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what}: cannot parse weight {value!r}") from exc
+            raise InputError(f"{what}: cannot parse weight {brief(value)}") from exc
         if w is None:
             raise InputError(f"{what}: weight exponent over {DIGIT_LIMIT} in magnitude")
     else:
-        raise InputError(f"{what}: cannot read weight {value!r}")
+        raise InputError(f"{what}: cannot read weight {brief(value)}")
     if w < 0:
         raise InputError(f"{what}: weight must be nonnegative")
     return _whole(w)
@@ -128,27 +127,23 @@ def node_weights_from_json(
     vec = [default] * len(names)
     for name, value in raw.items():
         if name not in index:
-            raise InputError(f"{what} references unknown {item} {name!r}")
+            raise InputError(f"{what} references unknown {item} {brief(name)}")
         vec[index[name]] = parse_weight_value(value, f"{what}[{name}]")
     return tuple(vec)
 
 
-@dataclass(frozen=True)
-class WeightPair:
+class WeightPair(Record):
     """Per-node source and sink weights, nonnegative and exact."""
 
-    source_weight: tuple[Weight, ...]
-    sink_weight: tuple[Weight, ...]
+    _fields = __slots__ = ("source_weight", "sink_weight")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "source_weight", _check_weight_vector(self.source_weight, "source_weight")
-        )
-        object.__setattr__(
-            self, "sink_weight", _check_weight_vector(self.sink_weight, "sink_weight")
-        )
-        if len(self.source_weight) != len(self.sink_weight):
+    def __init__(self, source_weight: Sequence[Weight], sink_weight: Sequence[Weight]):
+        source_weight = _check_weight_vector(source_weight, "source_weight")
+        sink_weight = _check_weight_vector(sink_weight, "sink_weight")
+        if len(source_weight) != len(sink_weight):
             raise InputError("source and sink weight vectors differ in length")
+        set_field(self, "source_weight", source_weight)
+        set_field(self, "sink_weight", sink_weight)
 
     @property
     def node_count(self) -> int:
@@ -282,8 +277,7 @@ def build_aux_network(d: Digraph, weights: WeightPair) -> AuxNetwork:
     return AuxNetwork(d, weights)
 
 
-@dataclass(frozen=True)
-class CircularCover:
+class CircularCover(Record):
     """Certificate that no pair can weigh more than ``cost``.
 
     ``out_cover`` and ``in_cover`` assign integer multiplicities to the
@@ -294,20 +288,21 @@ class CircularCover:
     original arcs are charged.
     """
 
-    out_cover: tuple
-    in_cover: tuple
-    scale: int = 1
+    _fields = __slots__ = ("out_cover", "in_cover", "scale")
 
-    def __post_init__(self):
-        if isinstance(self.scale, bool) or not isinstance(self.scale, int) or self.scale < 1:
-            raise InputError(f"cover scale {self.scale!r} is not a positive int")
-        if len(self.out_cover) != len(self.in_cover):
+    def __init__(self, out_cover: tuple, in_cover: tuple, scale: int = 1):
+        if isinstance(scale, bool) or not isinstance(scale, int) or scale < 1:
+            raise InputError(f"cover scale {brief(scale)} is not a positive int")
+        if len(out_cover) != len(in_cover):
             raise InputError("cover vectors differ in length")
-        if len(self.out_cover) % 2:
+        if len(out_cover) % 2:
             raise InputError("cover vectors must cover the doubled arc set")
-        for x in self.out_cover + self.in_cover:
+        for x in out_cover + in_cover:
             if x < 0:
                 raise InputError("cover multiplicities must be nonnegative")
+        set_field(self, "out_cover", out_cover)
+        set_field(self, "in_cover", in_cover)
+        set_field(self, "scale", scale)
 
     def combined(self) -> tuple:
         """Sum of both covers, in units of ``1/scale``."""
@@ -325,8 +320,7 @@ class CircularCover:
         return _whole(Fraction(self.charge, self.scale))
 
 
-@dataclass(frozen=True)
-class SourceSinkCertificate:
+class SourceSinkCertificate(Record):
     """An optimal pair together with both optimality witnesses, and the
     instance ``(digraph, weights)`` they answer.
 
@@ -336,20 +330,39 @@ class SourceSinkCertificate:
     certificate; its cost equals ``value``, which equals the pair's weight.
     """
 
-    digraph: Digraph
-    weights: WeightPair
-    source_set: frozenset[int]
-    sink_set: frozenset[int]
-    potential: tuple[int, ...]
-    cover: CircularCover
-    value: Weight
+    _fields = (
+        "digraph", "weights", "source_set", "sink_set", "potential", "cover", "value"
+    )
+    __slots__ = _fields + ("_checks",)
 
-    @cached_property
+    def __init__(
+        self,
+        digraph: Digraph,
+        weights: WeightPair,
+        source_set: frozenset[int],
+        sink_set: frozenset[int],
+        potential: tuple[int, ...],
+        cover: CircularCover,
+        value: Weight,
+    ):
+        set_field(self, "digraph", digraph)
+        set_field(self, "weights", weights)
+        set_field(self, "source_set", source_set)
+        set_field(self, "sink_set", sink_set)
+        set_field(self, "potential", potential)
+        set_field(self, "cover", cover)
+        set_field(self, "value", value)
+        set_field(self, "_checks", None)
+
+    @property
     def checks(self) -> dict[str, bool]:
         """:func:`certificate_checks` of this certificate, computed on the
-        first read and kept; a ``dataclasses.replace`` copy computes its
-        own."""
-        return certificate_checks(self)
+        first read and kept; a copy made with :meth:`replace` computes its
+        own.  The checks are not a field: they take no part in equality,
+        hash or repr."""
+        if self._checks is None:
+            set_field(self, "_checks", certificate_checks(self))
+        return self._checks
 
 
 def extract_pair(
@@ -506,8 +519,7 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
     return cert
 
 
-@dataclass(frozen=True)
-class SinkStableResult:
+class SinkStableResult(Record):
     """A maximum-weight sink-stable set with a circuit-family certificate.
 
     ``circuits`` decomposes the certifying cover into one-way circuits of
@@ -516,10 +528,19 @@ class SinkStableResult:
     count of original arcs equals ``value``.
     """
 
-    sink_set: frozenset[int]
-    circuits: tuple[tuple[tuple[int, ...], int], ...]
-    value: Weight
-    certificate: SourceSinkCertificate
+    _fields = __slots__ = ("sink_set", "circuits", "value", "certificate")
+
+    def __init__(
+        self,
+        sink_set: frozenset[int],
+        circuits: tuple[tuple[tuple[int, ...], int], ...],
+        value: Weight,
+        certificate: SourceSinkCertificate,
+    ):
+        set_field(self, "sink_set", sink_set)
+        set_field(self, "circuits", circuits)
+        set_field(self, "value", value)
+        set_field(self, "certificate", certificate)
 
 
 def max_sink_stable(d: Digraph, sink_weight: Sequence[int]) -> SinkStableResult:

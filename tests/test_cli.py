@@ -1,6 +1,10 @@
 import gc
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +257,35 @@ def test_unreadable_json_is_input_error(capsys, tmp_path, raw):
     code, out = run(capsys, "solve-digraph", str(path))
     assert code == 1
     assert list(out) == ["error"]
+
+
+@pytest.mark.parametrize(
+    "w_o",
+    [{"a": "1" * 1_000_000}, {"a": [0] * 200_000}, {"x" * 500_000: 1}],
+    ids=["million-digit-string", "long-list", "long-unknown-name"],
+)
+def test_error_message_cuts_a_huge_value_short(capsys, tmp_path, w_o):
+    path = tmp_path / "huge_value.json"
+    path.write_text(json.dumps({"nodes": ["a", "b"], "arcs": [["a", "b"]], "w_o": w_o}))
+    code = main(["solve-digraph", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert len(captured.out) < 1000 and len(captured.err) < 1000
+    assert list(json.loads(captured.out)) == ["error"]
+
+
+def test_fresh_cli_import_loads_no_dataclasses():
+    # every module a fresh process imports is paid on each CLI call
+    code = (
+        "import sys; before = set(sys.modules); import clarfries.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])
@@ -611,8 +644,8 @@ def test_request_checks_each_certificate_once(
     _count_calls(monkeypatch, [sourcesink], "_check_weight_vector", calls)
     for cls, method in [
         (Digraph, "__init__"),
-        (CirculationInstance, "__post_init__"),
-        (WeightPair, "__post_init__"),
+        (CirculationInstance, "__init__"),
+        (WeightPair, "__init__"),
     ]:
         _count_constructions(monkeypatch, cls, method, calls)
     code, out = run(capsys, command, request.getfixturevalue(input_file))

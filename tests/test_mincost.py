@@ -404,6 +404,31 @@ def test_dijkstra_matches_heap_reference(monkeypatch):
     assert [_outcome(solve, inst) for inst in instances] == fast
 
 
+def test_dijkstra_bound_matches_heap_reference(monkeypatch):
+    """Every Dijkstra of the solves gives the heap reference's bound and
+    the same ``min(dist, bound)``, the part of ``dist`` the potential
+    update reads, also when it stops early at a deficit it reaches."""
+    fast = mincost._dijkstra
+    calls = []
+
+    def compared(adj, head, cap, cst, pot, excess):
+        dist, bound = fast(adj, head, cap, cst, pot, excess)
+        ref_dist, ref_bound = _reference_dijkstra(adj, head, cap, cst, pot, excess)
+        assert bound == ref_bound
+        if bound is None:
+            assert dist == ref_dist
+        else:
+            assert [min(x, bound) for x in dist] == [min(x, bound) for x in ref_dist]
+            # a stop at a deficit settled leaves that deficit's distance set
+            calls.append(any(x == bound for x, b in zip(dist, excess) if b < 0))
+        return dist, bound
+
+    monkeypatch.setattr(mincost, "_dijkstra", compared)
+    for inst in _sweep_instances():
+        _outcome(solve, inst)
+    assert calls and not all(calls)
+
+
 def test_push_relabel_keeps_reference_optimum():
     """Push-relabel routes each round's tail along other paths, so flows
     may differ; objectives, potentials and deficient sets may not, and

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from math import lcm
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from clarfries import (
     CirculationInstance,
+    CircularCover,
     Digraph,
     InputError,
     InvariantError,
@@ -383,19 +385,15 @@ def test_rational_cover_keeps_the_integer_units():
 
 
 def test_doctored_cover_scale_fails_the_checks():
-    import dataclasses
-
     tampered = 0
     for d, w, s in _random_pq_instances(13, 40):
         cert = max_source_sink(d, w)
         with pytest.raises(InputError):
-            dataclasses.replace(cert.cover, scale=0)
+            cert.cover.replace(scale=0)
         if not cert.value:
             continue  # a cover that charges nothing bounds the value by 0 at any scale
         for scale in (2 * s, s + 1):
-            doctored = dataclasses.replace(
-                cert, cover=dataclasses.replace(cert.cover, scale=scale)
-            )
+            doctored = cert.replace(cover=cert.cover.replace(scale=scale))
             checks = certificate_checks(doctored)
             assert not (checks["cover_out"] and checks["cover_in"] and checks["minmax_equal"])
         tampered += 1
@@ -404,31 +402,30 @@ def test_doctored_cover_scale_fails_the_checks():
     # the same integral cover in units of 1/2 proves the same bound
     d, _ = bowtie()
     cert = max_source_sink(d, ones(7))
-    halves = dataclasses.replace(
-        cert.cover,
+    halves = cert.cover.replace(
         out_cover=tuple(2 * x for x in cert.cover.out_cover),
         in_cover=tuple(2 * x for x in cert.cover.in_cover),
         scale=2,
     )
-    assert all(certificate_checks(dataclasses.replace(cert, cover=halves)).values())
-    odd = dataclasses.replace(halves, out_cover=(1,) + halves.out_cover[1:])
-    assert not certificate_checks(dataclasses.replace(cert, cover=odd))["cover_integral"]
+    assert all(certificate_checks(cert.replace(cover=halves)).values())
+    odd = halves.replace(out_cover=(1,) + halves.out_cover[1:])
+    assert not certificate_checks(cert.replace(cover=odd))["cover_integral"]
     # one more unit on one arc leaves its tail short and its head over
     for field in ("out_cover", "in_cover"):
         vector = getattr(cert.cover, field)
-        bumped = dataclasses.replace(cert.cover, **{field: (vector[0] + 1,) + vector[1:]})
-        checks = certificate_checks(dataclasses.replace(cert, cover=bumped))
+        bumped = cert.cover.replace(**{field: (vector[0] + 1,) + vector[1:]})
+        checks = certificate_checks(cert.replace(cover=bumped))
         assert not checks["cover_circulation"]
         assert checks["cover_out"] and checks["cover_in"]
     # a cover of the wrong length is not a certificate of this digraph
-    short = dataclasses.replace(
-        cert.cover, out_cover=cert.cover.out_cover[:-2], in_cover=cert.cover.in_cover[:-2]
+    short = cert.cover.replace(
+        out_cover=cert.cover.out_cover[:-2], in_cover=cert.cover.in_cover[:-2]
     )
     with pytest.raises(InputError, match="one entry per doubled arc"):
-        certificate_checks(dataclasses.replace(cert, cover=short))
+        certificate_checks(cert.replace(cover=short))
     for scale in (True, 1.0, -2):
         with pytest.raises(InputError):
-            dataclasses.replace(cert.cover, scale=scale)
+            cert.cover.replace(scale=scale)
 
 
 def test_scaling_weights_scales_value():
@@ -468,13 +465,11 @@ def test_pair_becomes_sources_and_sinks():
 def test_certificate_checks_catch_tampering():
     d = single_arc()
     cert = max_source_sink(d, ones(2))
-    import dataclasses
-
-    doctored = dataclasses.replace(cert, value=cert.value + 1)
+    doctored = cert.replace(value=cert.value + 1)
     checks = certificate_checks(doctored)
     assert not checks["minmax_equal"]
 
-    overlapping = dataclasses.replace(cert, sink_set=cert.source_set)
+    overlapping = cert.replace(sink_set=cert.source_set)
     checks = certificate_checks(overlapping)
     assert not all(checks.values())
 
@@ -484,21 +479,17 @@ def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
     cert = max_source_sink(d, ones(2))
     assert (cert.digraph, cert.weights) == (d, ones(2))
     assert cert.checks == certificate_checks(cert)
-    import dataclasses
-
-    doctored = dataclasses.replace(cert, value=cert.value + 1)
+    doctored = cert.replace(value=cert.value + 1)
     rendered = certificate_to_json(("u", "v"), doctored)["checks"]
     assert rendered == certificate_checks(doctored)
     assert not rendered["minmax_equal"]
     # checks hold for the instance the certificate carries only
-    other = dataclasses.replace(cert, weights=WeightPair((2, 0), (0, 2)))
+    other = cert.replace(weights=WeightPair((2, 0), (0, 2)))
     assert not all(certificate_to_json(("u", "v"), other)["checks"].values())
 
 
 def test_checks_are_computed_once_per_certificate(monkeypatch):
-    import dataclasses
-
-    cert = dataclasses.replace(max_source_sink(single_arc(), ones(2)))
+    cert = max_source_sink(single_arc(), ones(2)).replace()
     calls = []
     original = sourcesink.certificate_checks
 
@@ -511,6 +502,34 @@ def test_checks_are_computed_once_per_certificate(monkeypatch):
     assert cert.checks is first
     assert len(calls) == 1 and calls[0] is cert
     assert all(first.values())
+
+
+def test_certificates_are_immutable_values():
+    cert = max_source_sink(single_arc(), ones(2))
+    twin = max_source_sink(single_arc(), ones(2))
+    assert cert.checks and twin.checks is not cert.checks
+    # field by field: the kept checks take no part
+    assert twin == cert and hash(twin) == hash(cert)
+    assert cert != cert.replace(value=cert.value + 1)
+    assert WeightPair((1, 0), (0, 1)) != CircularCover((0, 1), (0, 1))
+    assert pickle.loads(pickle.dumps(cert)) == cert
+    assert repr(WeightPair((1, Fraction(1, 2)), (0, 0))) == (
+        "WeightPair(source_weight=(1, Fraction(1, 2)), sink_weight=(0, 0))"
+    )
+    assert repr(cert.cover) == f"CircularCover(out_cover={cert.cover.out_cover!r}, " + (
+        f"in_cover={cert.cover.in_cover!r}, scale=1)"
+    )
+    for record, field in ((cert, "value"), (cert.cover, "scale"), (cert.weights, "extra")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+    with pytest.raises(AttributeError):
+        del cert.value
+    # replace validates through the constructor
+    with pytest.raises(InputError, match="differ in length"):
+        cert.weights.replace(sink_weight=(1,))
+    assert cert.weights.replace(sink_weight=(Fraction(2),) * 2).sink_weight == (2, 2)
+    with pytest.raises(TypeError):
+        cert.replace(checks={})
 
 
 def test_extract_cover_reads_entry_and_exit_flow():
