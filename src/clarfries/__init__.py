@@ -52,10 +52,8 @@ from .sourcesink import (
     WeightPair,
     build_aux_network,
     certificate_checks,
-    constrained_source_sink,
     extract_cover,
     extract_pair,
-    max_cardinality_within,
     max_resonant,
     max_sink_stable,
     max_source_sink,

@@ -27,7 +27,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InputError, InvariantError, brief
-from .record import Record, set_field
+from .record import Record
 
 Arc = tuple[int, int]
 
@@ -163,9 +163,6 @@ class ViolatingCircuit(Record):
     """
 
     _fields = __slots__ = ("steps",)
-
-    def __init__(self, steps: tuple[tuple[int, bool], ...]):
-        set_field(self, "steps", steps)
 
     def arc_ids(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.steps)

@@ -58,7 +58,7 @@ from typing import Sequence
 
 from .digraph import Digraph, is_circulation
 from .errors import InfeasibleCirculation, InputError, InvariantError, brief
-from .record import Record, set_field
+from .record import Record
 
 INF = math.inf
 
@@ -84,9 +84,7 @@ class CirculationInstance(Record):
                 raise InputError(f"arc {a}: lower bound {brief(lb)} must be a nonnegative int")
             if not isinstance(c, int) or c < 0:
                 raise InputError(f"arc {a}: cost {brief(c)} must be a nonnegative int")
-        set_field(self, "digraph", digraph)
-        set_field(self, "lower", lower)
-        set_field(self, "cost", cost)
+        super().__init__(digraph, lower, cost)
 
 
 class McfSolution(Record):
@@ -99,11 +97,6 @@ class McfSolution(Record):
     """
 
     _fields = __slots__ = ("flow", "potential", "objective")
-
-    def __init__(self, flow: tuple[int, ...], potential: tuple[int, ...], objective: int):
-        set_field(self, "flow", flow)
-        set_field(self, "potential", potential)
-        set_field(self, "objective", objective)
 
 
 def solve(instance: CirculationInstance) -> McfSolution:

@@ -14,7 +14,7 @@ from typing import Iterator, Sequence
 from .digraph import Digraph, sources_sinks
 from .errors import BudgetExceeded, InputError
 from .plane import PlaneBipartiteGraph, alternating_faces
-from .record import Record, set_field
+from .record import Record
 from .sourcesink import WeightPair
 
 
@@ -22,8 +22,7 @@ class OracleBudget(Record):
     _fields = __slots__ = ("max_arcs", "max_matchings")
 
     def __init__(self, max_arcs: int = 14, max_matchings: int = 100_000):
-        set_field(self, "max_arcs", max_arcs)
-        set_field(self, "max_matchings", max_matchings)
+        super().__init__(max_arcs, max_matchings)
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 7, max_arcs: int = 12) -> Digraph:

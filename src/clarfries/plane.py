@@ -27,14 +27,12 @@ class a Clar-set and the union of both classes a Fries-set.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Sequence
 
 from .digraph import Digraph, potential_drops
 from .errors import InputError, InvariantError, brief
-from .record import Record, set_field
+from .record import Record
 from .sourcesink import (
-    SourceSinkCertificate,
     Weight,
     WeightPair,
     max_source_sink,
@@ -112,7 +110,7 @@ class PlaneBipartiteGraph:
 
 
 def parse_validate(data) -> PlaneBipartiteGraph:
-    """Build a validated plane graph from its JSON form (dict or string).
+    """Build a validated plane graph from its decoded JSON object.
 
     One pass reads the node names, the edges and each face's boundary,
     checking each entry as it is read: names distinct nonempty strings,
@@ -122,15 +120,6 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     n - e + f = 2, every node must lie on an edge, and the graph must have
     a perfect matching.
     """
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise InputError(str(exc)) from exc
-        except (ValueError, RecursionError) as exc:
-            # ValueError: an integer literal over the interpreter's
-            # int-string digit limit
-            raise InputError(f"cannot read JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError("plane graph input must be a JSON object")
     for key in ("S", "T", "edges", "faces", "outer"):
@@ -469,20 +458,6 @@ class ClarFriesResult(Record):
     """
 
     _fields = __slots__ = ("matching", "cw_faces", "acw_faces", "value", "certificate")
-
-    def __init__(
-        self,
-        matching: frozenset[int],
-        cw_faces: frozenset[int],
-        acw_faces: frozenset[int],
-        value: Weight,
-        certificate: SourceSinkCertificate,
-    ):
-        set_field(self, "matching", matching)
-        set_field(self, "cw_faces", cw_faces)
-        set_field(self, "acw_faces", acw_faces)
-        set_field(self, "value", value)
-        set_field(self, "certificate", certificate)
 
 
 def solve_clar_fries(

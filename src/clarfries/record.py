@@ -1,10 +1,11 @@
 """Immutable records: the package's certificates, results and solver
 inputs that are plain values.
 
-A record names its fields in ``_fields``, in the order of its
-``__init__`` parameters, and keeps them in ``__slots__``.  Its own
-``__init__`` validates the arguments and stores them with
-:data:`set_field`; after that no attribute can be assigned or deleted.
+A record names its fields in ``_fields`` and keeps them in ``__slots__``.
+:class:`Record`'s constructor takes one value per field, in that order;
+a record that validates its input, or has defaults, has its own
+``__init__`` with the same parameters, which passes the fields on to it.
+After that no attribute can be assigned or deleted.
 Records compare, hash and print field by field, and :meth:`Record.replace`
 rebuilds one through its constructor, so a doctored copy is validated
 again.  Unlike dataclasses, these cost a fresh process no import of
@@ -12,13 +13,22 @@ again.  Unlike dataclasses, these cost a fresh process no import of
 import time, which every CLI call would pay.
 """
 
-# how a record's __init__ stores a field past Record.__setattr__
+# how a record stores a slot past Record.__setattr__
 set_field = object.__setattr__
 
 
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self._fields)} values,"
+                f" not {len(values)}"
+            )
+        for name, value in zip(self._fields, values):
+            set_field(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
@@ -47,6 +57,7 @@ class Record:
     def replace(self, **changes):
         """A copy with ``changes`` applied to its fields, built (and
         validated) by the constructor."""
-        fields = dict(zip(self._fields, self._values()))
-        fields.update(changes)
-        return type(self)(**fields)
+        unknown = changes.keys() - self._fields
+        if unknown:
+            raise TypeError(f"{type(self).__qualname__} has no field {min(unknown)!r}")
+        return type(self)(*[changes.get(f, getattr(self, f)) for f in self._fields])

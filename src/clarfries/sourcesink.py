@@ -50,6 +50,7 @@ from .digraph import (
     Digraph,
     bidirect,
     classify_arcs,
+    is_circulation,
     normalize_potential,
     potential_drops,
 )
@@ -128,7 +129,11 @@ def node_weights_from_json(
     for name, value in raw.items():
         if name not in index:
             raise InputError(f"{what} references unknown {item} {brief(name)}")
-        vec[index[name]] = parse_weight_value(value, f"{what}[{name}]")
+        try:
+            vec[index[name]] = parse_weight_value(value, what)
+        except InputError:
+            # raise again under the weight's label, built only on failure
+            parse_weight_value(value, f"{what}[{brief(name, str)}]")
     return tuple(vec)
 
 
@@ -142,8 +147,7 @@ class WeightPair(Record):
         sink_weight = _check_weight_vector(sink_weight, "sink_weight")
         if len(source_weight) != len(sink_weight):
             raise InputError("source and sink weight vectors differ in length")
-        set_field(self, "source_weight", source_weight)
-        set_field(self, "sink_weight", sink_weight)
+        super().__init__(source_weight, sink_weight)
 
     @property
     def node_count(self) -> int:
@@ -300,9 +304,7 @@ class CircularCover(Record):
         for x in out_cover + in_cover:
             if x < 0:
                 raise InputError("cover multiplicities must be nonnegative")
-        set_field(self, "out_cover", out_cover)
-        set_field(self, "in_cover", in_cover)
-        set_field(self, "scale", scale)
+        super().__init__(out_cover, in_cover, scale)
 
     def combined(self) -> tuple:
         """Sum of both covers, in units of ``1/scale``."""
@@ -335,23 +337,8 @@ class SourceSinkCertificate(Record):
     )
     __slots__ = _fields + ("_checks",)
 
-    def __init__(
-        self,
-        digraph: Digraph,
-        weights: WeightPair,
-        source_set: frozenset[int],
-        sink_set: frozenset[int],
-        potential: tuple[int, ...],
-        cover: CircularCover,
-        value: Weight,
-    ):
-        set_field(self, "digraph", digraph)
-        set_field(self, "weights", weights)
-        set_field(self, "source_set", source_set)
-        set_field(self, "sink_set", sink_set)
-        set_field(self, "potential", potential)
-        set_field(self, "cover", cover)
-        set_field(self, "value", value)
+    def __init__(self, *values):
+        super().__init__(*values)
         set_field(self, "_checks", None)
 
     @property
@@ -412,14 +399,10 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
     dg = aux.digraph
     if len(flow) != dg.arc_count:
         raise InputError("flow length does not match the network")
-    net = [0] * dg.node_count
-    for a, ((u, v), f, low) in enumerate(zip(dg.arcs, flow, aux.lower)):
+    for a, (f, low) in enumerate(zip(flow, aux.lower)):
         if f < low:
             raise InputError(f"flow on arc {a} is below its lower bound")
-        if f:
-            net[u] -= f
-            net[v] += f
-    if any(net):
+    if not is_circulation(dg, flow):
         raise InputError("flow is not a circulation")
     return _read_cover(aux, flow, sum(c * f for c, f in zip(aux.cost, flow) if f))
 
@@ -530,18 +513,6 @@ class SinkStableResult(Record):
 
     _fields = __slots__ = ("sink_set", "circuits", "value", "certificate")
 
-    def __init__(
-        self,
-        sink_set: frozenset[int],
-        circuits: tuple[tuple[tuple[int, ...], int], ...],
-        value: Weight,
-        certificate: SourceSinkCertificate,
-    ):
-        set_field(self, "sink_set", sink_set)
-        set_field(self, "circuits", circuits)
-        set_field(self, "value", value)
-        set_field(self, "certificate", certificate)
-
 
 def max_sink_stable(d: Digraph, sink_weight: Sequence[int]) -> SinkStableResult:
     """Maximum-weight set that some reorientation turns into sinks only.
@@ -580,56 +551,3 @@ def max_resonant(d: Digraph, weight: Sequence[Weight]) -> SourceSinkCertificate:
     """
     w = tuple(weight)
     return max_source_sink(d, WeightPair(w, w))
-
-
-def max_cardinality_within(
-    d: Digraph, source_pool: Iterable[int], sink_pool: Iterable[int]
-) -> SourceSinkCertificate:
-    """Largest source-sink pair with sources drawn from ``source_pool`` and
-    sinks from ``sink_pool`` (disjoint pools).
-
-    With nothing forced, :func:`constrained_source_sink` weighs every pool
-    node 1 and every other node 0, so its value is the reported pair's size.
-    """
-    return constrained_source_sink(d, (), source_pool, (), sink_pool)
-
-
-def constrained_source_sink(
-    d: Digraph,
-    forced_sources: Iterable[int],
-    allowed_sources: Iterable[int],
-    forced_sinks: Iterable[int],
-    allowed_sinks: Iterable[int],
-) -> SourceSinkCertificate | None:
-    """Best pair within allowed pools that contains all forced nodes, or
-    ``None`` when no such pair exists.
-
-    Forced nodes get a weight exceeding everything the optional nodes can
-    add together (1 + total pool size), so any feasible pair containing all
-    of them beats every pair missing one; the forced nodes are then in the
-    optimum exactly when the constraint is satisfiable.  The certificate's
-    value is under these weights, not a cardinality.
-    """
-    f_so = frozenset(forced_sources)
-    a_so = frozenset(allowed_sources)
-    f_si = frozenset(forced_sinks)
-    a_si = frozenset(allowed_sinks)
-    if not (f_so <= a_so and f_si <= a_si):
-        raise InputError("forced nodes must lie in the allowed pools")
-    if a_so & a_si:
-        raise InputError("allowed pools overlap")
-    for v in a_so | a_si:
-        if not (0 <= v < d.node_count):
-            raise InputError(f"node {v} out of range")
-    big = 1 + len(a_so) + len(a_si)
-    w_source = tuple(
-        big if v in f_so else 1 if v in a_so else 0 for v in range(d.node_count)
-    )
-    w_sink = tuple(
-        big if v in f_si else 1 if v in a_si else 0 for v in range(d.node_count)
-    )
-    # the pair holds positive-weight nodes only, so it lies in the pools
-    cert = max_source_sink(d, WeightPair(w_source, w_sink))
-    if not (f_so <= cert.source_set and f_si <= cert.sink_set):
-        return None
-    return cert

@@ -254,19 +254,25 @@ def test_error_exits(capsys, tmp_path):
 def test_unreadable_json_is_input_error(capsys, tmp_path, raw):
     path = tmp_path / "unreadable.json"
     path.write_bytes(raw)
-    code, out = run(capsys, "solve-digraph", str(path))
-    assert code == 1
-    assert list(out) == ["error"]
+    for command in ("solve-digraph", "clar"):
+        code, out = run(capsys, command, str(path))
+        assert code == 1
+        assert list(out) == ["error"]
 
 
 @pytest.mark.parametrize(
-    "w_o",
-    [{"a": "1" * 1_000_000}, {"a": [0] * 200_000}, {"x" * 500_000: 1}],
-    ids=["million-digit-string", "long-list", "long-unknown-name"],
+    "name, w_o",
+    [
+        ("a", {"a": "1" * 1_000_000}),
+        ("a", {"a": [0] * 200_000}),
+        ("a", {"x" * 500_000: 1}),
+        ("x" * 500_000, {"x" * 500_000: "bad"}),
+    ],
+    ids=["million-digit-string", "long-list", "long-unknown-name", "long-known-name"],
 )
-def test_error_message_cuts_a_huge_value_short(capsys, tmp_path, w_o):
+def test_error_message_cuts_a_huge_value_short(capsys, tmp_path, name, w_o):
     path = tmp_path / "huge_value.json"
-    path.write_text(json.dumps({"nodes": ["a", "b"], "arcs": [["a", "b"]], "w_o": w_o}))
+    path.write_text(json.dumps({"nodes": [name, "b"], "arcs": [[name, "b"]], "w_o": w_o}))
     code = main(["solve-digraph", str(path)])
     captured = capsys.readouterr()
     assert code == 1
@@ -514,14 +520,16 @@ def test_imperfect_final_matching_exits_internal(capsys, monkeypatch, benzene_fi
 
 @pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
 def test_plane_file_holding_a_json_string_is_input_error(capsys, tmp_path, command):
-    # the file parses to the str "{", which the plane reader would decode again
+    # the file decodes to a str, which is not read as JSON a second time,
+    # even when it holds a valid graph
     path = tmp_path / "string.json"
-    path.write_text('"{"')
-    code = main([command, str(path)])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert len(lines) == 1
-    assert list(json.loads(lines[0])) == ["error"]
+    for text in ('"{"', json.dumps(json.dumps(benzenoid(BENZENE_CENTERS)))):
+        path.write_text(text)
+        code = main([command, str(path)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 1
+        assert len(lines) == 1
+        assert list(json.loads(lines[0])) == ["error"]
 
 
 def _one_of_each_request(capsys, monkeypatch, tmp_path, bowtie_file,

@@ -10,19 +10,21 @@ from hypothesis import strategies as st
 from clarfries import (
     CirculationInstance,
     CircularCover,
+    ClarFriesResult,
     Digraph,
     InputError,
     InvariantError,
+    McfSolution,
+    SinkStableResult,
+    ViolatingCircuit,
     WeightPair,
     apply_reorientation,
     bidirect,
     build_aux_network,
     clar_number,
-    constrained_source_sink,
     fries_number,
     is_circulation,
     is_small_dropping,
-    max_cardinality_within,
     max_resonant,
     max_sink_stable,
     max_source_sink,
@@ -532,6 +534,32 @@ def test_certificates_are_immutable_values():
         cert.replace(checks={})
 
 
+@pytest.mark.parametrize(
+    "cls, values",
+    [
+        (McfSolution, ((2, 2), (0, 1), 2)),
+        (SinkStableResult, (frozenset({1}), (((0, 1), 1),), 1, None)),
+        (ClarFriesResult, (frozenset({0}), frozenset({1}), frozenset(), 1, None)),
+        (ViolatingCircuit, (((0, True), (1, False)),)),
+    ],
+    ids=["McfSolution", "SinkStableResult", "ClarFriesResult", "ViolatingCircuit"],
+)
+def test_value_records_share_one_positional_constructor(cls, values):
+    record = cls(*values)
+    assert tuple(getattr(record, f) for f in cls._fields) == values
+    for wrong in (values[:-1], values + (0,)):
+        with pytest.raises(TypeError):
+            cls(*wrong)
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert record.replace() == record
+    last = cls._fields[-1]
+    changed = record.replace(**{last: "changed"})
+    assert getattr(changed, last) == "changed"
+    assert changed.replace(**{last: values[-1]}) == record
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=0)
+
+
 def test_extract_cover_reads_entry_and_exit_flow():
     d = single_arc()
     w = WeightPair((1, 0), (0, 1))
@@ -632,101 +660,6 @@ def test_resonant_bowtie():
     within = max_resonant(d, tuple(1 if v in u else 0 for v in range(7)))
     assert within.value == 2
     assert within.source_set | within.sink_set <= u
-
-
-def test_max_cardinality_within():
-    d = acyclic_triangle()
-    cert = max_cardinality_within(d, frozenset({0}), frozenset({2}))
-    assert cert.value == 2
-    assert cert.source_set == {0} and cert.sink_set == {2}
-
-    d2, _ = bowtie()
-    cert2 = max_cardinality_within(d2, bowtie_nodes("b1", "b2"), bowtie_nodes("a1", "a3"))
-    assert cert2.source_set <= bowtie_nodes("b1", "b2")
-    assert cert2.sink_set <= bowtie_nodes("a1", "a3")
-    assert cert2.value == len(cert2.source_set) + len(cert2.sink_set)
-
-    with pytest.raises(InputError):
-        max_cardinality_within(d, frozenset({0, 1}), frozenset({1}))
-
-
-def test_constrained_source_sink():
-    d, _ = bowtie()
-    cert = constrained_source_sink(
-        d,
-        allowed_sources=bowtie_nodes("b1", "b2", "b3"),
-        allowed_sinks=bowtie_nodes("a1", "a2", "a3"),
-        forced_sources=bowtie_nodes("b1"),
-        forced_sinks=bowtie_nodes("a1"),
-    )
-    assert cert is not None
-    assert bowtie_nodes("b1") <= cert.source_set
-    assert bowtie_nodes("a1") <= cert.sink_set
-    assert cert.source_set <= bowtie_nodes("b1", "b2", "b3")
-    assert cert.sink_set <= bowtie_nodes("a1", "a2", "a3")
-
-    # a1 as source with x as sink forces a drop of -1 somewhere: impossible
-    impossible = constrained_source_sink(
-        d,
-        allowed_sources=bowtie_nodes("a1"),
-        allowed_sinks=bowtie_nodes("x"),
-        forced_sources=bowtie_nodes("a1"),
-        forced_sinks=bowtie_nodes("x"),
-    )
-    assert impossible is None
-
-
-def test_constrained_pair_checks_its_certificate_once(monkeypatch):
-    calls = []
-    original = sourcesink.certificate_checks
-
-    def counted(cert):
-        calls.append(cert)
-        return original(cert)
-
-    monkeypatch.setattr(sourcesink, "certificate_checks", counted)
-    d, _ = bowtie()
-    # forcing b1 leaves a pair; forcing a1 with x leaves none
-    for forced, feasible in ((bowtie_nodes("b1"), True), (bowtie_nodes("a1"), False)):
-        calls.clear()
-        cert = constrained_source_sink(
-            d,
-            allowed_sources=bowtie_nodes("b1", "b2", "a1"),
-            allowed_sinks=bowtie_nodes("a2", "a3", "x"),
-            forced_sources=forced,
-            forced_sinks=bowtie_nodes("x"),
-        )
-        assert (cert is not None) == feasible
-        assert len(calls) == 1
-
-
-def test_constrained_pair_is_the_pool_weighted_optimum():
-    # the pool weights' optimal pair holds pool nodes only, so the
-    # constrained answer is max_source_sink's certificate, unrestricted
-    rng = random.Random(29)
-    answered = 0
-    for _ in range(150):
-        d = random_digraph(rng, 7, 11)
-        n = d.node_count
-        side = [rng.choice("oi-") for _ in range(n)]
-        a_so = frozenset(v for v in range(n) if side[v] == "o")
-        a_si = frozenset(v for v in range(n) if side[v] == "i")
-        f_so = frozenset(v for v in a_so if rng.random() < 0.3)
-        f_si = frozenset(v for v in a_si if rng.random() < 0.3)
-        big = 1 + len(a_so) + len(a_si)
-        weights = WeightPair(
-            tuple(big if v in f_so else 1 if v in a_so else 0 for v in range(n)),
-            tuple(big if v in f_si else 1 if v in a_si else 0 for v in range(n)),
-        )
-        reference = max_source_sink(d, weights)
-        assert reference.source_set <= a_so and reference.sink_set <= a_si
-        cert = constrained_source_sink(d, f_so, a_so, f_si, a_si)
-        if f_so <= reference.source_set and f_si <= reference.sink_set:
-            assert cert == reference
-            answered += 1
-        else:
-            assert cert is None
-    assert 0 < answered < 150
 
 
 def test_determinism():
