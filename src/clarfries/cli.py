@@ -240,6 +240,9 @@ def main(argv=None) -> int:
     those containers are wasted work (a test checks that a request leaves
     no cyclic garbage).  The caller's collector setting is restored on
     every exit, an uncaught exception included.
+
+    Bad input, a budget exceeded, an unreadable file and running out of
+    memory exit 1 with one ``{"error": ...}`` object on stdout.
     """
     args = _shared_parser().parse_args(argv)
     gc_was_enabled = gc.isenabled()
@@ -249,6 +252,12 @@ def main(argv=None) -> int:
     except (InputError, BudgetExceeded, OSError) as exc:
         _emit({"error": str(exc)}, getattr(args, "pretty", False))
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        # an input too large for this machine is bad input too; the
+        # exception's own text is empty
+        _emit({"error": "out of memory"}, getattr(args, "pretty", False))
+        print("error: out of memory", file=sys.stderr)
         return 1
     except InvariantError as exc:
         _emit({"error": str(exc), "kind": "internal"}, getattr(args, "pretty", False))

@@ -288,6 +288,38 @@ def verify_reorientable(
     return feasible_tension(d, lower, upper)
 
 
+# The class of an arc u -> v at index 3 * role[u] + role[v] (roles as in
+# node_roles): an arc entering the source set or leaving the sink set is
+# incorrect, one leaving the source set or entering the sink set correct.
+# None marks an arc that would be both: its ends lie in one set.
+ROLE_CLASS = (
+    ArcClass.NEUTRAL, ArcClass.INCORRECT, ArcClass.CORRECT,
+    ArcClass.CORRECT, None, ArcClass.CORRECT,
+    ArcClass.INCORRECT, ArcClass.INCORRECT, None,
+)
+
+
+def node_roles(d: Digraph, source_set: Iterable[int], sink_set: Iterable[int]) -> bytearray:
+    """Each node's role: 1 in the source set, 2 in the sink set, else 0.
+
+    Raises :class:`InputError` when the sets overlap or name a node out of
+    range.
+    """
+    so = frozenset(source_set)
+    si = frozenset(sink_set)
+    if so & si:
+        raise InputError("source set and sink set overlap")
+    for v in so | si:
+        if not (0 <= v < d.node_count):
+            raise InputError(f"node {v} out of range")
+    role = bytearray(d.node_count)
+    for v in so:
+        role[v] = 1
+    for v in si:
+        role[v] = 2
+    return role
+
+
 def classify_arcs(
     d: Digraph,
     source_set: Iterable[int],
@@ -299,28 +331,16 @@ def classify_arcs(
     both endpoints inside); otherwise an arc would need reversing and
     keeping at once and the classification is meaningless.
     """
-    so = frozenset(source_set)
-    si = frozenset(sink_set)
-    if so & si:
-        raise InputError("source set and sink set overlap")
-    for v in so | si:
-        if not (0 <= v < d.node_count):
-            raise InputError(f"node {v} out of range")
+    role = node_roles(d, source_set, sink_set)
     classes = []
     for a, (u, v) in enumerate(d.arcs):
-        incorrect = v in so or u in si
-        correct = u in so or v in si
-        if incorrect and correct:
+        cl = ROLE_CLASS[3 * role[u] + role[v]]
+        if cl is None:
             raise InputError(
                 f"arc {a} ({u} -> {v}) has both endpoints in the same set; "
                 "source and sink sets must be stable"
             )
-        if incorrect:
-            classes.append(ArcClass.INCORRECT)
-        elif correct:
-            classes.append(ArcClass.CORRECT)
-        else:
-            classes.append(ArcClass.NEUTRAL)
+        classes.append(cl)
     return tuple(classes)
 
 

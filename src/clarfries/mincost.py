@@ -12,6 +12,15 @@ cost) residual arcs can carry to the deficits.  The rounds stay few on
 large instances, and their number does not depend on the size of the
 costs.
 
+The first round needs no Dijkstra.  It starts at zero potentials and zero
+flow, where the search would find the bound 0 exactly when a path of cost-0
+arcs joins an excess to a deficit, and a bound of 0 leaves the potentials
+as they are.  So the cost-0 slots are listed while the residual network is
+built, and the first round's flow runs on those lists at once.  Only when
+it moves nothing (no such path) does the first Dijkstra run, from the
+unchanged state, as it did before; that is also where an instance with no
+feasible circulation is found.
+
 Dijkstra keeps its queue as one list of nodes per tentative distance, plus a
 heap of the distinct distances (Dial's bucket queue, CACM 1969, with a heap
 over the bucket keys so that costs of any size work).  Nodes at one distance
@@ -129,8 +138,12 @@ def solve(instance: CirculationInstance) -> McfSolution:
     cst[0::2] = cost
     cst[1::2] = [-c for c in cost]
     adj: list[list[int]] = [[] for _ in range(n)]
+    # the tight slots at zero potentials: those of cost 0
+    tight: list[list[int]] = [[] for _ in range(n)]
     for e, u in enumerate(tail):
         adj[u].append(e)
+        if not cst[e]:
+            tight[u].append(e)
 
     excess = [0] * n
     for (u, v), f in zip(arcs, lower):
@@ -140,6 +153,9 @@ def solve(instance: CirculationInstance) -> McfSolution:
     supply = sum(b for b in excess if b > 0)
 
     pot = [0] * n
+    if supply:
+        # the first round's flow, before any Dijkstra (see the module docstring)
+        supply -= _round_flow(adj, head, cap, cst, pot, excess, tight)
     while supply:
         dist, bound = _dijkstra(adj, head, cap, cst, pot, excess)
         if bound is None:
@@ -215,20 +231,22 @@ def _dijkstra(adj, head, cap, cst, pot, excess):
     return dist, None
 
 
-def _round_flow(adj, head, cap, cst, pot, excess):
+def _round_flow(adj, head, cap, cst, pot, excess, tight=None):
     """Move excess to deficits over tight residual arcs until no node with
     excess reaches a deficit through them; return the deficit met.
 
     Tightness depends only on the potentials, which stay fixed for the whole
     call, so each node's tight slots are listed once, in ``adj`` order and
     whatever their residual capacity: pushing flow only changes which listed
-    slots have capacity.  The first :data:`DINIC_PHASES` Dinic phases route
+    slots have capacity.  ``tight`` passes those lists in when the caller
+    has them already.  The first :data:`DINIC_PHASES` Dinic phases route
     most of the flow; push-relabel routes the rest.
     """
-    tight = []
-    for v in range(len(adj)):
-        pv = pot[v]
-        tight.append([e for e in adj[v] if cst[e] + pv == pot[head[e]]])
+    if tight is None:
+        tight = []
+        for v in range(len(adj)):
+            pv = pot[v]
+            tight.append([e for e in adj[v] if cst[e] + pv == pot[head[e]]])
     delivered = 0
     for _ in range(DINIC_PHASES):
         pushed = _dinic_phase(tight, head, cap, excess)

@@ -46,13 +46,13 @@ from typing import Iterable, Mapping, Sequence
 
 from . import mincost
 from .digraph import (
+    ROLE_CLASS,
     ArcClass,
     Digraph,
     bidirect,
-    classify_arcs,
     is_circulation,
+    node_roles,
     normalize_potential,
-    potential_drops,
 )
 from .errors import InputError, InvariantError, brief
 from .record import Record, set_field
@@ -93,12 +93,17 @@ def parse_weight_value(value, what: str) -> Weight:
         w: Weight = value
     elif isinstance(value, (float, str)):
         text = str(value)
+        p, slash, q = text.partition("/")
         try:
-            # Fraction builds 10**exponent: hold it to the digit limit the
-            # JSON reader puts on int literals
-            _, e, exponent = text.lower().partition("e")
-            exponent = int(exponent) if e else 0
-            w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
+            if slash and text.isascii() and p.isdigit() and q.isdigit():
+                # the common "p/q" form, without Fraction's text parser
+                w = Fraction(int(p), int(q))
+            else:
+                # Fraction builds 10**exponent: hold it to the digit limit
+                # the JSON reader puts on int literals
+                _, e, exponent = text.lower().partition("e")
+                exponent = int(exponent) if e else 0
+                w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{what}: cannot parse weight {brief(value)}") from exc
         if w is None:
@@ -426,54 +431,71 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
 
     All entries must be true for a certificate produced by this module;
     they are recomputed from scratch so external consumers can audit a
-    stored certificate.  The cover is compared in its own units, against
-    the weights times its scale, so a cover proves its bound whatever
-    positive scale it states.
+    stored certificate.  The audit is one pass over the arcs (potential
+    drops and the pair's arc classes, :data:`~clarfries.digraph.ROLE_CLASS`)
+    and one over the doubled arcs (the cover).  The cover is compared in
+    its own units, against the weights times its scale, so a cover proves
+    its bound whatever positive scale it states.
     """
     d, weights, cover = cert.digraph, cert.weights, cert.cover
     scale = cover.scale
     checks: dict[str, bool] = {}
     checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
 
-    drops = potential_drops(d, cert.potential)
-    checks["potential_small_dropping"] = all(dr in (0, 1) for dr in drops)
+    potential = cert.potential
+    if len(potential) != d.node_count:
+        raise InputError("potential length does not match node count")
     try:
-        classes = classify_arcs(d, cert.source_set, cert.sink_set)
-        verified = True
-        for dr, cl in zip(drops, classes):
-            if cl is ArcClass.INCORRECT and dr != 1:
-                verified = False
-            elif cl is ArcClass.CORRECT and dr != 0:
-                verified = False
-        checks["pair_verified"] = verified
+        role = node_roles(d, cert.source_set, cert.sink_set)
     except InputError:
-        checks["pair_verified"] = False
+        role = None
+    small = True
+    verified = role is not None
+    incorrect, correct = ArcClass.INCORRECT, ArcClass.CORRECT
+    for u, v in d.arcs:
+        dr = potential[v] - potential[u]
+        if dr != 0 and dr != 1:
+            small = False
+        if verified:
+            cl = ROLE_CLASS[3 * role[u] + role[v]]
+            if cl is incorrect:
+                verified = dr == 1
+            elif cl is correct:
+                verified = dr == 0
+            elif cl is None:  # both ends in one set: the pair is unstable
+                verified = False
+    checks["potential_small_dropping"] = small
+    checks["pair_verified"] = verified
 
     arcs = bidirect(d).arcs
     if len(cover.out_cover) != len(arcs):
         # the cover's own check keeps its vectors equal in length
         raise InputError("circulation vector must have one entry per doubled arc")
     # one pass over the doubled arcs: what each cover sends out of or into
-    # each node, and the net flow of their sum at each node
+    # each node, the net flow of their sum at each node, and whether each
+    # nonzero entry is a whole multiple of the scale
     out_at = [0] * d.node_count
     in_at = [0] * d.node_count
     net = [0] * d.node_count
+    integral = True
     for (u, v), zo, zi in zip(arcs, cover.out_cover, cover.in_cover):
         if zo:
             out_at[u] += zo
             net[u] -= zo
             net[v] += zo
+            if zo % scale:
+                integral = False
         if zi:
             in_at[v] += zi
             net[u] -= zi
             net[v] += zi
+            if zi % scale:
+                integral = False
     checks["cover_out"] = all(z >= w * scale for z, w in zip(out_at, weights.source_weight))
     checks["cover_in"] = all(z >= w * scale for z, w in zip(in_at, weights.sink_weight))
     checks["cover_circulation"] = not any(net)
     if weights.integral:
-        checks["cover_integral"] = all(
-            x % scale == 0 for z in (cover.out_cover, cover.in_cover) for x in z
-        )
+        checks["cover_integral"] = integral
 
     pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
         weights.sink_weight[v] for v in cert.sink_set

@@ -508,6 +508,27 @@ def test_failed_self_check_exits_internal(capsys, monkeypatch, bowtie_file):
     assert "minmax_equal" in out["error"]
 
 
+@pytest.mark.parametrize(
+    "module, name, command, fixture",
+    [
+        (sourcesink, "max_source_sink", "solve-digraph", "bowtie_file"),
+        (plane, "clar_number", "clar", "benzene_file"),
+    ],
+)
+def test_running_out_of_memory_is_an_error_object(
+    capsys, monkeypatch, request, module, name, command, fixture
+):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(module, name, exhausted)
+    code = main([command, request.getfixturevalue(fixture)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines() == ['{"error":"out of memory"}']
+    assert captured.err == "error: out of memory\n"
+
+
 def test_imperfect_final_matching_exits_internal(capsys, monkeypatch, benzene_file):
     monkeypatch.setattr(
         plane, "potential_drops", lambda d, p: (1,) + (0,) * (d.arc_count - 1)

@@ -197,10 +197,11 @@ def _reference_dijkstra(adj, head, cap, cst, pot, excess):
     return dist, None
 
 
-def _reference_blocking_flow(adj, head, cap, cst, pot, excess):
+def _reference_blocking_flow(adj, head, cap, cst, pot, excess, tight=None):
     """Full-scan Dinic over forward levels until no excess reaches a deficit:
     every phase rescans every residual slot and recomputes its reduced
-    cost.  Reference for the tight-list phases and the push-relabel tail."""
+    cost, so it ignores the tight lists that the first round passes in.
+    Reference for the tight-list phases and the push-relabel tail."""
     n = len(adj)
     total = 0
     while True:
@@ -447,6 +448,48 @@ def test_push_relabel_keeps_reference_optimum():
     assert changed
 
 
+def _dijkstra_bounds(monkeypatch):
+    """The bound of every Dijkstra search the solver runs from now on."""
+    bounds = []
+    inner = mincost._dijkstra
+
+    def recorded(*args):
+        dist, bound = inner(*args)
+        bounds.append(bound)
+        return dist, bound
+
+    monkeypatch.setattr(mincost, "_dijkstra", recorded)
+    return bounds
+
+
+def test_first_round_runs_dijkstra_only_without_a_zero_cost_path(monkeypatch):
+    """The first round routes flow over the cost-0 arcs before any Dijkstra.
+    On the two-cycle with a free way back it finishes there; on the
+    two-cycle of ``test_potential_prices_costly_arcs`` no cost-0 path
+    carries flow, so the solve falls through to a Dijkstra of bound 1.
+    Both answers are the reference solver's."""
+    bounds = _dijkstra_bounds(monkeypatch)
+    free = CirculationInstance(two_cycle(), lower=(1, 0), cost=(1, 0))
+    assert _outcome(solve, free) == _outcome(_reference_solve, free)
+    assert bounds == []
+    costly = CirculationInstance(two_cycle(), lower=(1, 0), cost=(0, 1))
+    assert _outcome(solve, costly) == _outcome(_reference_solve, costly)
+    assert bounds == [1]
+
+
+def test_infeasible_instance_reaches_dijkstra(monkeypatch):
+    """An instance with no feasible circulation moves nothing in the first
+    round, and its deficient set still comes from the first Dijkstra: the
+    set the reference solver raises."""
+    inst = CirculationInstance(acyclic_triangle(), lower=(1, 0, 0), cost=(0, 0, 0))
+    expected = _outcome(_reference_solve, inst)
+    bounds = _dijkstra_bounds(monkeypatch)
+    with pytest.raises(InfeasibleCirculation) as err:
+        solve(inst)
+    assert bounds == [None]
+    assert err.value.deficient_set == expected == frozenset({1, 2})
+
+
 def _seeded_digraph(seed, n, m):
     """A random spanning tree on ``n`` nodes plus random arcs, ``m`` in all,
     with source and sink weights 0..10."""
@@ -473,14 +516,13 @@ def _seeded_digraph(seed, n, m):
 )
 def test_work_does_not_grow_with_weight_size(monkeypatch, instance):
     """The solve is strongly polynomial: scaling every weight by 10**30
-    leaves the Dijkstra rounds, Dinic phases, pushes, relabels and global
-    relabels as they are, and the rounds stay within 3n + 2 for a digraph
-    of n nodes (costs are 0 or 1, so the nearest deficit's distance rises
-    by at least 1 a round)."""
-    work = dict.fromkeys(
-        ("_dijkstra", "_dinic_phase", "_global_relabel", "_push_relabel", "pushes", "relabels"), 0
-    )
-    for name in ("_dijkstra", "_dinic_phase", "_global_relabel", "_push_relabel"):
+    leaves the rounds, Dijkstra searches, Dinic phases, pushes, relabels
+    and global relabels as they are, and the rounds stay within 3n + 2 for
+    a digraph of n nodes (costs are 0 or 1, so the nearest deficit's
+    distance rises by at least 1 a round)."""
+    names = ("_round_flow", "_dijkstra", "_dinic_phase", "_global_relabel", "_push_relabel")
+    work = dict.fromkeys(names + ("pushes", "relabels"), 0)
+    for name in names:
         inner = getattr(mincost, name)
 
         def counted(*args, inner=inner, name=name):
@@ -508,7 +550,7 @@ def test_work_does_not_grow_with_weight_size(monkeypatch, instance):
             tuple(factor * x for x in w.sink_weight),
         ),
     )
-    assert 1 < base_work["_dijkstra"] <= 3 * d.node_count + 2
+    assert 1 < base_work["_round_flow"] <= 3 * d.node_count + 2
     assert base_work["pushes"] > 0 and base_work["relabels"] > 0
     assert scaled_work == base_work
     assert base.value > 0

@@ -35,6 +35,7 @@ from clarfries import (
     verify_source_sink,
 )
 from clarfries import sourcesink
+from clarfries.digraph import ArcClass, classify_arcs, potential_drops
 from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
 from fixtures import (
@@ -82,6 +83,59 @@ def test_weight_exponent_over_the_digit_limit_is_input_error(raw):
     with pytest.raises(InputError, match=r"w_o\[a\]: weight exponent over 4300"):
         sourcesink.parse_weight_value(raw, "w_o[a]")
     assert sourcesink.parse_weight_value("1e-4300", "w_o[a]") == Fraction(1, 10**4300)
+
+
+class _TextSpy(Fraction):
+    """``Fraction`` that records every text it parses."""
+
+    texts: list = []
+
+    def __new__(cls, *args):
+        if len(args) == 1 and isinstance(args[0], str):
+            cls.texts.append(args[0])
+        return super().__new__(cls, *args)
+
+
+@pytest.mark.parametrize(
+    "text, fast",
+    [
+        ("3/4", True),
+        ("6/4", True),
+        ("007/3", True),
+        ("0/5", True),
+        ("4/2", True),
+        ("+3/4", False),
+        (" 3/4", False),
+        ("1_000/3", False),
+        ("\u0663/4", False),
+        ("0.25", False),
+        ("1e-3", False),
+    ],
+)
+def test_pq_weights_read_without_the_text_parser(monkeypatch, text, fast):
+    """A weight ``digits/digits`` in ASCII is read as two ints; every other
+    text goes through ``Fraction``'s parser.  Both give ``Fraction(text)``,
+    an int when it is whole."""
+    value = sourcesink.parse_weight_value(text, "w_o[a]")
+    assert value == Fraction(text)
+    assert type(value) is (int if Fraction(text).denominator == 1 else Fraction)
+    _TextSpy.texts = []
+    monkeypatch.setattr(sourcesink, "Fraction", _TextSpy)
+    assert sourcesink.parse_weight_value(text, "w_o[a]") == value
+    assert _TextSpy.texts == ([] if fast else [text])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3/0", "w_o[a]: cannot parse weight '3/0'"),
+        ("1" * 5000 + "/3", "w_o[a]: cannot parse weight '" + "1" * 59 + "..."),
+    ],
+)
+def test_bad_pq_weights_keep_their_error(text, message):
+    with pytest.raises(InputError) as err:
+        sourcesink.parse_weight_value(text, "w_o[a]")
+    assert str(err.value) == message
 
 
 def test_weight_pair_helpers():
@@ -474,6 +528,116 @@ def test_certificate_checks_catch_tampering():
     overlapping = cert.replace(sink_set=cert.source_set)
     checks = certificate_checks(overlapping)
     assert not all(checks.values())
+
+
+def _reference_certificate_checks(cert):
+    """The three-pass audit that the one-pass :func:`certificate_checks`
+    replaced: potential drops, then arc classes, then the cover twice."""
+    d, weights, cover = cert.digraph, cert.weights, cert.cover
+    scale = cover.scale
+    checks = {}
+    checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
+    drops = potential_drops(d, cert.potential)
+    checks["potential_small_dropping"] = all(dr in (0, 1) for dr in drops)
+    try:
+        classes = classify_arcs(d, cert.source_set, cert.sink_set)
+        verified = True
+        for dr, cl in zip(drops, classes):
+            if cl is ArcClass.INCORRECT and dr != 1:
+                verified = False
+            elif cl is ArcClass.CORRECT and dr != 0:
+                verified = False
+        checks["pair_verified"] = verified
+    except InputError:
+        checks["pair_verified"] = False
+    arcs = bidirect(d).arcs
+    if len(cover.out_cover) != len(arcs):
+        raise InputError("circulation vector must have one entry per doubled arc")
+    out_at = [0] * d.node_count
+    in_at = [0] * d.node_count
+    net = [0] * d.node_count
+    for (u, v), zo, zi in zip(arcs, cover.out_cover, cover.in_cover):
+        if zo:
+            out_at[u] += zo
+            net[u] -= zo
+            net[v] += zo
+        if zi:
+            in_at[v] += zi
+            net[u] -= zi
+            net[v] += zi
+    checks["cover_out"] = all(z >= w * scale for z, w in zip(out_at, weights.source_weight))
+    checks["cover_in"] = all(z >= w * scale for z, w in zip(in_at, weights.sink_weight))
+    checks["cover_circulation"] = not any(net)
+    if weights.integral:
+        checks["cover_integral"] = all(
+            x % scale == 0 for z in (cover.out_cover, cover.in_cover) for x in z
+        )
+    pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
+        weights.sink_weight[v] for v in cert.sink_set
+    )
+    checks["minmax_equal"] = pair_weight == cert.value == cover.cost
+    return checks
+
+
+def _audit(checks, cert):
+    """The checks' dict, in key order, or the type and text of what they raise."""
+    try:
+        return list(checks(cert).items())
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _doctored_certificates(cert):
+    """``cert`` and copies doctored to fail each check in its own way."""
+    d, cover = cert.digraph, cert.cover
+    n = d.node_count
+    u, v = d.arcs[0]
+    yield cert
+    yield cert.replace(source_set=cert.source_set | {u}, sink_set=cert.sink_set | {u})
+    yield cert.replace(source_set=cert.source_set | {-1})  # out of range
+    yield cert.replace(sink_set=cert.sink_set | {n})  # out of range and unweighable
+    yield cert.replace(source_set=frozenset({u, v}), sink_set=frozenset())  # unstable
+    for step in (2, -1):
+        potential = list(cert.potential)
+        potential[v] = potential[u] + step
+        yield cert.replace(potential=tuple(potential))
+    if cover.scale == 1:
+        yield cert.replace(
+            cover=cover.replace(out_cover=(cover.out_cover[0] + Fraction(1, 2),) + cover.out_cover[1:])
+        )
+    doubled = cover.replace(
+        out_cover=tuple(2 * x for x in cover.out_cover),
+        in_cover=tuple(2 * x for x in cover.in_cover),
+        scale=2 * cover.scale,
+    )
+    yield cert.replace(cover=doubled)
+    yield cert.replace(cover=cover.replace(scale=2 * cover.scale))  # pays half the weights
+    yield cert.replace(cover=doubled.replace(in_cover=(doubled.in_cover[0] + 1,) + doubled.in_cover[1:]))
+
+
+def test_one_pass_audit_matches_three_pass_reference():
+    """The one-pass audit gives the three-pass audit's dict, key order
+    included, or raises what it raises, on the seeded sweeps and on
+    certificates doctored to overlap, leave the node range, be unstable,
+    drop by 2 or -1, hold a ``Fraction`` at scale 1 or an entry that its
+    scale does not divide."""
+    certs = [max_source_sink(d, w) for d, w in reference_instances()]
+    certs += [max_source_sink(d, w) for d, w, _ in _random_pq_instances(14, 30)]
+    failed = set()
+    raised = 0
+    for cert in certs:
+        for doctored in _doctored_certificates(cert):
+            fast = _audit(certificate_checks, doctored)
+            assert fast == _audit(_reference_certificate_checks, doctored)
+            if isinstance(fast, tuple):
+                raised += 1
+            else:
+                failed.update(k for k, ok in fast if not ok)
+    assert raised
+    assert failed == {
+        "pair_disjoint", "potential_small_dropping", "pair_verified", "cover_out",
+        "cover_in", "cover_circulation", "cover_integral", "minmax_equal",
+    }
 
 
 def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
