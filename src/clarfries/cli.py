@@ -41,25 +41,25 @@ def _emit(obj: dict, pretty: bool) -> None:
     print(text)
 
 
-def _within_weights(args, data, names) -> tuple:
+def _within_weights(args, data, index) -> tuple:
     """Node weights of a sink-stable or resonant request: 1 inside
     ``--within`` and 0 outside, else the input's ``"w"`` map, else all 1.
 
     An empty ``--within`` names no pool and is an input error."""
     if args.within is None:
         if "w" in data:
-            return jsonio.node_weights_from_json(data["w"], names, 0, "w")
-        return (1,) * len(names)
+            return jsonio.node_weights_from_json(data["w"], index, 0, "w")
+        return (1,) * len(index)
     if not args.within.strip():
         raise InputError("--within needs at least one node name")
     pool = {name.strip(): 1 for name in args.within.split(",")}
-    return jsonio.node_weights_from_json(pool, names, 0, "--within")
+    return jsonio.node_weights_from_json(pool, index, 0, "--within")
 
 
 def cmd_solve_digraph(args) -> int:
     data = _load(args.input)
-    d, names = jsonio.digraph_from_json(data)
-    weights = jsonio.weight_pair_from_json(data, names)
+    d, names, index = jsonio.digraph_from_json(data)
+    weights = jsonio.weight_pair_from_json(data, index)
     cert = sourcesink.max_source_sink(d, weights)
     _emit(jsonio.certificate_to_json(names, cert), args.pretty)
     return 0
@@ -67,16 +67,16 @@ def cmd_solve_digraph(args) -> int:
 
 def cmd_sink_stable(args) -> int:
     data = _load(args.input)
-    d, names = jsonio.digraph_from_json(data)
-    result = sourcesink.max_sink_stable(d, _within_weights(args, data, names))
+    d, names, index = jsonio.digraph_from_json(data)
+    result = sourcesink.max_sink_stable(d, _within_weights(args, data, index))
     _emit(jsonio.sink_stable_to_json(names, result), args.pretty)
     return 0
 
 
 def cmd_resonant(args) -> int:
     data = _load(args.input)
-    d, names = jsonio.digraph_from_json(data)
-    cert = sourcesink.max_resonant(d, _within_weights(args, data, names))
+    d, names, index = jsonio.digraph_from_json(data)
+    cert = sourcesink.max_resonant(d, _within_weights(args, data, index))
     payload = jsonio.certificate_to_json(names, cert)
     payload["resonant_set"] = sorted(
         names[v] for v in cert.source_set | cert.sink_set
@@ -124,8 +124,8 @@ def _budget(args) -> oracle.OracleBudget:
 
 
 def _verify_digraph(data, budget) -> dict:
-    d, names = jsonio.digraph_from_json(data)
-    weights = jsonio.weight_pair_from_json(data, names, default=1)
+    d, _names, index = jsonio.digraph_from_json(data)
+    weights = jsonio.weight_pair_from_json(data, index, default=1)
     cert = sourcesink.max_source_sink(d, weights)
     brute_value, _pair = oracle.brute_max_source_sink(d, weights, budget)
     return {

@@ -38,11 +38,10 @@ class Digraph:
     Arcs are identified by their index into ``arcs``; parallel arcs are kept
     distinct.  The underlying undirected graph must be connected and the
     graph must have at least two nodes.  Treat an instance as read-only:
-    its out-adjacency lists and its doubled graph (:func:`bidirect`) are
-    built on first use and kept.
+    its doubled graph (:func:`bidirect`) is built on first use and kept.
     """
 
-    __slots__ = ("node_count", "arcs", "_out", "_bi")
+    __slots__ = ("node_count", "arcs", "_bi")
 
     def __init__(self, node_count: int, arcs: Iterable[Arc]):
         if type(node_count) is not int:
@@ -63,7 +62,6 @@ class Digraph:
             checked.append((u, v))
         self.node_count = node_count
         self.arcs = tuple(checked)
-        self._out = None
         self._bi = None
         self._check_weakly_connected()
 
@@ -78,7 +76,6 @@ class Digraph:
         d = object.__new__(cls)
         d.node_count = node_count
         d.arcs = arcs
-        d._out = None
         d._bi = None
         return d
 
@@ -103,14 +100,6 @@ class Digraph:
     @property
     def arc_count(self) -> int:
         return len(self.arcs)
-
-    def out_arcs(self, v: int) -> tuple[int, ...]:
-        if self._out is None:
-            out = [[] for _ in range(self.node_count)]
-            for a, (u, _) in enumerate(self.arcs):
-                out[u].append(a)
-            self._out = [tuple(x) for x in out]
-        return self._out[v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):
@@ -163,9 +152,6 @@ class ViolatingCircuit(Record):
     """
 
     _fields = __slots__ = ("steps",)
-
-    def arc_ids(self) -> tuple[int, ...]:
-        return tuple(a for a, _ in self.steps)
 
 
 def potential_drops(d: Digraph, potential: Sequence[int]) -> tuple[int, ...]:

@@ -2,11 +2,12 @@
 
 Node names only exist at this boundary, and must be strings; the solvers
 work on integer indices.  Every weight map is read by
-:func:`node_weights_from_json`, where ``null`` reads as an absent map.
-Exact rationals are written as ``"p/q"`` strings and read back
-from ints, strings, or decimal floats (converted via their decimal text,
-so 0.1 means one tenth).  A certificate carries its digraph and weights,
-so rendering one takes only the names of its digraph's nodes.
+:func:`node_weights_from_json`, against the ``{name: position}`` index
+that the request's reader built for its nodes or faces, and ``null`` reads
+as an absent map.  Exact rationals are written as ``"p/q"`` strings and
+read back from ints, strings, or decimal floats (converted via their
+decimal text, so 0.1 means one tenth).  A certificate carries its digraph
+and weights, so rendering one takes only the names of its digraph's nodes.
 """
 
 from __future__ import annotations
@@ -16,18 +17,74 @@ from typing import Mapping, Sequence
 
 from .digraph import Digraph, bidirect
 from .errors import InputError, brief
-from .plane import ClarFriesResult, PlaneBipartiteGraph
-from .sourcesink import (
-    DIGIT_LIMIT,
-    SinkStableResult,
-    SourceSinkCertificate,
-    WeightPair,
-    _whole,
-    node_weights_from_json,
-)
+from .sourcesink import WeightPair, _whole
 
+# the interpreter's default limit on the digits of an int read from or
+# written to a string
+DIGIT_LIMIT = 4300
 
 ANSWER_TOO_LONG = f"answer has an integer over the interpreter's {DIGIT_LIMIT}-digit limit"
+
+
+def parse_weight_value(value, what: str) -> int | Fraction:
+    """Read one weight from its JSON form: an int, a ``"p/q"`` or decimal
+    string, or a float converted via its decimal text (0.1 is one tenth).
+
+    Anything else, including NaN, infinities, a zero denominator and
+    negative values, raises :class:`InputError` naming ``what``.
+    """
+    if isinstance(value, bool):
+        raise InputError(f"{what}: booleans are not weights")
+    if isinstance(value, int):
+        w = value
+    elif isinstance(value, (float, str)):
+        text = str(value)
+        p, slash, q = text.partition("/")
+        try:
+            if slash and text.isascii() and p.isdigit() and q.isdigit():
+                # the common "p/q" form, without Fraction's text parser
+                w = Fraction(int(p), int(q))
+            else:
+                # Fraction builds 10**exponent: hold it to the digit limit
+                # the JSON reader puts on int literals
+                _, e, exponent = text.lower().partition("e")
+                exponent = int(exponent) if e else 0
+                w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"{what}: cannot parse weight {brief(value)}") from exc
+        if w is None:
+            raise InputError(f"{what}: weight exponent over {DIGIT_LIMIT} in magnitude")
+    else:
+        raise InputError(f"{what}: cannot read weight {brief(value)}")
+    if w < 0:
+        raise InputError(f"{what}: weight must be nonnegative")
+    return _whole(w)
+
+
+def node_weights_from_json(
+    raw, index: Mapping[str, int], default, what: str, item: str = "node"
+) -> tuple:
+    """Read ``raw``, the JSON weight map named ``what`` (name -> weight),
+    into one weight per entry of ``index`` (name -> position), ``default``
+    where a name is missing.
+
+    ``null`` reads as an absent map.  ``item`` is the kind of name (node or
+    face) that error messages cite.
+    """
+    if raw is None:
+        raw = {}
+    if not isinstance(raw, Mapping):
+        raise InputError(f"{what} must be a map from {item} name to weight")
+    vec = [default] * len(index)
+    for name, value in raw.items():
+        if name not in index:
+            raise InputError(f"{what} references unknown {item} {brief(name)}")
+        try:
+            vec[index[name]] = parse_weight_value(value, what)
+        except InputError:
+            # raise again under the weight's label, built only on failure
+            parse_weight_value(value, f"{what}[{brief(name, str)}]")
+    return tuple(vec)
 
 
 def render_value(v):
@@ -40,8 +97,9 @@ def render_value(v):
         raise InputError(ANSWER_TOO_LONG) from exc
 
 
-def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
-    """Read ``{"nodes": [...], "arcs": [[tail, head], ...]}``."""
+def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...], dict[str, int]]:
+    """Read ``{"nodes": [...], "arcs": [[tail, head], ...]}`` into the
+    digraph, its node names and their index (name -> node)."""
     if not isinstance(data, Mapping):
         raise InputError("digraph input must be a JSON object")
     if "nodes" not in data or "arcs" not in data:
@@ -65,13 +123,13 @@ def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...]]:
         if not (isinstance(u, str) and u in index and isinstance(v, str) and v in index):
             raise InputError(f"arc {i} references an unknown node")
         arcs.append((index[u], index[v]))
-    return Digraph(len(names), arcs), names
+    return Digraph(len(names), arcs), names, index
 
 
-def weight_pair_from_json(data, names: Sequence[str], default=0) -> WeightPair:
+def weight_pair_from_json(data, index: Mapping[str, int], default=0) -> WeightPair:
     return WeightPair(
-        node_weights_from_json(data.get("w_o"), names, default, "w_o"),
-        node_weights_from_json(data.get("w_i"), names, default, "w_i"),
+        node_weights_from_json(data.get("w_o"), index, default, "w_o"),
+        node_weights_from_json(data.get("w_i"), index, default, "w_i"),
     )
 
 
@@ -88,9 +146,10 @@ def _cover_entries(d: Digraph, names: Sequence[str], vector, scale: int) -> list
     return out
 
 
-def certificate_to_json(names: Sequence[str], cert: SourceSinkCertificate) -> dict:
-    """The certificate with the names of its digraph's nodes, exact values
-    rendered, and its ``checks``."""
+def certificate_to_json(names: Sequence[str], cert) -> dict:
+    """The :class:`~clarfries.sourcesink.SourceSinkCertificate` ``cert``
+    with the names of its digraph's nodes, exact values rendered, and its
+    ``checks``."""
     d = cert.digraph
     return {
         "value": render_value(cert.value),
@@ -106,7 +165,8 @@ def certificate_to_json(names: Sequence[str], cert: SourceSinkCertificate) -> di
     }
 
 
-def sink_stable_to_json(names: Sequence[str], result: SinkStableResult) -> dict:
+def sink_stable_to_json(names: Sequence[str], result) -> dict:
+    """A :class:`~clarfries.sourcesink.SinkStableResult` with node names."""
     d = result.certificate.digraph
     arcs, m = bidirect(d).arcs, d.arc_count
     circuits = []
@@ -126,16 +186,18 @@ def sink_stable_to_json(names: Sequence[str], result: SinkStableResult) -> dict:
     }
 
 
-def matching_to_json(g: PlaneBipartiteGraph, matching) -> list:
-    """The matched edges as sorted ``[S-node, T-node]`` name pairs."""
+def matching_to_json(g, matching) -> list:
+    """The matched edges of the plane graph ``g`` as sorted
+    ``[S-node, T-node]`` name pairs."""
     return sorted(
         [g.node_name(g.edges[e][0]), g.node_name(g.edges[e][1])] for e in matching
     )
 
 
-def clar_fries_to_json(g: PlaneBipartiteGraph, result: ClarFriesResult) -> dict:
-    """The answer with face and node names, and its certificate on the
-    planar dual, whose nodes are the faces."""
+def clar_fries_to_json(g, result) -> dict:
+    """The :class:`~clarfries.plane.ClarFriesResult` ``result`` of ``g``
+    with face and node names, and its certificate on the planar dual,
+    whose nodes are the faces."""
     face_names = g.face_names
     return {
         "value": render_value(result.value),

@@ -475,7 +475,9 @@ def decompose(d: Digraph, values: Sequence) -> list[tuple[tuple[int, ...], int]]
         raise InputError("values do not form a circulation")
 
     rem = list(values)
-    out = [list(d.out_arcs(v)) for v in range(d.node_count)]
+    out: list[list[int]] = [[] for _ in range(d.node_count)]
+    for a, (u, _) in enumerate(d.arcs):
+        out[u].append(a)
     ptr = [0] * d.node_count
     result: list[tuple[tuple[int, ...], int]] = []
 

@@ -31,13 +31,9 @@ from typing import Iterable, Sequence
 
 from .digraph import Digraph, potential_drops
 from .errors import InputError, InvariantError, brief
+from .jsonio import node_weights_from_json
 from .record import Record
-from .sourcesink import (
-    Weight,
-    WeightPair,
-    max_source_sink,
-    node_weights_from_json,
-)
+from .sourcesink import Weight, WeightPair, max_source_sink
 
 
 class NonBipartiteError(InputError):
@@ -104,9 +100,6 @@ class PlaneBipartiteGraph:
         if v < len(self.s_names):
             return self.s_names[v]
         return self.t_names[v - len(self.s_names)]
-
-    def inner_faces(self) -> frozenset[int]:
-        return frozenset(f for f in range(len(self.face_names)) if f != self.outer)
 
 
 def parse_validate(data) -> PlaneBipartiteGraph:
@@ -225,8 +218,8 @@ def parse_validate(data) -> PlaneBipartiteGraph:
     g.outer = face_index[outer]
     g.side_face = side_face
     g.side_tail = side_tail
-    g.cw_weights = node_weights_from_json(data.get("w1"), face_names, 0, "w1", "face")
-    g.acw_weights = node_weights_from_json(data.get("w2"), face_names, 0, "w2", "face")
+    g.cw_weights = node_weights_from_json(data.get("w1"), face_index, 0, "w1", "face")
+    g.acw_weights = node_weights_from_json(data.get("w2"), face_index, 0, "w2", "face")
 
     for e in range(len(edges)):
         plus, minus = side_face[2 * e + 1], side_face[2 * e]

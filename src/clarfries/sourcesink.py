@@ -42,7 +42,7 @@ from __future__ import annotations
 from array import array
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 from . import mincost
 from .digraph import (
@@ -58,10 +58,6 @@ from .errors import InputError, InvariantError, brief
 from .record import Record, set_field
 
 Weight = int | Fraction
-
-# the interpreter's default limit on the digits of an int read from or
-# written to a string
-DIGIT_LIMIT = 4300
 
 
 def _whole(x):
@@ -80,72 +76,16 @@ def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     return tuple(out)
 
 
-def parse_weight_value(value, what: str) -> Weight:
-    """Read one weight from its JSON form: an int, a ``"p/q"`` or decimal
-    string, or a float converted via its decimal text (0.1 is one tenth).
-
-    Anything else, including NaN, infinities, a zero denominator and
-    negative values, raises :class:`InputError` naming ``what``.
-    """
-    if isinstance(value, bool):
-        raise InputError(f"{what}: booleans are not weights")
-    if isinstance(value, int):
-        w: Weight = value
-    elif isinstance(value, (float, str)):
-        text = str(value)
-        p, slash, q = text.partition("/")
-        try:
-            if slash and text.isascii() and p.isdigit() and q.isdigit():
-                # the common "p/q" form, without Fraction's text parser
-                w = Fraction(int(p), int(q))
-            else:
-                # Fraction builds 10**exponent: hold it to the digit limit
-                # the JSON reader puts on int literals
-                _, e, exponent = text.lower().partition("e")
-                exponent = int(exponent) if e else 0
-                w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"{what}: cannot parse weight {brief(value)}") from exc
-        if w is None:
-            raise InputError(f"{what}: weight exponent over {DIGIT_LIMIT} in magnitude")
-    else:
-        raise InputError(f"{what}: cannot read weight {brief(value)}")
-    if w < 0:
-        raise InputError(f"{what}: weight must be nonnegative")
-    return _whole(w)
-
-
-def node_weights_from_json(
-    raw, names: Sequence[str], default, what: str, item: str = "node"
-) -> tuple:
-    """Read ``raw``, the JSON weight map named ``what`` (name -> weight),
-    into one weight per entry of ``names``, ``default`` where a name is
-    missing.
-
-    ``null`` reads as an absent map.  ``item`` is the kind of name (node or
-    face) that error messages cite.
-    """
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, Mapping):
-        raise InputError(f"{what} must be a map from {item} name to weight")
-    index = {name: i for i, name in enumerate(names)}
-    vec = [default] * len(names)
-    for name, value in raw.items():
-        if name not in index:
-            raise InputError(f"{what} references unknown {item} {brief(name)}")
-        try:
-            vec[index[name]] = parse_weight_value(value, what)
-        except InputError:
-            # raise again under the weight's label, built only on failure
-            parse_weight_value(value, f"{what}[{brief(name, str)}]")
-    return tuple(vec)
-
-
 class WeightPair(Record):
-    """Per-node source and sink weights, nonnegative and exact."""
+    """Per-node source and sink weights, nonnegative and exact.
 
-    _fields = __slots__ = ("source_weight", "sink_weight")
+    ``scale`` is the lcm of the weights' denominators, 1 when all are ints,
+    worked out once by the constructor.  It is not a field: it takes no
+    part in equality, hash or repr, and :meth:`replace` and pickling
+    compute it again."""
+
+    _fields = ("source_weight", "sink_weight")
+    __slots__ = _fields + ("scale",)
 
     def __init__(self, source_weight: Sequence[Weight], sink_weight: Sequence[Weight]):
         source_weight = _check_weight_vector(source_weight, "source_weight")
@@ -153,6 +93,9 @@ class WeightPair(Record):
         if len(source_weight) != len(sink_weight):
             raise InputError("source and sink weight vectors differ in length")
         super().__init__(source_weight, sink_weight)
+        # whole weights are ints by now: only the others add a denominator
+        denominators = {x.denominator for x in source_weight + sink_weight if type(x) is not int}
+        set_field(self, "scale", lcm(*denominators))
 
     @property
     def node_count(self) -> int:
@@ -160,7 +103,7 @@ class WeightPair(Record):
 
     @property
     def integral(self) -> bool:
-        return all(isinstance(x, int) for x in self.source_weight + self.sink_weight)
+        return self.scale == 1
 
     @classmethod
     def uniform(cls, node_count: int, value: Weight = 1) -> "WeightPair":
@@ -169,17 +112,6 @@ class WeightPair(Record):
     @classmethod
     def sink_only(cls, sink_weight: Sequence[Weight]) -> "WeightPair":
         return cls((0,) * len(sink_weight), tuple(sink_weight))
-
-    @classmethod
-    def indicator(
-        cls, node_count: int, source_nodes: Iterable[int], sink_nodes: Iterable[int]
-    ) -> "WeightPair":
-        so = frozenset(source_nodes)
-        si = frozenset(sink_nodes)
-        return cls(
-            tuple(1 if v in so else 0 for v in range(node_count)),
-            tuple(1 if v in si else 0 for v in range(node_count)),
-        )
 
 
 class AuxNetwork:
@@ -228,9 +160,8 @@ class AuxNetwork:
             raise InputError("weight vectors must have one entry per node")
         n = d.node_count
         source, sink = weights.source_weight, weights.sink_weight
-        scale = 1
-        if not weights.integral:
-            scale = lcm(*(x.denominator for x in source + sink))
+        scale = weights.scale
+        if scale != 1:
             source = tuple(int(x * scale) for x in source)
             sink = tuple(int(x * scale) for x in sink)
         out_node: list[int | None] = [None] * n
@@ -497,10 +428,15 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     if weights.integral:
         checks["cover_integral"] = integral
 
-    pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
-        weights.sink_weight[v] for v in cert.sink_set
-    )
-    checks["minmax_equal"] = pair_weight == cert.value == cover.cost
+    if all(0 <= v < d.node_count for v in cert.source_set | cert.sink_set):
+        pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
+            weights.sink_weight[v] for v in cert.sink_set
+        )
+        checks["minmax_equal"] = pair_weight == cert.value == cover.cost
+    else:
+        # a pair that names a node outside the digraph has no weight, and
+        # fails pair_verified too
+        checks["minmax_equal"] = False
     return checks
 
 

@@ -53,12 +53,15 @@ def random_closed_walk(rng: random.Random, d: Digraph) -> list[int]:
     """Arc ids of a closed walk in ``d``, found by following random out-arcs
     from a random node until a node repeats.  Every node of ``d`` needs an
     out-arc, as in a doubled graph."""
+    out = [[] for _ in range(d.node_count)]
+    for j, (u, _) in enumerate(d.arcs):
+        out[u].append(j)
     start = rng.randrange(d.node_count)
     seen = {start: 0}
     path = []
     at = start
     while True:
-        j = rng.choice(d.out_arcs(at))
+        j = rng.choice(out[at])
         path.append(j)
         at = d.arcs[j][1]
         if at in seen:

@@ -368,6 +368,50 @@ def _count_calls(monkeypatch, modules, name, calls):
             monkeypatch.setattr(module, name, wrapper)
 
 
+def _spy(monkeypatch, name, seen, pick):
+    """Wrap ``jsonio.name`` or ``plane.name`` wherever jsonio, plane or cli
+    reaches it, appending ``pick(args, result)`` of each call to ``seen``."""
+    owner = jsonio if hasattr(jsonio, name) else plane
+    original = getattr(owner, name)
+
+    def spy(*args):
+        result = original(*args)
+        seen.append(pick(args, result))
+        return result
+
+    for module in (jsonio, plane, cli):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, spy)
+
+
+def test_a_request_reads_its_weight_maps_against_its_own_name_index(
+    capsys, monkeypatch, bowtie_file, benzene_file
+):
+    """Every weight map of a request gets the ``{name: position}`` dict that
+    the request's reader built, the very object, not a rebuilt copy."""
+    indexes, built, graphs = [], [], []
+    _spy(monkeypatch, "node_weights_from_json", indexes, lambda args, _r: args[1])
+    _spy(monkeypatch, "digraph_from_json", built, lambda _a, result: result[2])
+    _spy(monkeypatch, "parse_validate", graphs, lambda _a, result: result)
+
+    assert run(capsys, "solve-digraph", bowtie_file)[0] == 0
+    (index,) = built
+    assert len(indexes) == 2 and indexes[0] is index and indexes[1] is index
+    assert index == {name: v for v, name in enumerate(BOWTIE_NAMES)}
+
+    built.clear()
+    indexes.clear()
+    assert run(capsys, "resonant", bowtie_file, "--within", "a1,b1")[0] == 0
+    assert len(built) == 1 and indexes == [built[0]] and indexes[0] is built[0]
+
+    indexes.clear()
+    assert run(capsys, "clar-fries", benzene_file)[0] == 0
+    (g,) = graphs
+    assert len(indexes) == 2 and indexes[0] is indexes[1]
+    assert indexes[0] == {name: f for f, name in enumerate(g.face_names)}
+    assert type(indexes[0]) is dict
+
+
 @pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
 def test_plane_request_finds_one_matching_and_one_dual(capsys, monkeypatch, tmp_path, command):
     calls = {"perfect_matching": 0, "planar_dual": 0, "orient_by_matching": 0}

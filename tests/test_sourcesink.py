@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clarfries import (
+    AuxNetwork,
     CirculationInstance,
     CircularCover,
     ClarFriesResult,
@@ -34,7 +35,7 @@ from clarfries import (
     sources_sinks,
     verify_source_sink,
 )
-from clarfries import sourcesink
+from clarfries import jsonio, sourcesink
 from clarfries.digraph import ArcClass, classify_arcs, potential_drops
 from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
@@ -81,8 +82,8 @@ def test_weight_exponent_over_the_digit_limit_is_input_error(raw):
     # Fraction would build 10**exponent; the largest one here would take
     # the interpreter minutes
     with pytest.raises(InputError, match=r"w_o\[a\]: weight exponent over 4300"):
-        sourcesink.parse_weight_value(raw, "w_o[a]")
-    assert sourcesink.parse_weight_value("1e-4300", "w_o[a]") == Fraction(1, 10**4300)
+        jsonio.parse_weight_value(raw, "w_o[a]")
+    assert jsonio.parse_weight_value("1e-4300", "w_o[a]") == Fraction(1, 10**4300)
 
 
 class _TextSpy(Fraction):
@@ -116,12 +117,12 @@ def test_pq_weights_read_without_the_text_parser(monkeypatch, text, fast):
     """A weight ``digits/digits`` in ASCII is read as two ints; every other
     text goes through ``Fraction``'s parser.  Both give ``Fraction(text)``,
     an int when it is whole."""
-    value = sourcesink.parse_weight_value(text, "w_o[a]")
+    value = jsonio.parse_weight_value(text, "w_o[a]")
     assert value == Fraction(text)
     assert type(value) is (int if Fraction(text).denominator == 1 else Fraction)
     _TextSpy.texts = []
-    monkeypatch.setattr(sourcesink, "Fraction", _TextSpy)
-    assert sourcesink.parse_weight_value(text, "w_o[a]") == value
+    monkeypatch.setattr(jsonio, "Fraction", _TextSpy)
+    assert jsonio.parse_weight_value(text, "w_o[a]") == value
     assert _TextSpy.texts == ([] if fast else [text])
 
 
@@ -134,7 +135,7 @@ def test_pq_weights_read_without_the_text_parser(monkeypatch, text, fast):
 )
 def test_bad_pq_weights_keep_their_error(text, message):
     with pytest.raises(InputError) as err:
-        sourcesink.parse_weight_value(text, "w_o[a]")
+        jsonio.parse_weight_value(text, "w_o[a]")
     assert str(err.value) == message
 
 
@@ -143,8 +144,37 @@ def test_weight_pair_helpers():
     assert w.source_weight == (1, 1, 1) and w.sink_weight == (1, 1, 1)
     w = WeightPair.sink_only((2, 0, 1))
     assert w.source_weight == (0, 0, 0)
-    w = WeightPair.indicator(4, {1, 3}, {1, 3})
+    indicator = tuple(int(v in {1, 3}) for v in range(4))
+    w = WeightPair(indicator, indicator)
     assert w.source_weight == (0, 1, 0, 1) == w.sink_weight
+
+
+def test_weight_scale_is_the_lcm_of_the_denominators():
+    """``scale`` is worked out once, by the constructor, and the network
+    clears the weights by it."""
+    pairs = [(d, w) for d, w in reference_instances()]
+    pairs += [(d, w) for d, w, _ in _random_pq_instances(14, 30)]
+    for d, w in pairs:
+        s = lcm(*(Fraction(x).denominator for x in w.source_weight + w.sink_weight))
+        assert w.scale == s == AuxNetwork(d, w).scale
+        assert w.integral == (s == 1)
+    assert sum(w.scale > 1 for _, w in pairs) == 30
+
+
+def test_weight_scale_is_no_field():
+    w = WeightPair((Fraction(1, 2), 0), (0, Fraction(1, 3)))
+    assert w.scale == 6
+    # replace and pickle go through the constructor, which computes it again
+    assert w.replace(sink_weight=(0, Fraction(4, 2))).scale == 2
+    assert w.replace(source_weight=(1, 0), sink_weight=(0, 1)).scale == 1
+    copy = pickle.loads(pickle.dumps(w))
+    assert copy == w and copy.scale == 6
+    # equality, hash and repr read the weights only
+    assert WeightPair((1, 2), (0, Fraction(4, 2))) == WeightPair((1, 2), (0, 2))
+    assert hash(w) == hash(WeightPair(w.source_weight, w.sink_weight))
+    assert "scale" not in repr(w)
+    with pytest.raises(AttributeError):
+        w.scale = 1
 
 
 # --- auxiliary network layout -------------------------------------------------
@@ -384,7 +414,8 @@ def test_bowtie_all_ones():
 def test_bowtie_indicator_weights():
     d, _ = bowtie()
     u = bowtie_nodes("a1", "b1", "x")
-    w = WeightPair.indicator(7, u, u)
+    indicator = tuple(int(v in u) for v in range(7))
+    w = WeightPair(indicator, indicator)
     cert = max_source_sink(d, w)
     assert cert.value == 2
     assert cert.cover.cost == 2
@@ -572,10 +603,14 @@ def _reference_certificate_checks(cert):
         checks["cover_integral"] = all(
             x % scale == 0 for z in (cover.out_cover, cover.in_cover) for x in z
         )
-    pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
-        weights.sink_weight[v] for v in cert.sink_set
-    )
-    checks["minmax_equal"] = pair_weight == cert.value == cover.cost
+    pair = cert.source_set | cert.sink_set
+    if all(0 <= v < d.node_count for v in pair):
+        pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
+            weights.sink_weight[v] for v in cert.sink_set
+        )
+        checks["minmax_equal"] = pair_weight == cert.value == cover.cost
+    else:
+        checks["minmax_equal"] = False
     return checks
 
 
@@ -617,27 +652,46 @@ def _doctored_certificates(cert):
 
 def test_one_pass_audit_matches_three_pass_reference():
     """The one-pass audit gives the three-pass audit's dict, key order
-    included, or raises what it raises, on the seeded sweeps and on
+    included, on the seeded sweeps and on
     certificates doctored to overlap, leave the node range, be unstable,
     drop by 2 or -1, hold a ``Fraction`` at scale 1 or an entry that its
-    scale does not divide."""
+    scale does not divide.  None of them raises, and a pair that names a
+    node out of range fails ``pair_verified`` and ``minmax_equal``."""
     certs = [max_source_sink(d, w) for d, w in reference_instances()]
     certs += [max_source_sink(d, w) for d, w, _ in _random_pq_instances(14, 30)]
     failed = set()
-    raised = 0
+    out_of_range = 0
     for cert in certs:
+        n = cert.digraph.node_count
         for doctored in _doctored_certificates(cert):
             fast = _audit(certificate_checks, doctored)
             assert fast == _audit(_reference_certificate_checks, doctored)
-            if isinstance(fast, tuple):
-                raised += 1
-            else:
-                failed.update(k for k, ok in fast if not ok)
-    assert raised
+            checks = dict(fast)
+            failed.update(k for k, ok in checks.items() if not ok)
+            if not all(0 <= v < n for v in doctored.source_set | doctored.sink_set):
+                assert not checks["pair_verified"] and not checks["minmax_equal"]
+                out_of_range += 1
+    assert out_of_range == 2 * len(certs)
     assert failed == {
         "pair_disjoint", "potential_small_dropping", "pair_verified", "cover_out",
         "cover_in", "cover_circulation", "cover_integral", "minmax_equal",
     }
+
+
+def test_a_pair_naming_a_node_out_of_range_fails_its_checks():
+    """Node n has no weight to read and node -1 must not read node n - 1's:
+    either one fails the pair's two checks, with no exception."""
+    cert = max_source_sink(single_arc(), WeightPair((0, 1), (1, 0)))
+    assert (cert.source_set, cert.sink_set, cert.value) == ({1}, {0}, 2)
+    expected = {
+        "pair_disjoint": True, "potential_small_dropping": True,
+        "pair_verified": False, "cover_out": True, "cover_in": True,
+        "cover_circulation": True, "cover_integral": True, "minmax_equal": False,
+    }
+    for node in (-1, 2):
+        doctored = cert.replace(sink_set=cert.sink_set | {node})
+        assert certificate_checks(doctored) == expected
+        assert _reference_certificate_checks(doctored) == expected
 
 
 def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
