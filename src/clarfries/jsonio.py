@@ -13,6 +13,7 @@ and weights, so rendering one takes only the names of its digraph's nodes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .digraph import Digraph, bidirect
@@ -42,14 +43,14 @@ def parse_weight_value(value, what: str) -> int | Fraction:
         p, slash, q = text.partition("/")
         try:
             if slash and text.isascii() and p.isdigit() and q.isdigit():
-                # the common "p/q" form, without Fraction's text parser
-                w = Fraction(int(p), int(q))
-            else:
-                # Fraction builds 10**exponent: hold it to the digit limit
-                # the JSON reader puts on int literals
-                _, e, exponent = text.lower().partition("e")
-                exponent = int(exponent) if e else 0
-                w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
+                # the common "p/q" form, without Fraction's text parser;
+                # digits alone cannot be negative
+                return _whole(Fraction(int(p), int(q)))
+            # Fraction builds 10**exponent: hold it to the digit limit the
+            # JSON reader puts on int literals
+            _, e, exponent = text.lower().partition("e")
+            exponent = int(exponent) if e else 0
+            w = Fraction(text) if abs(exponent) <= DIGIT_LIMIT else None
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{what}: cannot parse weight {brief(value)}") from exc
         if w is None:
@@ -87,14 +88,24 @@ def node_weights_from_json(
     return tuple(vec)
 
 
-def render_value(v):
-    v = _whole(v)
-    if not isinstance(v, Fraction):
-        return v
+def render_ratio(p: int, q: int):
+    """The exact value ``p/q`` (``q`` positive) as JSON: an int when it is
+    whole, else its lowest terms as a ``"p/q"`` string."""
+    g = gcd(p, q)
+    p //= g
+    q //= g
+    if q == 1:
+        return p
     try:
-        return f"{v.numerator}/{v.denominator}"
+        return f"{p}/{q}"
     except ValueError as exc:
         raise InputError(ANSWER_TOO_LONG) from exc
+
+
+def render_value(v):
+    if isinstance(v, Fraction):
+        return render_ratio(v.numerator, v.denominator)
+    return v
 
 
 def digraph_from_json(data) -> tuple[Digraph, tuple[str, ...], dict[str, int]]:
@@ -141,7 +152,12 @@ def _cover_entries(d: Digraph, names: Sequence[str], vector, scale: int) -> list
     for j, z in enumerate(vector):
         if z:
             u, v = arcs[j]
-            value = z if scale == 1 else render_value(Fraction(z, scale))
+            if scale == 1:
+                value = z
+            elif isinstance(z, int):
+                value = render_ratio(z, scale)
+            else:  # a doctored cover may hold a non-integer entry
+                value = render_value(Fraction(z, scale))
             out.append([[names[u], names[v]], value])
     return out
 

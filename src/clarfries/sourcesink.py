@@ -25,12 +25,15 @@ direct arcs) whose sum is a circulation, one sending enough flow out of
 every node to pay its source weight, the other enough into every node to
 pay its sink weight.
 
-Rational weights are cleared to integers inside the auxiliary network:
-its lower bounds are the weights times ``scale``, the lcm of their
-denominators, so every network is a valid :func:`mincost.solve` input.
-The cover keeps the network's integer flows, in units of ``1/scale``, and
-records the scale; only the reported value is divided by it, so values are
-exact and the checks run on ints.
+Rational weights are cleared to integers once, when the
+:class:`WeightPair` is built: ``source_units`` and ``sink_units`` are the
+weights times ``scale``, the lcm of their denominators.  The auxiliary
+network takes its lower bounds from these units, so every network is a
+valid :func:`mincost.solve` input.  The cover keeps the network's integer
+flows, in units of ``1/scale``, and records the scale; the audit compares
+cover and weights cross-multiplied by each other's scale, so values are
+exact and the checks run on ints.  Only the reported value is divided by
+the scale.
 
 Every answer is a :class:`SourceSinkCertificate` that carries the digraph
 and weights it answers, so :func:`certificate_checks` audits it from the
@@ -68,6 +71,16 @@ def _whole(x):
 def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     out = []
     for i, x in enumerate(w):
+        # the exact types first: a Fraction's sign is its numerator's
+        t = type(x)
+        if t is int:
+            if x >= 0:
+                out.append(x)
+                continue
+        elif t is Fraction:
+            if x.numerator >= 0:
+                out.append(x.numerator if x.denominator == 1 else x)
+                continue
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise InputError(f"{what}[{i}] = {brief(x)}; weights must be int or Fraction")
         if x < 0:
@@ -76,16 +89,22 @@ def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     return tuple(out)
 
 
+def _units(weights: tuple, scale: int) -> tuple[int, ...]:
+    """``weights`` times ``scale``, which their denominators divide, as ints."""
+    return tuple([x.numerator * (scale // x.denominator) for x in weights])
+
+
 class WeightPair(Record):
     """Per-node source and sink weights, nonnegative and exact.
 
     ``scale`` is the lcm of the weights' denominators, 1 when all are ints,
-    worked out once by the constructor.  It is not a field: it takes no
-    part in equality, hash or repr, and :meth:`replace` and pickling
-    compute it again."""
+    and ``source_units`` and ``sink_units`` are the weights times ``scale``,
+    as ints: the weights in units of ``1/scale``.  The constructor works
+    them out once.  They are not fields: they take no part in equality,
+    hash or repr, and :meth:`replace` and pickling compute them again."""
 
     _fields = ("source_weight", "sink_weight")
-    __slots__ = _fields + ("scale",)
+    __slots__ = _fields + ("scale", "source_units", "sink_units")
 
     def __init__(self, source_weight: Sequence[Weight], sink_weight: Sequence[Weight]):
         source_weight = _check_weight_vector(source_weight, "source_weight")
@@ -95,7 +114,14 @@ class WeightPair(Record):
         super().__init__(source_weight, sink_weight)
         # whole weights are ints by now: only the others add a denominator
         denominators = {x.denominator for x in source_weight + sink_weight if type(x) is not int}
-        set_field(self, "scale", lcm(*denominators))
+        scale = lcm(*denominators)
+        set_field(self, "scale", scale)
+        if scale == 1:
+            set_field(self, "source_units", source_weight)
+            set_field(self, "sink_units", sink_weight)
+        else:
+            set_field(self, "source_units", _units(source_weight, scale))
+            set_field(self, "sink_units", _units(sink_weight, scale))
 
     @property
     def node_count(self) -> int:
@@ -142,8 +168,8 @@ class AuxNetwork:
 
     ``digraph``, ``lower`` and ``cost`` are the fields :func:`mincost.solve`
     reads, and every network goes to the solver unwrapped: costs are 0 or 1,
-    and lower bounds are the weights times ``scale``, the lcm of their
-    denominators (1 for integral weights), so they are ints too.
+    and lower bounds are the weights' units, the weights times ``scale``
+    (1 for integral weights), so they are ints too.
 
     The network's digraph is derived from ``d`` without re-validation: its
     node ids lie in ``0 .. n + copies - 1``, no arc is a loop, the verticals
@@ -159,11 +185,7 @@ class AuxNetwork:
         if weights.node_count != d.node_count:
             raise InputError("weight vectors must have one entry per node")
         n = d.node_count
-        source, sink = weights.source_weight, weights.sink_weight
-        scale = weights.scale
-        if scale != 1:
-            source = tuple(int(x * scale) for x in source)
-            sink = tuple(int(x * scale) for x in sink)
+        source, sink = weights.source_units, weights.sink_units
         out_node: list[int | None] = [None] * n
         in_node: list[int | None] = [None] * n
         node_count = n
@@ -206,7 +228,7 @@ class AuxNetwork:
         self.digraph = Digraph._derived(node_count, tuple(arcs))
         self.lower = tuple(lower) + (0,) * (len(arcs) - len(lower))
         self.cost = tuple(cost)
-        self.scale = scale
+        self.scale = weights.scale
         self.out_node = out_node
         self.in_node = in_node
         self.out_arc = out_arc
@@ -364,18 +386,21 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     they are recomputed from scratch so external consumers can audit a
     stored certificate.  The audit is one pass over the arcs (potential
     drops and the pair's arc classes, :data:`~clarfries.digraph.ROLE_CLASS`)
-    and one over the doubled arcs (the cover).  The cover is compared in
-    its own units, against the weights times its scale, so a cover proves
-    its bound whatever positive scale it states.
+    and one over the doubled arcs (the cover).  The cover, in units of
+    ``1/cover.scale``, and the weights, in units of ``1/weights.scale``,
+    are compared cross-multiplied by each other's scale, in ints, so a
+    cover proves its bound whatever positive scale it states.
     """
     d, weights, cover = cert.digraph, cert.weights, cert.cover
-    scale = cover.scale
+    ws, cs = weights.scale, cover.scale
     checks: dict[str, bool] = {}
     checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
 
     potential = cert.potential
     if len(potential) != d.node_count:
         raise InputError("potential length does not match node count")
+    if weights.node_count != d.node_count:
+        raise InputError("weight vectors must have one entry per node")
     try:
         role = node_roles(d, cert.source_set, cert.sink_set)
     except InputError:
@@ -404,7 +429,7 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
         raise InputError("circulation vector must have one entry per doubled arc")
     # one pass over the doubled arcs: what each cover sends out of or into
     # each node, the net flow of their sum at each node, and whether each
-    # nonzero entry is a whole multiple of the scale
+    # nonzero entry is a whole multiple of the cover's scale
     out_at = [0] * d.node_count
     in_at = [0] * d.node_count
     net = [0] * d.node_count
@@ -414,25 +439,25 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
             out_at[u] += zo
             net[u] -= zo
             net[v] += zo
-            if zo % scale:
+            if zo % cs:
                 integral = False
         if zi:
             in_at[v] += zi
             net[u] -= zi
             net[v] += zi
-            if zi % scale:
+            if zi % cs:
                 integral = False
-    checks["cover_out"] = all(z >= w * scale for z, w in zip(out_at, weights.source_weight))
-    checks["cover_in"] = all(z >= w * scale for z, w in zip(in_at, weights.sink_weight))
+    checks["cover_out"] = all(z * ws >= w * cs for z, w in zip(out_at, weights.source_units))
+    checks["cover_in"] = all(z * ws >= w * cs for z, w in zip(in_at, weights.sink_units))
     checks["cover_circulation"] = not any(net)
     if weights.integral:
         checks["cover_integral"] = integral
 
     if all(0 <= v < d.node_count for v in cert.source_set | cert.sink_set):
-        pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
-            weights.sink_weight[v] for v in cert.sink_set
+        pair_units = sum(weights.source_units[v] for v in cert.source_set) + sum(
+            weights.sink_units[v] for v in cert.sink_set
         )
-        checks["minmax_equal"] = pair_weight == cert.value == cover.cost
+        checks["minmax_equal"] = pair_units * cs == cover.charge * ws and cert.value == cover.cost
     else:
         # a pair that names a node outside the digraph has no weight, and
         # fails pair_verified too

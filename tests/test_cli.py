@@ -11,6 +11,7 @@ import pytest
 from clarfries import cli, jsonio, plane, sourcesink
 from clarfries.cli import main
 from clarfries.digraph import Digraph
+from clarfries.errors import InputError
 from clarfries.mincost import CirculationInstance
 from clarfries.sourcesink import WeightPair
 from fixtures import BOWTIE_ARCS, BOWTIE_NAMES, benzenoid, BENZENE_CENTERS, NAPHTHALENE_CENTERS
@@ -537,6 +538,38 @@ def test_weights_beyond_the_float_range_solve_exactly(capsys, tmp_path, command,
     expected = jsonio.render_value(value)
     assert out["value"] == cert["value"] == cert["cover_cost"] == expected
     assert all(cert["checks"].values())
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (0, 1), (0, 12), (5, 1), (6, 3), (12, 12), (7, 2), (14, 4), (9, 12),
+        (-3, 6), (_BIG + 2, 2), (1, _BIG + 1), (3 * 10**4400, 3),
+    ],
+    ids=[
+        "0/1", "0/12", "5/1", "6/3", "12/12", "7/2", "14/4", "9/12",
+        "-3/6", "big/2", "1/big", "whole-4401-digits",
+    ],
+)
+def test_integer_renderer_matches_the_fraction_renderer(p, q):
+    """A cover entry ``z`` in units of ``1/scale`` renders as the exact
+    value ``z/scale`` would: an int when whole, else ``"p/q"`` in lowest
+    terms."""
+    rendered = jsonio.render_ratio(p, q)
+    assert rendered == jsonio.render_value(Fraction(p, q))
+    assert type(rendered) is type(jsonio.render_value(Fraction(p, q)))
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [(10**4300, 3), (1, 10**4300 + 1), (10**4300 + 1, 10**4300)],
+    ids=["numerator", "denominator", "both"],
+)
+def test_integer_renderer_keeps_the_digit_limit(p, q):
+    for render in (lambda: jsonio.render_ratio(p, q), lambda: jsonio.render_value(Fraction(p, q))):
+        with pytest.raises(InputError) as raised:
+            render()
+        assert str(raised.value) == jsonio.ANSWER_TOO_LONG
 
 
 def test_failed_self_check_exits_internal(capsys, monkeypatch, bowtie_file):

@@ -177,6 +177,86 @@ def test_weight_scale_is_no_field():
         w.scale = 1
 
 
+def _assert_units(w):
+    for weights, units in ((w.source_weight, w.source_units), (w.sink_weight, w.sink_units)):
+        assert units == tuple(x * w.scale for x in weights)
+        assert all(type(x) is int for x in units)
+
+
+def test_weight_units_are_the_weights_times_the_scale():
+    """The constructor clears the weights to ints once; ``replace`` and
+    pickling clear them again, and the units take no part in equality,
+    hash or repr."""
+    pairs = [w for _, w in reference_instances()]
+    pairs += [w for _, w, _ in _random_pq_instances(14, 30)]
+    for w in pairs:
+        _assert_units(w)
+        if w.integral:
+            assert (w.source_units, w.sink_units) == (w.source_weight, w.sink_weight)
+        _assert_units(pickle.loads(pickle.dumps(w)))
+        _assert_units(w.replace(sink_weight=w.source_weight))
+    w = WeightPair((Fraction(1, 2), 3), (0, Fraction(2, 3)))
+    assert (w.source_units, w.sink_units) == ((3, 18), (0, 4))
+    assert w.replace(sink_weight=(0, 1)).source_units == (1, 6)
+    assert "units" not in repr(w)
+    assert hash(w) == hash(WeightPair(w.source_weight, w.sink_weight))
+    with pytest.raises(AttributeError):
+        w.source_units = (0, 0)
+
+
+def _stream_pq_request(rng, n):
+    """A ``resonant`` request shaped like the benchmark's digraph stream:
+    ``n`` named nodes, 4n arcs (a spanning tree plus random extras) and a
+    ``"p/q"`` weight on every node, read through the JSON reader."""
+    names = [f"v{i}" for i in range(n)]
+    arcs = [[names[rng.randrange(v)], names[v]] for v in range(1, n)]
+    while len(arcs) < 4 * n:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            arcs.append([names[u], names[v]])
+    d, names, index = jsonio.digraph_from_json({"nodes": names, "arcs": arcs})
+    raw = {x: f"{rng.randint(0, 30)}/{rng.choice((2, 3, 4))}" for x in names}
+    return d, names, jsonio.node_weights_from_json(raw, index, 0, "w")
+
+
+def test_a_pq_request_builds_no_fraction_per_node(monkeypatch):
+    """After the reader, a ``"p/q"`` request does integer arithmetic: the
+    solve, its audit and the rendering build a few ``Fraction``s for the
+    reported values, however many nodes the digraph has."""
+    rng = random.Random(25)
+    requests = [_stream_pq_request(rng, n) for n in (30, 45, 60, 240)]
+    new = Fraction.__new__
+    built = []
+
+    def counted(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    counts = []
+    for d, names, weight in requests:
+        built.clear()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+        cert = max_resonant(d, weight)
+        out = certificate_to_json(names, cert)
+        monkeypatch.undo()
+        assert cert.weights.scale > 1 and all(out["checks"].values())
+        entries = out["cover"]["z_o"] + out["cover"]["z_i"]
+        assert any(isinstance(z, str) for _, z in entries)
+        counts.append(len(built))
+    assert max(counts) <= 3, counts
+
+
+def test_audit_rejects_weights_without_one_entry_per_node():
+    """A certificate whose weights have more or fewer entries than its
+    digraph has nodes is malformed: neither passes nor crashes the audit."""
+    d = Digraph(3, [(0, 1), (1, 2)])
+    cert = max_source_sink(d, WeightPair((1, 0, 0), (0, 0, 1)))
+    assert all(cert.checks.values())
+    for weights in (WeightPair((1, 0, 0, 5), (0, 0, 1, 5)), WeightPair((1, 0), (0, 0))):
+        with pytest.raises(InputError, match="^weight vectors must have one entry per node$"):
+            certificate_checks(cert.replace(weights=weights))
+
+
 # --- auxiliary network layout -------------------------------------------------
 
 
@@ -706,6 +786,19 @@ def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
     # checks hold for the instance the certificate carries only
     other = cert.replace(weights=WeightPair((2, 0), (0, 2)))
     assert not all(certificate_to_json(("u", "v"), other)["checks"].values())
+
+
+def test_a_doctored_rational_cover_entry_renders_exactly():
+    """A cover entry that is no int still renders as its exact value over
+    the scale, and the rendered checks fail."""
+    cert = max_source_sink(single_arc(), WeightPair((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    cover = cert.cover
+    assert (cover.scale, cover.out_cover, cover.in_cover) == (2, (1, 0), (1, 2))
+    doctored = cert.replace(cover=cover.replace(out_cover=(1 + Fraction(1, 3), 0)))
+    out = certificate_to_json(("u", "v"), doctored)
+    assert out["cover"]["z_o"] == [[["u", "v"], "2/3"]]
+    assert out["cover"]["z_i"] == [[["u", "v"], "1/2"], [["v", "u"], 1]]
+    assert not out["checks"]["cover_circulation"] and not out["checks"]["minmax_equal"]
 
 
 def test_checks_are_computed_once_per_certificate(monkeypatch):
