@@ -146,19 +146,13 @@ def weight_pair_from_json(data, index: Mapping[str, int], default=0) -> WeightPa
 
 def _cover_entries(d: Digraph, names: Sequence[str], vector, scale: int) -> list:
     """Nonzero entries of a cover vector in units of ``1/scale``, exact;
-    at scale 1 the integer entries are their own rendering."""
+    at scale 1 the entries are their own rendering."""
     arcs = bidirect(d).arcs
     out = []
     for j, z in enumerate(vector):
         if z:
             u, v = arcs[j]
-            if scale == 1:
-                value = z
-            elif isinstance(z, int):
-                value = render_ratio(z, scale)
-            else:  # a doctored cover may hold a non-integer entry
-                value = render_value(Fraction(z, scale))
-            out.append([[names[u], names[v]], value])
+            out.append([[names[u], names[v]], z if scale == 1 else render_ratio(z, scale)])
     return out
 
 

@@ -71,21 +71,12 @@ def _whole(x):
 def _check_weight_vector(w: Sequence, what: str) -> tuple[Weight, ...]:
     out = []
     for i, x in enumerate(w):
-        # the exact types first: a Fraction's sign is its numerator's
-        t = type(x)
-        if t is int:
-            if x >= 0:
-                out.append(x)
-                continue
-        elif t is Fraction:
-            if x.numerator >= 0:
-                out.append(x.numerator if x.denominator == 1 else x)
-                continue
         if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
             raise InputError(f"{what}[{i}] = {brief(x)}; weights must be int or Fraction")
-        if x < 0:
+        # a Fraction's sign is its numerator's, and a whole weight is kept as an int
+        if x.numerator < 0:
             raise InputError(f"{what}[{i}] = {brief(x, str)} is negative")
-        out.append(_whole(x))
+        out.append(x.numerator if x.denominator == 1 else x)
     return tuple(out)
 
 
@@ -242,7 +233,7 @@ def build_aux_network(d: Digraph, weights: WeightPair) -> AuxNetwork:
 class CircularCover(Record):
     """Certificate that no pair can weigh more than ``cost``.
 
-    ``out_cover`` and ``in_cover`` assign integer multiplicities to the
+    ``out_cover`` and ``in_cover`` assign int multiplicities to the
     doubled arc set, in units of ``1/scale``: the flows of the auxiliary
     network, whose weights are scaled by ``scale``.  ``out_cover`` sends at
     least the source weight out of every node, ``in_cover`` at least the
@@ -259,9 +250,11 @@ class CircularCover(Record):
             raise InputError("cover vectors differ in length")
         if len(out_cover) % 2:
             raise InputError("cover vectors must cover the doubled arc set")
-        for x in out_cover + in_cover:
-            if x < 0:
-                raise InputError("cover multiplicities must be nonnegative")
+        entries = out_cover + in_cover
+        if not set(map(type, entries)) <= {int}:
+            raise InputError("cover multiplicities must be ints")
+        if min(entries, default=0) < 0:
+            raise InputError("cover multiplicities must be nonnegative")
         super().__init__(out_cover, in_cover, scale)
 
     def combined(self) -> tuple:

@@ -716,10 +716,6 @@ def _doctored_certificates(cert):
         potential = list(cert.potential)
         potential[v] = potential[u] + step
         yield cert.replace(potential=tuple(potential))
-    if cover.scale == 1:
-        yield cert.replace(
-            cover=cover.replace(out_cover=(cover.out_cover[0] + Fraction(1, 2),) + cover.out_cover[1:])
-        )
     doubled = cover.replace(
         out_cover=tuple(2 * x for x in cover.out_cover),
         in_cover=tuple(2 * x for x in cover.in_cover),
@@ -734,9 +730,10 @@ def test_one_pass_audit_matches_three_pass_reference():
     """The one-pass audit gives the three-pass audit's dict, key order
     included, on the seeded sweeps and on
     certificates doctored to overlap, leave the node range, be unstable,
-    drop by 2 or -1, hold a ``Fraction`` at scale 1 or an entry that its
-    scale does not divide.  None of them raises, and a pair that names a
-    node out of range fails ``pair_verified`` and ``minmax_equal``."""
+    drop by 2 or -1, or hold an entry that its scale does not divide.  None
+    of them raises, and a pair that names a node out of range fails
+    ``pair_verified`` and ``minmax_equal``.  A cover entry that is no int
+    cannot be built (``test_a_cover_entry_must_be_an_int``)."""
     certs = [max_source_sink(d, w) for d, w in reference_instances()]
     certs += [max_source_sink(d, w) for d, w, _ in _random_pq_instances(14, 30)]
     failed = set()
@@ -788,17 +785,24 @@ def test_rendered_checks_of_a_doctored_certificate_are_recomputed():
     assert not all(certificate_to_json(("u", "v"), other)["checks"].values())
 
 
-def test_a_doctored_rational_cover_entry_renders_exactly():
-    """A cover entry that is no int still renders as its exact value over
-    the scale, and the rendered checks fail."""
+def test_a_cover_entry_must_be_an_int():
+    """Cover entries are int multiplicities: a ``Fraction``, a whole one
+    included, a float or a bool is refused at any scale, and the renderer
+    writes every entry over the scale with ints alone."""
     cert = max_source_sink(single_arc(), WeightPair((Fraction(1, 2), 0), (0, Fraction(1, 2))))
     cover = cert.cover
     assert (cover.scale, cover.out_cover, cover.in_cover) == (2, (1, 0), (1, 2))
-    doctored = cert.replace(cover=cover.replace(out_cover=(1 + Fraction(1, 3), 0)))
-    out = certificate_to_json(("u", "v"), doctored)
-    assert out["cover"]["z_o"] == [[["u", "v"], "2/3"]]
+    out = certificate_to_json(("u", "v"), cert)
+    assert out["cover"]["z_o"] == [[["u", "v"], "1/2"]]
     assert out["cover"]["z_i"] == [[["u", "v"], "1/2"], [["v", "u"], 1]]
-    assert not out["checks"]["cover_circulation"] and not out["checks"]["minmax_equal"]
+    for scale in (1, 2):
+        for entry in (1 + Fraction(1, 3), Fraction(2), 1.0, True):
+            with pytest.raises(InputError, match="cover multiplicities must be ints"):
+                cover.replace(out_cover=(entry, 0), scale=scale)
+            with pytest.raises(InputError, match="cover multiplicities must be ints"):
+                CircularCover((0, 0), (0, entry), scale)
+    with pytest.raises(InputError, match="must be nonnegative"):
+        cover.replace(in_cover=(1, -2))
 
 
 def test_checks_are_computed_once_per_certificate(monkeypatch):
