@@ -12,14 +12,23 @@ cost) residual arcs can carry to the deficits.  The rounds stay few on
 large instances, and their number does not depend on the size of the
 costs.
 
+The input is flat: a node count and, per arc, its tail, head, lower bound
+and cost, in parallel sequences, so the auxiliary network reaches the
+solver as the lists it was built in.  The residual network is flat too:
+slot 2a is arc a and slot 2a + 1 its reverse, in one list of heads and one
+of capacities.  Node lists of slots hold each node's slots in ascending
+order, since arc a adds 2a to its tail's list and 2a + 1 to its head's in
+one pass over the arcs.
+
 The first round needs no Dijkstra.  It starts at zero potentials and zero
 flow, where the search would find the bound 0 exactly when a path of cost-0
 arcs joins an excess to a deficit, and a bound of 0 leaves the potentials
-as they are.  So the cost-0 slots are listed while the residual network is
-built, and the first round's flow runs on those lists at once.  Only when
-it moves nothing (no such path) does the first Dijkstra run, from the
-unchanged state, as it did before; that is also where an instance with no
-feasible circulation is found.
+as they are.  So the first round's flow runs at once, on the tight slots
+at zero potentials: those of cost 0.  Only when it moves nothing (no such
+path) does the first Dijkstra run, from the unchanged state; that is also
+where an instance with no feasible circulation is found.  The slot costs
+and the full adjacency lists, which only Dijkstra reads, are built after
+the first round, and only when it leaves supply.
 
 Dijkstra keeps its queue as one list of nodes per tentative distance, plus a
 heap of the distinct distances (Dial's bucket queue, CACM 1969, with a heap
@@ -29,24 +38,24 @@ closer than the first deficit is settled, and every other one is raised by
 that deficit's distance.
 
 Potentials change only between Dijkstra rounds, so each round first lists
-every node's tight residual slots (a slot and its reverse partner are tight
-together), and the round's flow scans only those lists.  Its first two
-steps are Dinic phases.  Each labels every node with the fewest tight
-residual arcs on a path from it to a deficit, by one breadth-first search
-backwards from the deficits that stops at the first node with excess, and
-a depth-first search from each excess at that distance steps only to a
-node one arc closer.  Those are the arcs of the forward level graph that
-lie on a shortest path, met in the same order, so the search finds the
-same paths as a forward Dinic phase without entering its dead ends.  The
-later phases of a round each find only a few paths at the cost of a whole
-search, so the rest of the round is FIFO push-relabel over the same lists
-(Goldberg and Tarjan, JACM 1988), with exact labels recomputed by the
-backward search at the start and after every 0.15 n relabels (Cherkassky
-and Goldberg, Algorithmica 1997).  An excess that can reach no deficit
-stays where push-relabel left it, and the next round's Dijkstra starts from
-there.  On every instance the tests sweep, the potentials and deficient
-sets equal those of Dinic phases run to the end of each round; the flow
-routed may differ.
+every node's tight residual slots, in one pass over the arcs (a slot and
+its reverse partner are tight together), and the round's flow scans only
+those lists.  Its first two steps are Dinic phases.  Each labels every node
+with the fewest tight residual arcs on a path from it to a deficit, by one
+breadth-first search backwards from the deficits that stops at the first
+node with excess, and a depth-first search from each excess at that
+distance steps only to a node one arc closer.  Those are the arcs of the
+forward level graph that lie on a shortest path, met in the same order, so
+the search finds the same paths as a forward Dinic phase without entering
+its dead ends.  The later phases of a round each find only a few paths at
+the cost of a whole search, so the rest of the round is FIFO push-relabel
+over the same lists (Goldberg and Tarjan, JACM 1988), with exact labels
+recomputed by the backward search at the start and after every 0.15 n
+relabels (Cherkassky and Goldberg, Algorithmica 1997).  An excess that can
+reach no deficit stays where push-relabel left it, and the next round's
+Dijkstra starts from there.  On every instance the tests sweep, the
+potentials and deficient sets equal those of Dinic phases run to the end of
+each round; the flow routed may differ.
 
 The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
@@ -63,11 +72,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from heapq import heappop, heappush
+from itertools import count
+from operator import add, mul
 from typing import Sequence
 
 from .digraph import Digraph, is_circulation
 from .errors import InfeasibleCirculation, InputError, InvariantError, brief
-from .record import Record
+from .record import Record, set_field
 
 INF = math.inf
 
@@ -79,9 +90,15 @@ GLOBAL_RELABEL_SHARE = 0.15
 
 
 class CirculationInstance(Record):
-    """A digraph with per-arc lower bounds and costs, both nonnegative ints."""
+    """A digraph with per-arc lower bounds and costs, both nonnegative ints.
 
-    _fields = __slots__ = ("digraph", "lower", "cost")
+    ``node_count``, ``tails`` and ``heads`` are the flat form of the
+    digraph that :func:`solve` reads, worked out once by the constructor.
+    They are not fields: they take no part in equality, hash or repr, and
+    :meth:`replace` and pickling compute them again."""
+
+    _fields = ("digraph", "lower", "cost")
+    __slots__ = _fields + ("node_count", "tails", "heads")
 
     def __init__(self, digraph: Digraph, lower: tuple[int, ...], cost: tuple[int, ...]):
         m = digraph.arc_count
@@ -94,6 +111,9 @@ class CirculationInstance(Record):
             if not isinstance(c, int) or c < 0:
                 raise InputError(f"arc {a}: cost {brief(c)} must be a nonnegative int")
         super().__init__(digraph, lower, cost)
+        set_field(self, "node_count", digraph.node_count)
+        set_field(self, "tails", tuple([u for u, _ in digraph.arcs]))
+        set_field(self, "heads", tuple([v for _, v in digraph.arcs]))
 
 
 class McfSolution(Record):
@@ -111,42 +131,31 @@ class McfSolution(Record):
 def solve(instance: CirculationInstance) -> McfSolution:
     """Compute a minimum-cost circulation meeting all lower bounds.
 
-    ``instance`` needs only the fields ``digraph``, ``lower`` and ``cost``,
-    with one nonnegative int per arc in each of the last two.  They are read
-    unchecked: a :class:`CirculationInstance` has checked them, and
-    :class:`~clarfries.sourcesink.AuxNetwork` builds them that way.
+    ``instance`` needs only the fields ``node_count``, ``tails``, ``heads``,
+    ``lower`` and ``cost``: arc ``a`` runs from ``tails[a]`` to
+    ``heads[a]``, with one nonnegative int per arc in the last two.  They
+    are read unchecked: a :class:`CirculationInstance` derives them from
+    its checked fields, and :class:`~clarfries.sourcesink.AuxNetwork`
+    builds them that way.
 
     Raises :class:`InfeasibleCirculation` with a deficient node set when no
     circulation satisfies the lower bounds.
     """
-    d = instance.digraph
-    n = d.node_count
-    arcs = d.arcs
-    m = len(arcs)
+    n = instance.node_count
+    tails = instance.tails
+    heads = instance.heads
     lower = instance.lower
     cost = instance.cost
+    m = len(tails)
 
     # Paired residual slots: slot 2a is arc a, slot 2a + 1 its reverse.
-    tail = [0] * (2 * m)
-    tail[0::2] = [u for u, _ in arcs]
-    tail[1::2] = [v for _, v in arcs]
     head = [0] * (2 * m)
-    head[0::2] = tail[1::2]
-    head[1::2] = tail[0::2]
+    head[0::2] = heads
+    head[1::2] = tails
     cap = [INF, 0] * m
-    cst = [0] * (2 * m)
-    cst[0::2] = cost
-    cst[1::2] = [-c for c in cost]
-    adj: list[list[int]] = [[] for _ in range(n)]
-    # the tight slots at zero potentials: those of cost 0
-    tight: list[list[int]] = [[] for _ in range(n)]
-    for e, u in enumerate(tail):
-        adj[u].append(e)
-        if not cst[e]:
-            tight[u].append(e)
 
     excess = [0] * n
-    for (u, v), f in zip(arcs, lower):
+    for u, v, f in zip(tails, heads, lower):
         if f:
             excess[u] -= f
             excess[v] += f
@@ -155,21 +164,30 @@ def solve(instance: CirculationInstance) -> McfSolution:
     pot = [0] * n
     if supply:
         # the first round's flow, before any Dijkstra (see the module docstring)
-        supply -= _round_flow(adj, head, cap, cst, pot, excess, tight)
+        supply -= _round_flow(instance, pot, head, cap, excess)
+    if supply:
+        # only Dijkstra reads the slot costs and the full adjacency
+        cst = [0] * (2 * m)
+        cst[0::2] = cost
+        cst[1::2] = [-c for c in cost]
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for e, u, v in zip(count(0, 2), tails, heads):
+            adj[u].append(e)
+            adj[v].append(e + 1)
     while supply:
         dist, bound = _dijkstra(adj, head, cap, cst, pot, excess)
         if bound is None:
             raise InfeasibleCirculation(frozenset(v for v in range(n) if dist[v] < INF))
         pot = [p + (dv if dv < bound else bound) for p, dv in zip(pot, dist)]
-        delivered = _round_flow(adj, head, cap, cst, pot, excess)
+        delivered = _round_flow(instance, pot, head, cap, excess)
         if delivered <= 0:
             raise InvariantError("augmentation round delivered no flow")
         supply -= delivered
 
-    flow = tuple(low + f for low, f in zip(lower, cap[1::2]))
+    flow = tuple(map(add, lower, cap[1::2]))
     potential = tuple(pot)
-    objective = sum(c * f for c, f in zip(cost, flow) if f)
-    _certify(d, lower, cost, flow, potential, objective)
+    objective = sum(map(mul, cost, flow))
+    _certify(instance, flow, potential, objective)
     return McfSolution(flow, potential, objective)
 
 
@@ -231,22 +249,24 @@ def _dijkstra(adj, head, cap, cst, pot, excess):
     return dist, None
 
 
-def _round_flow(adj, head, cap, cst, pot, excess, tight=None):
+def _round_flow(instance, pot, head, cap, excess):
     """Move excess to deficits over tight residual arcs until no node with
     excess reaches a deficit through them; return the deficit met.
 
     Tightness depends only on the potentials, which stay fixed for the whole
-    call, so each node's tight slots are listed once, in ``adj`` order and
-    whatever their residual capacity: pushing flow only changes which listed
-    slots have capacity.  ``tight`` passes those lists in when the caller
-    has them already.  The first :data:`DINIC_PHASES` Dinic phases route
-    most of the flow; push-relabel routes the rest.
+    call, so each node's tight slots are listed once, whatever their
+    residual capacity: pushing flow only changes which listed slots have
+    capacity.  An arc and its reverse slot are tight together, so the lists
+    take one pass over the arcs.  Arc ``a`` appends slot ``2a`` to its
+    tail's list and ``2a + 1`` to its head's, so every list is in ascending
+    slot order.  The first :data:`DINIC_PHASES` Dinic phases route most of
+    the flow; push-relabel routes the rest.
     """
-    if tight is None:
-        tight = []
-        for v in range(len(adj)):
-            pv = pot[v]
-            tight.append([e for e in adj[v] if cst[e] + pv == pot[head[e]]])
+    tight: list[list[int]] = [[] for _ in range(instance.node_count)]
+    for e, u, v, c in zip(count(0, 2), instance.tails, instance.heads, instance.cost):
+        if pot[u] + c == pot[v]:
+            tight[u].append(e)
+            tight[v].append(e + 1)
     delivered = 0
     for _ in range(DINIC_PHASES):
         pushed = _dinic_phase(tight, head, cap, excess)
@@ -436,23 +456,25 @@ def _push_relabel(tight, head, cap, excess):
     return delivered, pushes, relabels
 
 
-def _certify(d, lower, cost, flow, potential, objective):
+def _certify(instance, flow, potential, objective):
     """Optimality check: primal feasible, dual feasible, objectives equal."""
-    net = [0] * d.node_count
+    net = [0] * instance.node_count
     dual = 0
-    for a, (u, v) in enumerate(d.arcs):
-        f = flow[a]
-        if f < lower[a]:
-            raise InvariantError(f"arc {a} flow {f} below lower bound {lower[a]}")
+    for a, u, v, low, c, f in zip(
+        count(), instance.tails, instance.heads, instance.lower, instance.cost, flow
+    ):
+        if f < low:
+            raise InvariantError(f"arc {a} flow {f} below lower bound {low}")
         if f:
             net[u] -= f
             net[v] += f
-        slack = cost[a] - (potential[v] - potential[u])
+        slack = c - (potential[v] - potential[u])
         if slack < 0:
             raise InvariantError(f"arc {a} potential drop exceeds cost")
-        if slack > 0 and f > lower[a]:
-            raise InvariantError(f"arc {a} carries slack flow on a non-tight arc")
-        dual += lower[a] * slack
+        if slack:
+            if f > low:
+                raise InvariantError(f"arc {a} carries slack flow on a non-tight arc")
+            dual += low * slack
     if any(net):
         raise InvariantError("flow is not conserved")
     if dual != objective:

@@ -41,6 +41,34 @@ def random_digraph(rng: random.Random, max_nodes: int = 7, max_arcs: int = 12) -
     return Digraph(n, arcs)
 
 
+def sparse_instance(n: int, m: int, seed: int = 12) -> tuple[Digraph, WeightPair]:
+    """Criterion 12's instance shape at any size: a random spanning tree on
+    ``n`` nodes in shuffled order, uniform extra arcs until there are ``m``
+    (``n >= 2``, ``m >= n - 1``), and source and sink weights in 0..10, all
+    drawn from ``random.Random(seed)``.  The acceptance tests and
+    ``tools/scale_probe.py`` build their large instances with it."""
+    rng = random.Random(seed)
+    arcs = []
+    order = list(range(n))
+    rng.shuffle(order)
+    for i in range(1, n):
+        prev = order[rng.randrange(i)]
+        if rng.random() < 0.5:
+            arcs.append((prev, order[i]))
+        else:
+            arcs.append((order[i], prev))
+    while len(arcs) < m:
+        u = rng.randrange(n)
+        v = rng.randrange(n)
+        if u != v:
+            arcs.append((u, v))
+    weights = WeightPair(
+        tuple(rng.randrange(0, 11) for _ in range(n)),
+        tuple(rng.randrange(0, 11) for _ in range(n)),
+    )
+    return Digraph(n, arcs), weights
+
+
 def random_weight_pair(rng: random.Random, n: int, top: int = 3) -> WeightPair:
     return WeightPair(
         tuple(rng.randint(0, top) for _ in range(n)),

@@ -157,19 +157,24 @@ class AuxNetwork:
     may count as in-cover because its head has sink weight 0, which the
     cover need not pay.
 
-    ``digraph``, ``lower`` and ``cost`` are the fields :func:`mincost.solve`
-    reads, and every network goes to the solver unwrapped: costs are 0 or 1,
-    and lower bounds are the weights' units, the weights times ``scale``
-    (1 for integral weights), so they are ints too.
+    ``node_count``, ``tails``, ``heads``, ``lower`` and ``cost`` are the
+    fields :func:`mincost.solve` reads, and every network goes to the solver
+    unwrapped: arc ``a`` runs from ``tails[a]`` to ``heads[a]``, costs are
+    0 or 1, and lower bounds are the weights' units, the weights times
+    ``scale`` (1 for integral weights), so they are ints too.
 
-    The network's digraph is derived from ``d`` without re-validation: its
-    node ids lie in ``0 .. n + copies - 1``, no arc is a loop, the verticals
+    ``digraph`` is the same network as a :class:`Digraph`, built on the
+    first read and kept: the solve and the certificate read the flat
+    arcs only, and :func:`extract_pair` and :func:`extract_cover` the
+    digraph.  It is derived from ``d`` without re-validation: its node
+    ids lie in ``0 .. node_count - 1``, no arc is a loop, the verticals
     tie every copy to its node, and every arc of ``d`` joins its ends
     through a copy or directly, so it is connected because ``d`` is.
     """
 
     __slots__ = (
-        "digraph", "lower", "cost", "scale", "out_node", "in_node", "out_arc", "in_arc"
+        "node_count", "tails", "heads", "lower", "cost", "scale",
+        "out_node", "in_node", "out_arc", "in_arc", "_digraph",
     )
 
     def __init__(self, d: Digraph, weights: WeightPair):
@@ -185,45 +190,62 @@ class AuxNetwork:
                 if weight[v]:
                     copy[v] = node_count
                     node_count += 1
-        arcs: list[tuple[int, int]] = []
+        tails: list[int] = []
+        heads: list[int] = []
         lower: list[int] = []
         for v in range(n):
-            if in_node[v] is not None:
-                arcs.append((in_node[v], v))
+            i = in_node[v]
+            if i is not None:
+                tails.append(i)
+                heads.append(v)
                 lower.append(sink[v])
-            if out_node[v] is not None:
-                arcs.append((v, out_node[v]))
+            o = out_node[v]
+            if o is not None:
+                tails.append(v)
+                heads.append(o)
                 lower.append(source[v])
-        cost = [0] * len(arcs)
+        cost = [0] * len(tails)
         # typed arrays: one machine word per doubled arc, not an int object
         out_arc = array("q")
         in_arc = array("q")
         m = d.arc_count
-        for j, (u, w) in enumerate(bidirect(d).arcs):
-            # the m original arcs (cost 1) come before their reverse copies
-            c = 1 if j < m else 0
-            o, i = out_node[u], in_node[w]
-            if o is None or i is not None:
-                # the sink entry, or the direct arc when neither copy exists
-                in_arc.append(len(arcs))
-                arcs.append((u, w if i is None else i))
-                cost.append(c)
-            else:
-                in_arc.append(-1)
-            if o is not None:
-                out_arc.append(len(arcs))
-                arcs.append((o, w))
-                cost.append(c)
-            else:
-                out_arc.append(-1)
-        self.digraph = Digraph._derived(node_count, tuple(arcs))
-        self.lower = tuple(lower) + (0,) * (len(arcs) - len(lower))
+        doubled = bidirect(d).arcs
+        # the m original arcs (cost 1) come before their reverse copies
+        for c, part in ((1, doubled[:m]), (0, doubled[m:])):
+            for u, w in part:
+                o, i = out_node[u], in_node[w]
+                if o is None or i is not None:
+                    # the sink entry, or the direct arc when neither copy exists
+                    in_arc.append(len(tails))
+                    tails.append(u)
+                    heads.append(w if i is None else i)
+                    cost.append(c)
+                else:
+                    in_arc.append(-1)
+                if o is not None:
+                    out_arc.append(len(tails))
+                    tails.append(o)
+                    heads.append(w)
+                    cost.append(c)
+                else:
+                    out_arc.append(-1)
+        self.node_count = node_count
+        self.tails = tails
+        self.heads = heads
+        self.lower = tuple(lower) + (0,) * (len(tails) - len(lower))
         self.cost = tuple(cost)
         self.scale = weights.scale
         self.out_node = out_node
         self.in_node = in_node
         self.out_arc = out_arc
         self.in_arc = in_arc
+        self._digraph = None
+
+    @property
+    def digraph(self) -> Digraph:
+        if self._digraph is None:
+            self._digraph = Digraph._derived(self.node_count, tuple(zip(self.tails, self.heads)))
+        return self._digraph
 
 
 def build_aux_network(d: Digraph, weights: WeightPair) -> AuxNetwork:
@@ -239,9 +261,15 @@ class CircularCover(Record):
     least the source weight out of every node, ``in_cover`` at least the
     sink weight into every node, their sum is a circulation, and only
     original arcs are charged.
+
+    ``cost``, the exact cover cost ``charge`` over ``scale`` (an int when
+    whole), is worked out once by the constructor.  It is not a field: it
+    takes no part in equality, hash or repr, and :meth:`replace` and
+    pickling compute it again.
     """
 
-    _fields = __slots__ = ("out_cover", "in_cover", "scale")
+    _fields = ("out_cover", "in_cover", "scale")
+    __slots__ = _fields + ("cost",)
 
     def __init__(self, out_cover: tuple, in_cover: tuple, scale: int = 1):
         if isinstance(scale, bool) or not isinstance(scale, int) or scale < 1:
@@ -256,6 +284,20 @@ class CircularCover(Record):
         if min(entries, default=0) < 0:
             raise InputError("cover multiplicities must be nonnegative")
         super().__init__(out_cover, in_cover, scale)
+        set_field(self, "cost", _cover_cost(self.charge, scale))
+
+    @classmethod
+    def _derived(cls, out_cover: tuple, in_cover: tuple, scale: int) -> "CircularCover":
+        """A cover built without the checks of ``__init__``.
+
+        Only for the flows of a certified circulation of the auxiliary
+        network (:func:`_read_cover`): nonnegative int entries, one pair
+        per doubled arc, and the network's positive int scale.
+        """
+        cover = object.__new__(cls)
+        Record.__init__(cover, out_cover, in_cover, scale)
+        set_field(cover, "cost", _cover_cost(cover.charge, scale))
+        return cover
 
     def combined(self) -> tuple:
         """Sum of both covers, in units of ``1/scale``."""
@@ -267,10 +309,10 @@ class CircularCover(Record):
         m = len(self.out_cover) // 2
         return sum(self.out_cover[:m]) + sum(self.in_cover[:m])
 
-    @property
-    def cost(self) -> Weight:
-        """The exact cover cost: ``charge`` over ``scale``."""
-        return _whole(Fraction(self.charge, self.scale))
+
+def _cover_cost(charge: int, scale: int) -> Weight:
+    """``charge`` over ``scale``, exact: an int when whole."""
+    return charge if scale == 1 else _whole(Fraction(charge, scale))
 
 
 class SourceSinkCertificate(Record):
@@ -360,10 +402,11 @@ def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
 
 def _read_cover(aux, flow, cost):
     """:func:`extract_cover` on a flow known to be a feasible circulation
-    of cost ``cost``."""
-    cover = CircularCover(
-        tuple(0 if a < 0 else flow[a] for a in aux.out_arc),
-        tuple(0 if a < 0 else flow[a] for a in aux.in_arc),
+    of cost ``cost``: its entries are nonnegative ints, so the cover skips
+    the constructor's checks."""
+    cover = CircularCover._derived(
+        tuple([0 if a < 0 else flow[a] for a in aux.out_arc]),
+        tuple([0 if a < 0 else flow[a] for a in aux.in_arc]),
         aux.scale,
     )
     if cover.charge != cost:

@@ -1,13 +1,15 @@
 """Acceptance gate: fourteen end-to-end criteria with stated budgets.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL line
-per criterion.  Each criterion asserts exact values (no tolerances: all
-arithmetic is integer or Fraction) plus a wall-clock budget where one is
-stated.
+per criterion, and one report line, with no budget, for criterion 12's
+generator at three times its size.  Each criterion asserts exact values
+(no tolerances: all arithmetic is integer or Fraction) plus a wall-clock
+budget where one is stated.
 """
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 from clarfries import (
@@ -32,6 +34,7 @@ from clarfries import (
     sources_sinks,
 )
 from clarfries.mincost import CirculationInstance, solve
+from clarfries.oracle import sparse_instance
 from fixtures import (
     benzenoid,
     benzenoid_catalog,
@@ -297,33 +300,32 @@ def test_criterion_11_restriction_is_not_circuitwise():
 
 def test_criterion_12_scale():
     started = time.perf_counter()
-    rng = random.Random(12)
-    n, m_target = 10_000, 50_000
-    arcs = []
-    order = list(range(n))
-    rng.shuffle(order)
-    for i in range(1, n):
-        prev = order[rng.randrange(i)]
-        if rng.random() < 0.5:
-            arcs.append((prev, order[i]))
-        else:
-            arcs.append((order[i], prev))
-    while len(arcs) < m_target:
-        u = rng.randrange(n)
-        v = rng.randrange(n)
-        if u != v:
-            arcs.append((u, v))
-    d = Digraph(n, arcs)
-    w = WeightPair(
-        tuple(rng.randrange(0, 11) for _ in range(n)),
-        tuple(rng.randrange(0, 11) for _ in range(n)),
-    )
+    d, w = sparse_instance(10_000, 50_000)
     cert = max_source_sink(d, w)
     elapsed = time.perf_counter() - started
     ok = elapsed < 30.0 and cert.value == cert.cover.cost > 0
     report(12, "10k nodes / 50k arcs / weights <= 10 within budget",
            ok, f"value={cert.value} |Y_o|={len(cert.source_set)} "
                f"|Y_i|={len(cert.sink_set)} ({elapsed:.2f}s < 30s)")
+
+
+def test_criterion_12_report_at_three_times_the_size():
+    """Criterion 12's generator at 30k nodes / 150k arcs, as a report line
+    with no budget: the seconds of an untraced solve, its value, and the
+    ``tracemalloc`` peak of a second, traced solve of the same instance."""
+    d, w = sparse_instance(30_000, 150_000)
+    started = time.perf_counter()
+    cert = max_source_sink(d, w)
+    elapsed = time.perf_counter() - started
+    tracemalloc.start()
+    try:
+        traced = max_source_sink(d, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traced == cert and cert.value == cert.cover.cost > 0
+    print(f"report 12 30k nodes / 150k arcs (no budget): value={cert.value} "
+          f"{elapsed:.2f}s, tracemalloc peak {peak / 2**20:.0f} MB")
 
 
 def _timed_clar_fries(centers):

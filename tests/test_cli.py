@@ -13,7 +13,7 @@ from clarfries.cli import main
 from clarfries.digraph import Digraph
 from clarfries.errors import InputError
 from clarfries.mincost import CirculationInstance
-from clarfries.sourcesink import WeightPair
+from clarfries.sourcesink import CircularCover, WeightPair
 from fixtures import BOWTIE_ARCS, BOWTIE_NAMES, benzenoid, BENZENE_CENTERS, NAPHTHALENE_CENTERS
 
 
@@ -752,6 +752,7 @@ def test_request_checks_each_certificate_once(
         (Digraph, "__init__"),
         (CirculationInstance, "__init__"),
         (WeightPair, "__init__"),
+        (CircularCover, "__init__"),
     ]:
         _count_constructions(monkeypatch, cls, method, calls)
     code, out = run(capsys, command, request.getfixturevalue(input_file))
@@ -765,9 +766,12 @@ def test_request_checks_each_certificate_once(
     # network clears their denominators without a scaled copy
     assert calls["WeightPair"] == 1
     assert calls["_check_weight_vector"] == 2
+    # the cover is read off the certified flows without the constructor's
+    # checks
+    assert calls["CircularCover"] == 0
     if command == "solve-digraph":
-        # the input digraph only: the doubled graph and the auxiliary
-        # network are derived from it without re-validation
+        # the input digraph only: the doubled graph is derived from it
+        # without re-validation, and the auxiliary network builds none
         assert calls["Digraph"] == 1
 
 

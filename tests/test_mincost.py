@@ -153,6 +153,19 @@ def test_solution_certificates_hold():
         assert sol.objective == sum(c * f for c, f in zip(cost, sol.flow))
 
 
+def test_aux_network_and_its_checked_instance_solve_alike():
+    """``solve`` reads the flat arcs of an aux network and those a
+    ``CirculationInstance`` derives from the same network's digraph, and
+    returns the same solution from both."""
+    for d, weights in reference_instances():
+        aux = AuxNetwork(d, weights)
+        checked = CirculationInstance(aux.digraph, aux.lower, aux.cost)
+        assert (checked.node_count, list(checked.tails), list(checked.heads)) == (
+            aux.node_count, aux.tails, aux.heads
+        )
+        assert solve(aux) == solve(checked)
+
+
 def test_determinism():
     rng = random.Random(5)
     d = random_digraph(rng, max_nodes=7, max_arcs=12)
@@ -197,11 +210,10 @@ def _reference_dijkstra(adj, head, cap, cst, pot, excess):
     return dist, None
 
 
-def _reference_blocking_flow(adj, head, cap, cst, pot, excess, tight=None):
+def _reference_blocking_flow(adj, head, cap, cst, pot, excess):
     """Full-scan Dinic over forward levels until no excess reaches a deficit:
     every phase rescans every residual slot and recomputes its reduced
-    cost, so it ignores the tight lists that the first round passes in.
-    Reference for the tight-list phases and the push-relabel tail."""
+    cost.  Reference for the tight-list phases and the push-relabel tail."""
     n = len(adj)
     total = 0
     while True:
@@ -321,7 +333,7 @@ def _reference_solve(inst):
         assert _reference_blocking_flow(adj, head, cap, cst, pot, excess) > 0
     flow = tuple(low + cap[2 * a + 1] for a, low in enumerate(lower))
     objective = sum(c * f for c, f in zip(cost, flow))
-    mincost._certify(d, lower, cost, flow, tuple(pot[:n]), objective)
+    mincost._certify(inst, flow, tuple(pot[:n]), objective)
     return McfSolution(flow, tuple(pot[:n]), objective)
 
 
@@ -391,10 +403,22 @@ def test_dinic_rounds_match_reference_solver(monkeypatch):
     assert [_outcome(solve, inst) for inst in instances] == reference
 
 
+def _full_scan_round(instance, pot, head, cap, excess):
+    """``_reference_blocking_flow`` in place of a round's flow, on the
+    residual slots of ``instance`` in the solver's numbering."""
+    adj = [[] for _ in range(instance.node_count)]
+    cst = []
+    for a, (u, v, c) in enumerate(zip(instance.tails, instance.heads, instance.cost)):
+        adj[u].append(2 * a)
+        adj[v].append(2 * a + 1)
+        cst += (c, -c)
+    return _reference_blocking_flow(adj, head, cap, cst, pot, excess)
+
+
 def test_blocking_flow_matches_full_scan_reference(monkeypatch):
     instances = _all_instances()
     reference = [_outcome(_reference_solve, inst) for inst in instances]
-    monkeypatch.setattr(mincost, "_round_flow", _reference_blocking_flow)
+    monkeypatch.setattr(mincost, "_round_flow", _full_scan_round)
     assert [_outcome(solve, inst) for inst in instances] == reference
 
 
@@ -443,7 +467,7 @@ def test_push_relabel_keeps_reference_optimum():
             continue
         flow, potential, objective = out
         assert (potential, objective) == ref[1:]
-        mincost._certify(inst.digraph, inst.lower, inst.cost, flow, potential, objective)
+        mincost._certify(inst, flow, potential, objective)
         changed += flow != ref[0]
     assert changed
 

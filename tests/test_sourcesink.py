@@ -221,8 +221,9 @@ def _stream_pq_request(rng, n):
 
 def test_a_pq_request_builds_no_fraction_per_node(monkeypatch):
     """After the reader, a ``"p/q"`` request does integer arithmetic: the
-    solve, its audit and the rendering build a few ``Fraction``s for the
-    reported values, however many nodes the digraph has."""
+    solve, its audit and the rendering build one ``Fraction``, the cover's
+    cost, which the certificate's value, the audit and the rendered
+    ``cover_cost`` all read, however many nodes the digraph has."""
     rng = random.Random(25)
     requests = [_stream_pq_request(rng, n) for n in (30, 45, 60, 240)]
     new = Fraction.__new__
@@ -243,7 +244,7 @@ def test_a_pq_request_builds_no_fraction_per_node(monkeypatch):
         entries = out["cover"]["z_o"] + out["cover"]["z_i"]
         assert any(isinstance(z, str) for _, z in entries)
         counts.append(len(built))
-    assert max(counts) <= 3, counts
+    assert counts == [1] * len(requests), counts
 
 
 def test_audit_rejects_weights_without_one_entry_per_node():
@@ -425,9 +426,10 @@ def test_zero_weights_give_direct_arcs_only():
 
 
 def test_derived_graphs_pass_the_full_checks(monkeypatch):
-    """Every digraph built without re-validation (doubled graph, aux
-    network, planar dual) passes the checks of
-    ``Digraph(n, arcs)`` and equals the checked build."""
+    """Every digraph built without re-validation (doubled graph, planar
+    dual) passes the checks of ``Digraph(n, arcs)`` and equals the checked
+    build, and so do the flat arcs of every aux network, whose digraph no
+    solve builds: built when first read, it equals the checked build."""
     built = []
     derived = Digraph._derived.__func__
 
@@ -436,26 +438,43 @@ def test_derived_graphs_pass_the_full_checks(monkeypatch):
         built.append(d)
         return d
 
+    networks = []
+    init = AuxNetwork.__init__
+
+    def recording_init(aux, d, weights):
+        init(aux, d, weights)
+        networks.append(aux)
+
     monkeypatch.setattr(Digraph, "_derived", classmethod(recording))
+    monkeypatch.setattr(AuxNetwork, "__init__", recording_init)
     solved = 0
     for d, weights in reference_instances():
         max_source_sink(d, weights)
         solved += 1
     # a doubled graph and an aux network per digraph; the 24 x 28 dual
     # comes from a plane solve, which also built the dual and a first aux
-    # network
-    assert len(built) == 2 * solved + 2
+    # network; no solve builds an aux network's digraph
+    assert len(built) == solved + 1
+    assert len(networks) == solved + 1
     catalog = [g for _, g in benzenoid_catalog()]
     for g in catalog:
         # dual, doubled dual and aux network per solve
         solve_clar_fries(g)
         clar_number(g)
         fries_number(g)
-    assert len(built) == 2 * solved + 2 + 9 * len(catalog)
+    assert len(built) == solved + 1 + 6 * len(catalog)
+    assert len(networks) == solved + 1 + 3 * len(catalog)
+    assert all(aux._digraph is None for aux in networks)
     monkeypatch.undo()
     for d in built:
         assert type(d.arcs) is tuple
         assert Digraph(d.node_count, d.arcs) == d
+    for aux in networks:
+        assert len(aux.tails) == len(aux.heads) == len(aux.lower) == len(aux.cost)
+        # built on the first read, then kept
+        digraph = aux.digraph
+        assert aux.digraph is digraph
+        assert Digraph(aux.node_count, zip(aux.tails, aux.heads)) == digraph
 
 
 # --- max_source_sink ----------------------------------------------------------
@@ -803,6 +822,22 @@ def test_a_cover_entry_must_be_an_int():
                 CircularCover((0, 0), (0, entry), scale)
     with pytest.raises(InputError, match="must be nonnegative"):
         cover.replace(in_cover=(1, -2))
+
+
+def test_a_solved_cover_equals_its_checked_build():
+    """The cover read off the certified flows skips the constructor's
+    checks; the constructor builds an equal cover with the same kept cost,
+    and so do ``replace`` and pickling.  The cost is an int at scale 1."""
+    for d, weights in reference_instances():
+        cover = max_source_sink(d, weights).cover
+        checked = CircularCover(cover.out_cover, cover.in_cover, cover.scale)
+        assert checked == cover
+        for twin in (checked, cover.replace(), pickle.loads(pickle.dumps(cover))):
+            assert twin.cost == cover.cost == Fraction(cover.charge, cover.scale)
+        if cover.scale == 1:
+            assert type(cover.cost) is int
+    doctored = cover.replace(scale=2 * cover.scale)
+    assert doctored.cost == Fraction(cover.charge, 2 * cover.scale)
 
 
 def test_checks_are_computed_once_per_certificate(monkeypatch):
