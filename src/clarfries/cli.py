@@ -1,7 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 input error, 2 internal invariant failure,
-3 solver/oracle disagreement in verify mode.
+Each ``cmd_*`` maps the decoded input file (its JSON, or for a plane
+command the validated graph) and the parsed arguments to the JSON payload
+it answers with.  :func:`main` alone loads and decodes the file, runs the command, prints the payload and picks the exit code:
+0 success, 1 input error, 2 internal invariant failure, 3 solver/oracle
+disagreement in verify mode.
 """
 
 from __future__ import annotations
@@ -41,6 +44,20 @@ def _emit(obj: dict, pretty: bool) -> None:
     print(text)
 
 
+def _as_read(data):
+    """The decoding of the digraph commands and ``verify``: the JSON as
+    read, or ``None`` when ``verify`` names no file."""
+    return data
+
+
+def _plane_graph(data) -> plane.PlaneBipartiteGraph:
+    """The decoding of the plane commands: the validated graph, so that the
+    JSON, the largest object of a plane request, is freed before the solve.
+    ``plane.parse_validate`` is looked up on each call, so a wrapper
+    installed on it sees the call."""
+    return plane.parse_validate(data)
+
+
 def _within_weights(args, data, index) -> tuple:
     """Node weights of a sink-stable or resonant request: 1 inside
     ``--within`` and 0 outside, else the input's ``"w"`` map, else all 1.
@@ -56,65 +73,47 @@ def _within_weights(args, data, index) -> tuple:
     return jsonio.node_weights_from_json(pool, index, 0, "--within")
 
 
-def cmd_solve_digraph(args) -> int:
-    data = _load(args.input)
+def cmd_solve_digraph(data, args) -> dict:
     d, names, index = jsonio.digraph_from_json(data)
     weights = jsonio.weight_pair_from_json(data, index)
-    cert = sourcesink.max_source_sink(d, weights)
-    _emit(jsonio.certificate_to_json(names, cert), args.pretty)
-    return 0
+    return jsonio.certificate_to_json(names, sourcesink.max_source_sink(d, weights))
 
 
-def cmd_sink_stable(args) -> int:
-    data = _load(args.input)
+def cmd_sink_stable(data, args) -> dict:
     d, names, index = jsonio.digraph_from_json(data)
     result = sourcesink.max_sink_stable(d, _within_weights(args, data, index))
-    _emit(jsonio.sink_stable_to_json(names, result), args.pretty)
-    return 0
+    return jsonio.sink_stable_to_json(names, result)
 
 
-def cmd_resonant(args) -> int:
-    data = _load(args.input)
+def cmd_resonant(data, args) -> dict:
     d, names, index = jsonio.digraph_from_json(data)
     cert = sourcesink.max_resonant(d, _within_weights(args, data, index))
     payload = jsonio.certificate_to_json(names, cert)
     payload["resonant_set"] = sorted(
         names[v] for v in cert.source_set | cert.sink_set
     )
-    _emit(payload, args.pretty)
-    return 0
+    return payload
 
 
-def _load_plane(path: str) -> plane.PlaneBipartiteGraph:
-    return plane.parse_validate(_load(path))
-
-
-def _face_number(args, solve, key: str) -> int:
-    g = _load_plane(args.input)
+def _face_number(g, solve, key: str) -> dict:
     value, faces, matching = solve(g)
-    _emit(
-        {
-            "value": jsonio.render_value(value),
-            key: sorted(g.face_names[f] for f in faces),
-            "matching": jsonio.matching_to_json(g, matching),
-        },
-        args.pretty,
-    )
-    return 0
+    return {
+        "value": jsonio.render_value(value),
+        key: sorted(g.face_names[f] for f in faces),
+        "matching": jsonio.matching_to_json(g, matching),
+    }
 
 
-def cmd_clar(args) -> int:
-    return _face_number(args, plane.clar_number, "clar_set")
+def cmd_clar(g, args) -> dict:
+    return _face_number(g, plane.clar_number, "clar_set")
 
 
-def cmd_fries(args) -> int:
-    return _face_number(args, plane.fries_number, "fries_set")
+def cmd_fries(g, args) -> dict:
+    return _face_number(g, plane.fries_number, "fries_set")
 
 
-def cmd_clar_fries(args) -> int:
-    g = _load_plane(args.input)
-    _emit(jsonio.clar_fries_to_json(g, plane.solve_clar_fries(g)), args.pretty)
-    return 0
+def cmd_clar_fries(g, args) -> dict:
+    return jsonio.clar_fries_to_json(g, plane.solve_clar_fries(g))
 
 
 def _budget(args) -> oracle.OracleBudget:
@@ -142,7 +141,7 @@ def _verify_plane(data, budget) -> dict:
     g = plane.parse_validate(data)
     cw = acw = None
     if not data.get("w1") and not data.get("w2"):
-        cw = acw = tuple(int(f != g.outer) for f in range(len(g.face_names)))
+        cw = acw = plane.inner_face_weights(g)
     result = plane.solve_clar_fries(g, cw, acw)
     brute_value, _m, _cw, _acw = oracle.brute_clar_fries(g, cw, acw, budget=budget)
     return {
@@ -152,7 +151,7 @@ def _verify_plane(data, budget) -> dict:
     }
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(data, args) -> dict:
     budget = _budget(args)
     if args.random < 0:
         raise InputError("--random COUNT must be nonnegative")
@@ -161,31 +160,24 @@ def cmd_verify(args) -> int:
             raise InputError("--budget-arcs must be at least 1 with --random")
         rng = random.Random(args.seed)
         reports = []
-        agree = True
         for _ in range(args.random):
             d = oracle.random_digraph(rng, 6, min(10, budget.max_arcs))
             weights = oracle.random_weight_pair(rng, d.node_count)
             cert = sourcesink.max_source_sink(d, weights)
             brute_value, _pair = oracle.brute_max_source_sink(d, weights, budget)
             if cert.value != brute_value:
-                agree = False
                 reports.append(
                     {"solver": cert.value, "oracle": brute_value, "arcs": list(d.arcs)}
                 )
-        payload = {"agree": agree, "instances": args.random, "seed": args.seed}
+        payload = {"agree": not reports, "instances": args.random, "seed": args.seed}
         if reports:
             payload["disagreements"] = reports
-        _emit(payload, args.pretty)
-        return 0 if agree else 3
-    if not args.input:
+        return payload
+    if data is None:
         raise InputError("verify needs an input file or --random COUNT")
-    data = _load(args.input)
     if isinstance(data, dict) and "S" in data and "T" in data:
-        payload = _verify_plane(data, budget)
-    else:
-        payload = _verify_digraph(data, budget)
-    _emit(payload, args.pretty)
-    return 0 if payload["agree"] else 3
+        return _verify_plane(data, budget)
+    return _verify_digraph(data, budget)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -196,12 +188,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, needs_input=True):
+    def add(name, fn, decode=_as_read):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("input", help="path to a JSON instance")
+        p.add_argument("input", help="path to a JSON instance")
         p.add_argument("--pretty", action="store_true", help="indent the output")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, decode=decode)
         return p
 
     add("solve-digraph", cmd_solve_digraph)
@@ -209,9 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--within", help="comma-separated node names; weight 1 inside, 0 outside")
     p = add("resonant", cmd_resonant)
     p.add_argument("--within", help="comma-separated node names; weight 1 inside, 0 outside")
-    add("clar", cmd_clar)
-    add("fries", cmd_fries)
-    add("clar-fries", cmd_clar_fries)
+    add("clar", cmd_clar, _plane_graph)
+    add("fries", cmd_fries, _plane_graph)
+    add("clar-fries", cmd_clar_fries, _plane_graph)
     p = sub.add_parser("verify")
     p.add_argument("input", nargs="?", help="path to a JSON instance")
     p.add_argument("--pretty", action="store_true")
@@ -220,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget-arcs", type=int, default=14)
     p.add_argument("--budget-matchings", type=int, default=100_000)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, decode=_as_read)
     return parser
 
 
@@ -233,6 +224,9 @@ def _shared_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
+
+    The one I/O point of a request; exit 3 only for a ``verify`` payload
+    whose ``"agree"`` is false.
 
     The command runs with the cyclic garbage collector paused: a request
     builds many short-lived containers but no reference cycles, so
@@ -248,19 +242,22 @@ def main(argv=None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return args.fn(args)
+        data = args.decode(None if args.input is None else _load(args.input))
+        payload = args.fn(data, args)
+        _emit(payload, args.pretty)
+        return 3 if args.fn is cmd_verify and not payload["agree"] else 0
     except (InputError, BudgetExceeded, OSError) as exc:
-        _emit({"error": str(exc)}, getattr(args, "pretty", False))
+        _emit({"error": str(exc)}, args.pretty)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         # an input too large for this machine is bad input too; the
         # exception's own text is empty
-        _emit({"error": "out of memory"}, getattr(args, "pretty", False))
+        _emit({"error": "out of memory"}, args.pretty)
         print("error: out of memory", file=sys.stderr)
         return 1
     except InvariantError as exc:
-        _emit({"error": str(exc), "kind": "internal"}, getattr(args, "pretty", False))
+        _emit({"error": str(exc), "kind": "internal"}, args.pretty)
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     finally:

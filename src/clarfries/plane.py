@@ -498,10 +498,15 @@ def solve_clar_fries(
     return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert)
 
 
+def inner_face_weights(g: PlaneBipartiteGraph) -> tuple[int, ...]:
+    """One weight per face: 1 on every inner face, 0 on the outer."""
+    return tuple([int(f != g.outer) for f in range(len(g.face_names))])
+
+
 def _one_sided_result(
     g: PlaneBipartiteGraph, cw_only: bool
 ) -> tuple[Weight, frozenset[int], frozenset[int]]:
-    inner = tuple(1 if f != g.outer else 0 for f in range(len(g.face_names)))
+    inner = inner_face_weights(g)
     zero = (0,) * len(g.face_names)
     if cw_only:
         result = solve_clar_fries(g, cw_weights=inner, acw_weights=zero)

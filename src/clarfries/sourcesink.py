@@ -23,7 +23,8 @@ the flow is a circular cover certifying optimality: a pair of arc
 multiplicity vectors (the source exits, and the sink entries with the
 direct arcs) whose sum is a circulation, one sending enough flow out of
 every node to pay its source weight, the other enough into every node to
-pay its sink weight.
+pay its sink weight.  :func:`extract_pair` and :func:`extract_cover` read
+both off the solution that :func:`mincost.solve` has certified.
 
 Rational weights are cleared to integers once, when the
 :class:`WeightPair` is built: ``source_units`` and ``sink_units`` are the
@@ -53,7 +54,6 @@ from .digraph import (
     ArcClass,
     Digraph,
     bidirect,
-    is_circulation,
     node_roles,
     normalize_potential,
 )
@@ -164,9 +164,9 @@ class AuxNetwork:
     ``scale`` (1 for integral weights), so they are ints too.
 
     ``digraph`` is the same network as a :class:`Digraph`, built on the
-    first read and kept: the solve and the certificate read the flat
-    arcs only, and :func:`extract_pair` and :func:`extract_cover` the
-    digraph.  It is derived from ``d`` without re-validation: its node
+    first read and kept.  The library never reads it; it stays for the
+    benchmark's aux-size counter until that counter reads ``node_count``
+    and ``tails``.  It is derived from ``d`` without re-validation: its node
     ids lie in ``0 .. node_count - 1``, no arc is a loop, the verticals
     tie every copy to its node, and every arc of ``d`` joins its ends
     through a copy or directly, so it is connected because ``d`` is.
@@ -291,7 +291,7 @@ class CircularCover(Record):
         """A cover built without the checks of ``__init__``.
 
         Only for the flows of a certified circulation of the auxiliary
-        network (:func:`_read_cover`): nonnegative int entries, one pair
+        network (:func:`extract_cover`): nonnegative int entries, one pair
         per doubled arc, and the network's positive int scale.
         """
         cover = object.__new__(cls)
@@ -346,9 +346,10 @@ class SourceSinkCertificate(Record):
 
 
 def extract_pair(
-    aux: AuxNetwork, potential: Sequence[int]
+    aux: AuxNetwork, solution: mincost.McfSolution
 ) -> tuple[frozenset[int], frozenset[int], tuple[int, ...]]:
-    """Read the optimal pair off a cost-feasible potential of the network.
+    """Read the optimal pair off the potential of ``mincost.solve(aux)``,
+    which the solver has certified cost-feasible.
 
     The vertical arcs absorb slack 0 or 1 apiece; a node joins the source
     set when its out-vertical is slack, the sink set when its in-vertical
@@ -357,17 +358,7 @@ def extract_pair(
     vertical slack sum outside {0, 1} cannot come from a cost-feasible
     potential and signals a solver bug.
     """
-    dg = aux.digraph
-    if len(potential) != dg.node_count:
-        raise InputError("potential length does not match the network")
-    for a, ((u, v), c) in enumerate(zip(dg.arcs, aux.cost)):
-        if potential[v] - potential[u] > c:
-            raise InputError(f"potential is not cost-feasible on arc {a}")
-    return _read_pair(aux, potential)
-
-
-def _read_pair(aux, potential):
-    """:func:`extract_pair` on a potential known to be cost-feasible."""
+    potential = solution.potential
     n = len(aux.out_node)
     source_set = []
     sink_set = []
@@ -385,31 +376,19 @@ def _read_pair(aux, potential):
     return frozenset(source_set), frozenset(sink_set), normalize_potential(potential[:n])
 
 
-def extract_cover(aux: AuxNetwork, flow: Sequence) -> CircularCover:
-    """Turn a feasible circulation of the network into a circular cover:
-    the source exits carry the out-cover, the sink entries and direct arcs
-    the in-cover."""
-    dg = aux.digraph
-    if len(flow) != dg.arc_count:
-        raise InputError("flow length does not match the network")
-    for a, (f, low) in enumerate(zip(flow, aux.lower)):
-        if f < low:
-            raise InputError(f"flow on arc {a} is below its lower bound")
-    if not is_circulation(dg, flow):
-        raise InputError("flow is not a circulation")
-    return _read_cover(aux, flow, sum(c * f for c, f in zip(aux.cost, flow) if f))
-
-
-def _read_cover(aux, flow, cost):
-    """:func:`extract_cover` on a flow known to be a feasible circulation
-    of cost ``cost``: its entries are nonnegative ints, so the cover skips
-    the constructor's checks."""
+def extract_cover(aux: AuxNetwork, solution: mincost.McfSolution) -> CircularCover:
+    """Turn the flow of ``mincost.solve(aux)`` into a circular cover: the
+    source exits carry the out-cover, the sink entries and direct arcs the
+    in-cover.  The solver has certified the flow a circulation meeting
+    every lower bound, so the cover skips the constructor's checks; a
+    charge off the objective signals a solver bug."""
+    flow = solution.flow
     cover = CircularCover._derived(
         tuple([0 if a < 0 else flow[a] for a in aux.out_arc]),
         tuple([0 if a < 0 else flow[a] for a in aux.in_arc]),
         aux.scale,
     )
-    if cover.charge != cost:
+    if cover.charge != solution.objective:
         raise InvariantError("cover cost differs from the circulation cost")
     return cover
 
@@ -510,10 +489,8 @@ def max_source_sink(d: Digraph, weights: WeightPair) -> SourceSinkCertificate:
     """
     aux = build_aux_network(d, weights)
     solution = mincost.solve(aux)
-    # solve has certified the flow and the potential, so the readers skip
-    # extract_pair's and extract_cover's per-arc checks
-    source_set, sink_set, potential = _read_pair(aux, solution.potential)
-    cover = _read_cover(aux, solution.flow, solution.objective)
+    source_set, sink_set, potential = extract_pair(aux, solution)
+    cover = extract_cover(aux, solution)
     cert = SourceSinkCertificate(d, weights, source_set, sink_set, potential, cover, cover.cost)
     failed = sorted(k for k, ok in cert.checks.items() if not ok)
     if failed:

@@ -9,7 +9,6 @@ budget where one is stated.
 
 import random
 import time
-import tracemalloc
 from fractions import Fraction
 
 from clarfries import (
@@ -311,21 +310,15 @@ def test_criterion_12_scale():
 
 def test_criterion_12_report_at_three_times_the_size():
     """Criterion 12's generator at 30k nodes / 150k arcs, as a report line
-    with no budget: the seconds of an untraced solve, its value, and the
-    ``tracemalloc`` peak of a second, traced solve of the same instance."""
+    with no budget: the seconds of one solve and its value.  The
+    ``tracemalloc`` peak at any size is ``tools/scale_probe.py``'s."""
     d, w = sparse_instance(30_000, 150_000)
     started = time.perf_counter()
     cert = max_source_sink(d, w)
     elapsed = time.perf_counter() - started
-    tracemalloc.start()
-    try:
-        traced = max_source_sink(d, w)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert traced == cert and cert.value == cert.cover.cost > 0
+    assert cert.value == cert.cover.cost > 0
     print(f"report 12 30k nodes / 150k arcs (no budget): value={cert.value} "
-          f"{elapsed:.2f}s, tracemalloc peak {peak / 2**20:.0f} MB")
+          f"{elapsed:.2f}s")
 
 
 def _timed_clar_fries(centers):

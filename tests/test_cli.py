@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from clarfries import cli, jsonio, plane, sourcesink
+from clarfries import cli, jsonio, oracle, plane, sourcesink
 from clarfries.cli import main
 from clarfries.digraph import Digraph
 from clarfries.errors import InputError
@@ -210,16 +211,33 @@ def test_verify_random_fits_small_arc_budgets(capsys, arcs):
     assert out == {"agree": True, "instances": 5, "seed": 4}
 
 
+MISSING = object()
+
+
 @pytest.mark.parametrize(
     "args",
     [["--random", "-3"], ["--random", "5", "--budget-arcs", "0"],
-     ["--random", "5", "--budget-arcs", "-2"]],
-    ids=["negative-count", "zero-arc-budget", "negative-arc-budget"],
+     ["--random", "5", "--budget-arcs", "-2"], [], [MISSING, "--random", "3"]],
+    ids=["negative-count", "zero-arc-budget", "negative-arc-budget", "no-input",
+         "missing-file-with-random"],
 )
-def test_verify_random_rejects_bad_arguments(capsys, args):
-    code, out = run(capsys, "verify", *args)
+def test_verify_random_rejects_bad_arguments(capsys, tmp_path, args):
+    """``main`` reads a named file before any command runs, so a missing
+    file fails even with ``--random``."""
+    missing = str(tmp_path / "missing.json")
+    code, out = run(capsys, "verify", *(missing if a is MISSING else a for a in args))
     assert code == 1
     assert list(out) == ["error"]
+
+
+def test_verify_disagreement_exits_3(capsys, monkeypatch, bowtie_file):
+    """Exit 3 is picked in ``main``, for a ``verify`` payload whose
+    ``"agree"`` is false, from a file or from ``--random``."""
+    monkeypatch.setattr(oracle, "brute_max_source_sink", lambda d, w, budget: (-1, None))
+    code, out = run(capsys, "verify", bowtie_file)
+    assert code == 3 and out == {"agree": False, "solver": 4, "oracle": -1}
+    code, out = run(capsys, "verify", "--random", "2")
+    assert code == 3 and out["agree"] is False and len(out["disagreements"]) == 2
 
 
 def test_error_exits(capsys, tmp_path):
@@ -423,6 +441,39 @@ def test_plane_request_finds_one_matching_and_one_dual(capsys, monkeypatch, tmp_
     code, _out = run(capsys, command, str(path))
     assert code == 0
     assert calls == {"perfect_matching": 1, "planar_dual": 1, "orient_by_matching": 0}
+
+
+@pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])
+def test_plane_request_frees_its_decoded_json_before_the_solve(
+    capsys, monkeypatch, benzene_file, command
+):
+    """The decoded file is the largest object of a plane request; ``main``
+    hands the command the graph that ``plane.parse_validate``, looked up
+    at call time, made of it, and keeps no reference to the file."""
+
+    class Decoded(dict):
+        pass
+
+    cli._shared_parser()  # built before the wrappers, as in a long-lived process
+    load, parse, solve = cli._load, plane.parse_validate, plane.solve_clar_fries
+    decoded = []
+    parsed = []
+    alive = []
+
+    def tracked_load(path):
+        data = Decoded(load(path))
+        decoded.append(weakref.ref(data))
+        return data
+
+    def tracked_solve(*args, **kwargs):
+        alive.append(decoded[0]() is not None)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_load", tracked_load)
+    monkeypatch.setattr(plane, "parse_validate", lambda data: parsed.append(None) or parse(data))
+    monkeypatch.setattr(plane, "solve_clar_fries", tracked_solve)
+    assert run(capsys, command, benzene_file)[0] == 0
+    assert len(parsed) == 1 and alive == [False]
 
 
 def _digraph_input(**changes):

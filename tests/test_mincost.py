@@ -10,6 +10,7 @@ from clarfries import (
     Digraph,
     InfeasibleCirculation,
     InputError,
+    InvariantError,
     McfSolution,
     WeightPair,
     bidirect,
@@ -26,6 +27,7 @@ from fixtures import (
     random_closed_walk,
     random_digraph,
     reference_instances,
+    single_arc,
     two_cycle,
 )
 
@@ -164,6 +166,17 @@ def test_aux_network_and_its_checked_instance_solve_alike():
             aux.node_count, aux.tails, aux.heads
         )
         assert solve(aux) == solve(checked)
+
+
+def test_certify_rejects_a_flow_below_a_lower_bound():
+    """``_certify`` is the one per-arc check of a solve's output: the
+    extractors trust it.  A zero flow on an aux network whose vertical
+    carries a source weight of 1 is under that arc's lower bound."""
+    aux = AuxNetwork(single_arc(), WeightPair((1, 0), (0, 0)))
+    sol = solve(aux)
+    mincost._certify(aux, sol.flow, sol.potential, sol.objective)
+    with pytest.raises(InvariantError, match="below lower bound"):
+        mincost._certify(aux, (0,) * len(aux.tails), (0,) * aux.node_count, 0)
 
 
 def test_determinism():

@@ -363,7 +363,7 @@ def test_network_matches_all_copies_reference():
         assert normalize_potential(pruned.potential[:n]) == normalize_potential(
             full.potential[:n]
         )
-        source_set, sink_set, _ = extract_pair(aux, pruned.potential)
+        source_set, sink_set, _ = extract_pair(aux, pruned)
         assert (source_set, sink_set) == _reference_pair(weights, full.potential)
 
 
@@ -931,37 +931,32 @@ def test_extract_cover_reads_entry_and_exit_flow():
     z[aux.in_arc[0]] = 2
     z[arcs.index((in1, 1))] = 2
     z[aux.in_arc[1]] += 2
-    cover = extract_cover(aux, z)
+    # the cover reads the flow and the objective; the potential is unused
+    objective = sum(c * f for c, f in zip(aux.cost, z))
+    cover = extract_cover(aux, McfSolution(tuple(z), (0,) * aux.node_count, objective))
     # the direct arc's flow is in-cover; the absent source exit covers 0
     assert cover.out_cover == (1, 0)
     assert cover.in_cover == (2, 3)
-    assert cover.cost == 3 == sum(c * f for c, f in zip(aux.cost, z))
+    assert cover.cost == 3 == objective
     assert is_circulation(bidirect(d), cover.combined())
 
 
-def test_extract_cover_rejects_bound_violations():
-    d = single_arc()
-    w = WeightPair((1, 0), (0, 0))
-    aux = build_aux_network(d, w)
-    with pytest.raises(InputError):
-        extract_cover(aux, [0] * aux.digraph.arc_count)
-
-
 def test_solve_path_readers_keep_their_cheap_checks():
-    """``max_source_sink`` reads the certified solution without the public
-    extractors' per-arc checks, but a vertical slack sum outside {0, 1} and
-    a cover charge off the circulation cost still raise."""
+    """The extractors read a certified solution without re-checking its
+    arcs, which ``mincost._certify`` has done, but a vertical slack sum
+    outside {0, 1} and a cover charge off the objective still raise."""
     d = single_arc()
     aux = build_aux_network(d, ones(2))
     sol = solve(aux)
-    assert sourcesink._read_pair(aux, sol.potential) == extract_pair(aux, sol.potential)
-    assert sourcesink._read_cover(aux, sol.flow, sol.objective) == extract_cover(aux, sol.flow)
+    cert = max_source_sink(d, ones(2))
+    assert extract_pair(aux, sol) == (cert.source_set, cert.sink_set, cert.potential)
+    assert extract_cover(aux, sol) == cert.cover
     doctored = list(sol.potential)
     doctored[aux.in_node[0]] += 2
     with pytest.raises(InvariantError):
-        sourcesink._read_pair(aux, doctored)
+        extract_pair(aux, sol.replace(potential=tuple(doctored)))
     with pytest.raises(InvariantError):
-        sourcesink._read_cover(aux, sol.flow, sol.objective + 1)
+        extract_cover(aux, sol.replace(objective=sol.objective + 1))
 
 
 # --- sink-stable and resonant variants ----------------------------------------
