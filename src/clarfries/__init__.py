@@ -26,7 +26,6 @@ from .errors import (
 )
 from .mincost import CirculationInstance, McfSolution, decompose, solve
 from .oracle import (
-    OracleBudget,
     brute_clar_fries,
     brute_max_source_sink,
     enumerate_matchings,

@@ -24,7 +24,7 @@ import random
 import sys
 
 from . import jsonio, oracle, plane, sourcesink
-from .errors import BudgetExceeded, InputError, InvariantError
+from .errors import BudgetExceeded, InputError, InvariantError, brief
 
 
 def _load(path: str):
@@ -107,11 +107,12 @@ def cmd_resonant(request, args) -> dict:
 
 
 def _face_number(g, solve, key: str) -> dict:
-    value, faces, matching = solve(g)
+    result = solve(g)
     return {
-        "value": jsonio.render_value(value),
-        key: sorted(g.face_names[f] for f in faces),
-        "matching": jsonio.matching_to_json(g, matching),
+        "value": jsonio.render_value(result.value),
+        # a Clar result's anticlockwise class is empty
+        key: sorted(g.face_names[f] for f in result.cw_faces | result.acw_faces),
+        "matching": jsonio.matching_to_json(g, result.matching),
     }
 
 
@@ -127,25 +128,24 @@ def cmd_clar_fries(g, args) -> dict:
     return jsonio.clar_fries_to_json(g, plane.solve_clar_fries(g))
 
 
-def _budget(args) -> oracle.OracleBudget:
-    return oracle.OracleBudget(
-        max_arcs=args.budget_arcs, max_matchings=args.budget_matchings
-    )
-
-
-def _verify_digraph(data, budget) -> dict:
-    d, _names, index = jsonio.digraph_from_json(data)
-    weights = jsonio.weight_pair_from_json(data, index, default=1)
-    cert = sourcesink.max_source_sink(d, weights)
-    brute_value, _pair = oracle.brute_max_source_sink(d, weights, budget)
+def _agreement(solver_value, oracle_value) -> dict:
+    """The answer of ``verify`` on a file."""
     return {
-        "agree": cert.value == brute_value,
-        "solver": jsonio.render_value(cert.value),
-        "oracle": jsonio.render_value(brute_value),
+        "agree": solver_value == oracle_value,
+        "solver": jsonio.render_value(solver_value),
+        "oracle": jsonio.render_value(oracle_value),
     }
 
 
-def _verify_plane(data, budget) -> dict:
+def _verify_digraph(data, max_arcs: int) -> dict:
+    d, _names, index = jsonio.digraph_from_json(data)
+    weights = jsonio.weight_pair_from_json(data, index, default=1)
+    cert = sourcesink.max_source_sink(d, weights)
+    brute_value, _pair = oracle.brute_max_source_sink(d, weights, max_arcs=max_arcs)
+    return _agreement(cert.value, brute_value)
+
+
+def _verify_plane(data, max_matchings: int) -> dict:
     """Solver against oracle on the file's face weights or, when its
     ``w1`` and ``w2`` maps name no face, on the Fries weights (1 on every
     inner face in both senses), which reach both sides of the dual."""
@@ -154,30 +154,27 @@ def _verify_plane(data, budget) -> dict:
     if not data.get("w1") and not data.get("w2"):
         cw = acw = plane.inner_face_weights(g)
     result = plane.solve_clar_fries(g, cw, acw)
-    brute_value, _m, _cw, _acw = oracle.brute_clar_fries(g, cw, acw, budget=budget)
-    return {
-        "agree": result.value == brute_value,
-        "solver": jsonio.render_value(result.value),
-        "oracle": jsonio.render_value(brute_value),
-    }
+    brute_value, *_ = oracle.brute_clar_fries(g, cw, acw, max_matchings=max_matchings)
+    return _agreement(result.value, brute_value)
 
 
 def cmd_verify(data, args) -> dict:
-    budget = _budget(args)
     if args.random < 0:
         raise InputError("--random COUNT must be nonnegative")
     if args.random:
         if data is not None:
             raise InputError("verify takes an input file or --random COUNT, not both")
-        if budget.max_arcs < 1:
+        if args.budget_arcs < 1:
             raise InputError("--budget-arcs must be at least 1 with --random")
         rng = random.Random(args.seed)
         reports = []
         for _ in range(args.random):
-            d = oracle.random_digraph(rng, 6, min(10, budget.max_arcs))
+            d = oracle.random_digraph(rng, 6, min(10, args.budget_arcs))
             weights = oracle.random_weight_pair(rng, d.node_count)
             cert = sourcesink.max_source_sink(d, weights)
-            brute_value, _pair = oracle.brute_max_source_sink(d, weights, budget)
+            brute_value, _pair = oracle.brute_max_source_sink(
+                d, weights, max_arcs=args.budget_arcs
+            )
             if cert.value != brute_value:
                 arcs = list(zip(d.tails, d.heads))
                 reports.append({"solver": cert.value, "oracle": brute_value, "arcs": arcs})
@@ -188,12 +185,22 @@ def cmd_verify(data, args) -> dict:
     if data is None:
         raise InputError("verify needs an input file or --random COUNT")
     if isinstance(data, dict) and "S" in data and "T" in data:
-        return _verify_plane(data, budget)
-    return _verify_digraph(data, budget)
+        return _verify_plane(data, args.budget_matchings)
+    return _verify_digraph(data, args.budget_arcs)
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser, and by ``add_subparsers``'s default subparsers, whose
+    usage errors are input errors.  The message can repeat an argument of
+    any length, so it is cut at 300 characters, which the list of commands
+    fits."""
+
+    def error(self, message):
+        raise InputError(brief(f"{self.prog}: {message}", str, 300))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="clarfries",
         description="Max-weight source-sink pairs in digraphs; Clar and Fries "
         "numbers of plane bipartite graphs.",
@@ -247,31 +254,35 @@ def main(argv=None) -> int:
     no cyclic garbage).  The caller's collector setting is restored on
     every exit, an uncaught exception included.
 
-    Bad input, a budget exceeded, an unreadable file and running out of
-    memory exit 1 with one ``{"error": ...}`` object on stdout.
+    Bad input, a command line that does not parse, a budget exceeded, an
+    unreadable file and running out of memory exit 1 with one
+    ``{"error": ...}`` object on stdout; ``-h`` prints the help and exits 0
+    through ``SystemExit``.
     """
-    args = _shared_parser().parse_args(argv)
+    pretty = False  # a command line that does not parse gets compact output
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        args = _shared_parser().parse_args(argv)
+        pretty = args.pretty
         # the JSON is an argument of the decode step alone, so it is freed
         # when that returns
         request = args.decode(None if args.input is None else _load(args.input), args)
         payload = args.fn(request, args)
-        _emit(payload, args.pretty)
+        _emit(payload, pretty)
         return 3 if args.fn is cmd_verify and not payload["agree"] else 0
     except (InputError, BudgetExceeded, OSError) as exc:
-        _emit({"error": str(exc)}, args.pretty)
+        _emit({"error": str(exc)}, pretty)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError:
         # an input too large for this machine is bad input too; the
         # exception's own text is empty
-        _emit({"error": "out of memory"}, args.pretty)
+        _emit({"error": "out of memory"}, pretty)
         print("error: out of memory", file=sys.stderr)
         return 1
     except InvariantError as exc:
-        _emit({"error": str(exc), "kind": "internal"}, args.pretty)
+        _emit({"error": str(exc), "kind": "internal"}, pretty)
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
     finally:

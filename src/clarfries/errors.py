@@ -36,9 +36,9 @@ class InfeasibleCirculation(RuntimeError):
 BRIEF_LIMIT = 60
 
 
-def brief(value, form=repr) -> str:
+def brief(value, form=repr, limit: int = BRIEF_LIMIT) -> str:
     """``form(value)``, its repr by default, for an error message: cut
-    after :data:`BRIEF_LIMIT` characters, so that a huge input value does
-    not make a huge message."""
+    after ``limit`` characters, so that a huge input value does not make
+    a huge message."""
     text = form(value)
-    return text if len(text) <= BRIEF_LIMIT else text[:BRIEF_LIMIT] + "..."
+    return text if len(text) <= limit else text[:limit] + "..."

@@ -1,8 +1,10 @@
 """Exhaustive reference implementations for cross-checking the solvers.
 
 Everything here enumerates: reorientations by trying every arc subset,
-matchings by backtracking.  Budgets keep the blow-up honest; exceeding one
-raises :class:`BudgetExceeded` rather than silently truncating.  The random
+matchings by backtracking.  A keyword limit keeps the blow-up honest:
+``max_arcs`` (default 14) on the reorientation oracles, ``max_matchings``
+(default 100 000) on the matching oracles.  Exceeding one raises
+:class:`BudgetExceeded` rather than silently truncating.  The random
 instance generators feed ``clarfries verify --random`` and the test sweeps.
 """
 
@@ -14,15 +16,7 @@ from typing import Iterator, Sequence
 from .digraph import Digraph, sources_sinks
 from .errors import BudgetExceeded, InputError
 from .plane import PlaneBipartiteGraph, alternating_faces
-from .record import Record
 from .sourcesink import WeightPair
-
-
-class OracleBudget(Record):
-    _fields = __slots__ = ("max_arcs", "max_matchings")
-
-    def __init__(self, max_arcs: int = 14, max_matchings: int = 100_000):
-        super().__init__(max_arcs, max_matchings)
 
 
 def random_digraph(rng: random.Random, max_nodes: int = 7, max_arcs: int = 12) -> Digraph:
@@ -77,7 +71,7 @@ def random_weight_pair(rng: random.Random, n: int, top: int = 3) -> WeightPair:
 
 
 def enumerate_reorientations(
-    d: Digraph, budget: OracleBudget | None = None
+    d: Digraph, *, max_arcs: int = 14
 ) -> Iterator[tuple[frozenset[int], Digraph]]:
     """Yield every (reversed arc set, reoriented digraph) reachable by
     reversing disjoint directed cuts, in increasing bitmask order.
@@ -87,10 +81,9 @@ def enumerate_reorientations(
     propagated over a spanning traversal and checked against every arc,
     which is much cheaper than a full tension solve per subset.
     """
-    budget = budget or OracleBudget()
     m = d.arc_count
-    if m > budget.max_arcs:
-        raise BudgetExceeded(f"{m} arcs exceeds the budget of {budget.max_arcs}")
+    if m > max_arcs:
+        raise BudgetExceeded(f"{m} arcs exceeds the budget of {max_arcs}")
     n = d.node_count
     incidence: list[list[tuple[int, int, bool]]] = [[] for _ in range(n)]
     arcs = tuple(zip(d.tails, d.heads))
@@ -124,14 +117,12 @@ def enumerate_reorientations(
         yield reversed_arcs, Digraph(n, new_arcs)
 
 
-def brute_max_source_sink(
-    d: Digraph, weights, budget: OracleBudget | None = None
-) -> tuple:
+def brute_max_source_sink(d: Digraph, weights, *, max_arcs: int = 14) -> tuple:
     """Max over all reorientations of total source weight plus sink weight,
     with the first argmax (full source and sink sets) as witness."""
     best = None
     best_pair = None
-    for _rset, dd in enumerate_reorientations(d, budget):
+    for _rset, dd in enumerate_reorientations(d, max_arcs=max_arcs):
         so, si = sources_sinks(dd)
         value = sum(weights.source_weight[v] for v in so) + sum(
             weights.sink_weight[v] for v in si
@@ -143,7 +134,7 @@ def brute_max_source_sink(
 
 
 def enumerate_matchings(
-    g: PlaneBipartiteGraph, budget: OracleBudget | None = None
+    g: PlaneBipartiteGraph, *, max_matchings: int = 100_000
 ) -> Iterator[frozenset[int]]:
     """Yield every perfect matching as an edge-index set, duplicate-free.
 
@@ -151,7 +142,6 @@ def enumerate_matchings(
     edge order; deterministic.  The search keeps its path on an explicit
     stack, so graphs of any size stay within the recursion limit.
     """
-    budget = budget or OracleBudget()
     ns = g.s_count
     nt = g.node_count - ns
     if ns != nt:
@@ -167,10 +157,8 @@ def enumerate_matchings(
     while s >= 0:
         if s == ns:
             count += 1
-            if count > budget.max_matchings:
-                raise BudgetExceeded(
-                    f"more than {budget.max_matchings} perfect matchings"
-                )
+            if count > max_matchings:
+                raise BudgetExceeded(f"more than {max_matchings} perfect matchings")
             yield frozenset(chosen)
         else:
             row = adj[s]
@@ -195,7 +183,8 @@ def brute_clar_fries(
     g: PlaneBipartiteGraph,
     cw_weights: Sequence | None = None,
     acw_weights: Sequence | None = None,
-    budget: OracleBudget | None = None,
+    *,
+    max_matchings: int = 100_000,
 ) -> tuple:
     """Max over all perfect matchings of total alternating-face weight:
     (value, matching, clockwise faces, anticlockwise faces)."""
@@ -204,7 +193,7 @@ def brute_clar_fries(
     if acw_weights is None:
         acw_weights = g.acw_weights
     best = None
-    for matching in enumerate_matchings(g, budget):
+    for matching in enumerate_matchings(g, max_matchings=max_matchings):
         cw, acw = alternating_faces(g, matching)
         value = sum(cw_weights[f] for f in cw) + sum(acw_weights[f] for f in acw)
         if best is None or value > best[0]:

@@ -23,6 +23,8 @@ anticlockwise faces dual sources, and reorienting the dual by the witness
 potential corresponds to rerouting the matching.  Same-sense alternating
 faces are automatically node-disjoint, which is what makes the clockwise
 class a Clar-set and the union of both classes a Fries-set.
+Every answer is a :func:`solve_clar_fries` result, which checks both
+facts; the Clar and Fries numbers are its results on fixed face weights.
 """
 
 from __future__ import annotations
@@ -442,6 +444,16 @@ def alternating_faces(
     return frozenset(cw), frozenset(acw)
 
 
+def _check_node_disjoint(g: PlaneBipartiteGraph, faces: frozenset[int]) -> None:
+    seen: set[int] = set()
+    for f in faces:
+        for side in g.boundaries[f]:
+            tail = g.side_tail[side]
+            if tail in seen:
+                raise InvariantError("same-sense alternating faces share a node")
+            seen.add(tail)
+
+
 class ClarFriesResult(Record):
     """Optimal matching with its alternating-face classes and certificate.
 
@@ -450,6 +462,7 @@ class ClarFriesResult(Record):
     ``value`` and ``certificate`` proves it maximal over all matchings.
     The certificate's ``digraph`` is the planar dual oriented by the start
     matching, the digraph its nodes, potential and cover refer to.
+    :func:`clar_number` and :func:`fries_number` answer with one too.
     """
 
     _fields = __slots__ = ("matching", "cw_faces", "acw_faces", "value", "certificate")
@@ -467,7 +480,9 @@ def solve_clar_fries(
 
     Weights default to the ones stored on the graph, and ``start_matching``
     to ``g.matching``.  The optimum does not depend on ``start_matching``;
-    it only fixes the reference orientation.
+    it only fixes the reference orientation.  A result whose matching is not
+    perfect, or whose face classes do not alternate or share a node,
+    raises :class:`InvariantError`.
     """
     if cw_weights is None:
         cw_weights = g.cw_weights
@@ -497,6 +512,8 @@ def solve_clar_fries(
         raise InvariantError("reoriented dual did not yield a perfect matching") from exc
     if not (cert.sink_set <= cw and cert.source_set <= acw):
         raise InvariantError("reported faces are not alternating in the new matching")
+    _check_node_disjoint(g, cert.sink_set)
+    _check_node_disjoint(g, cert.source_set)
     return ClarFriesResult(matching, cert.sink_set, cert.source_set, cert.value, cert)
 
 
@@ -505,39 +522,17 @@ def inner_face_weights(g: PlaneBipartiteGraph) -> tuple[int, ...]:
     return tuple([int(f != g.outer) for f in range(len(g.face_names))])
 
 
-def _one_sided_result(
-    g: PlaneBipartiteGraph, cw_only: bool
-) -> tuple[Weight, frozenset[int], frozenset[int]]:
-    inner = inner_face_weights(g)
-    zero = (0,) * len(g.face_names)
-    if cw_only:
-        result = solve_clar_fries(g, cw_weights=inner, acw_weights=zero)
-        chosen = result.cw_faces
-    else:
-        result = solve_clar_fries(g, cw_weights=inner, acw_weights=inner)
-        chosen = result.cw_faces | result.acw_faces
-    _check_node_disjoint(g, result.cw_faces)
-    _check_node_disjoint(g, result.acw_faces)
-    return result.value, chosen, result.matching
-
-
-def _check_node_disjoint(g: PlaneBipartiteGraph, faces: frozenset[int]) -> None:
-    seen: set[int] = set()
-    for f in faces:
-        for side in g.boundaries[f]:
-            tail = g.side_tail[side]
-            if tail in seen:
-                raise InvariantError("same-sense alternating faces share a node")
-            seen.add(tail)
-
-
-def clar_number(g: PlaneBipartiteGraph) -> tuple[Weight, frozenset[int], frozenset[int]]:
+def clar_number(g: PlaneBipartiteGraph) -> ClarFriesResult:
     """Maximum number of node-disjoint alternating inner faces over all
-    perfect matchings: (value, face set, matching)."""
-    return _one_sided_result(g, cw_only=True)
+    perfect matchings: the solve with weight 1 on every inner face in the
+    clockwise sense and 0 in the anticlockwise sense, so ``cw_faces`` is a
+    Clar set and ``acw_faces`` is empty."""
+    return solve_clar_fries(g, inner_face_weights(g), (0,) * len(g.face_names))
 
 
-def fries_number(g: PlaneBipartiteGraph) -> tuple[Weight, frozenset[int], frozenset[int]]:
+def fries_number(g: PlaneBipartiteGraph) -> ClarFriesResult:
     """Maximum number of alternating inner faces over all perfect
-    matchings: (value, face set, matching)."""
-    return _one_sided_result(g, cw_only=False)
+    matchings: the solve with weight 1 on every inner face in both senses,
+    so ``cw_faces | acw_faces`` is a Fries set."""
+    inner = inner_face_weights(g)
+    return solve_clar_fries(g, inner, inner)

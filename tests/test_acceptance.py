@@ -257,8 +257,8 @@ def test_criterion_09_clar_fries_catalog():
     ok = True
     detail = []
     for name, g in benzenoid_catalog():
-        cval = clar_number(g)[0]
-        fval = fries_number(g)[0]
+        cval = clar_number(g).value
+        fval = fries_number(g).value
         cw_ind = [int(f != g.outer) for f in range(len(g.face_names))]
         zero = [0] * len(g.face_names)
         oc = brute_clar_fries(g, cw_ind, zero)[0]
@@ -267,7 +267,7 @@ def test_criterion_09_clar_fries_catalog():
             ok = False
         detail.append(f"{name}={cval}/{fval}")
     benzene = benzenoid_catalog()[0][1]
-    ok = ok and clar_number(benzene)[0] == 1 and fries_number(benzene)[0] == 1
+    ok = ok and clar_number(benzene).value == 1 and fries_number(benzene).value == 1
     elapsed = time.perf_counter() - started
     ok = ok and elapsed < 10.0
     report(9, "Clar/Fries equal enumeration on the whole catalog",
@@ -327,7 +327,7 @@ def _timed_clar_fries(centers):
     data = benzenoid(centers)
     started = time.perf_counter()
     g = parse_validate(data)
-    clar, fries = clar_number(g)[0], fries_number(g)[0]
+    clar, fries = clar_number(g).value, fries_number(g).value
     return clar, fries, time.perf_counter() - started
 
 

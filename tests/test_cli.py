@@ -234,10 +234,37 @@ def test_verify_random_rejects_bad_arguments(capsys, tmp_path, bowtie_file, args
     assert list(out) == ["error"]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus", "x.json"], ["solve-digraph"], ["verify", "--random", "abc"],
+     ["verify", "--budget-arcs", "1.5"], ["clar", "x.json", "--zzz"],
+     ["verify", "--random", "1" * 100_000]],
+    ids=["no-command", "unknown-command", "missing-file", "non-int-count",
+         "non-int-budget", "unrecognized-argument", "100k-digit-count"],
+)
+def test_malformed_command_line_is_an_input_error(capsys, argv):
+    """A command line that does not parse is bad input like any other:
+    exit 1, one compact error object on stdout and one line on stderr,
+    each well under 1 kB however long the offending argument."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.count("\n") == 1 and list(json.loads(captured.out)) == ["error"]
+    assert captured.err.startswith("error: clarfries") and captured.err.count("\n") == 1
+    assert len(captured.out) < 1000 and len(captured.err) < 1000
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as raised:
+        main(["verify", "-h"])
+    assert raised.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: clarfries verify")
+
+
 def test_verify_disagreement_exits_3(capsys, monkeypatch, bowtie_file):
     """Exit 3 is picked in ``main``, for a ``verify`` payload whose
     ``"agree"`` is false, from a file or from ``--random``."""
-    monkeypatch.setattr(oracle, "brute_max_source_sink", lambda d, w, budget: (-1, None))
+    monkeypatch.setattr(oracle, "brute_max_source_sink", lambda d, w, max_arcs: (-1, None))
     code, out = run(capsys, "verify", bowtie_file)
     assert code == 3 and out == {"agree": False, "solver": 4, "oracle": -1}
     code, out = run(capsys, "verify", "--random", "2")
@@ -445,6 +472,19 @@ def test_plane_request_finds_one_matching_and_one_dual(capsys, monkeypatch, tmp_
     code, _out = run(capsys, command, str(path))
     assert code == 0
     assert calls == {"perfect_matching": 1, "planar_dual": 1, "orient_by_matching": 0}
+
+
+@pytest.mark.parametrize("command", ["clar", "fries", "clar-fries", "verify"])
+def test_plane_request_checks_each_face_class_once(capsys, monkeypatch, tmp_path, command):
+    """Every plane answer is a ``solve_clar_fries`` result, which checks
+    the clockwise and the anticlockwise class for node-disjointness."""
+    calls = {"_check_node_disjoint": 0}
+    _count_calls(monkeypatch, [plane], "_check_node_disjoint", calls)
+    path = tmp_path / "naphthalene.json"
+    path.write_text(json.dumps(benzenoid(NAPHTHALENE_CENTERS)))
+    code, _out = run(capsys, command, str(path))
+    assert code == 0
+    assert calls == {"_check_node_disjoint": 2}
 
 
 @pytest.mark.parametrize("command", ["clar", "fries", "clar-fries"])

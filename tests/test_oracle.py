@@ -6,7 +6,6 @@ import pytest
 
 from clarfries import (
     BudgetExceeded,
-    OracleBudget,
     ViolatingCircuit,
     WeightPair,
     brute_clar_fries,
@@ -123,7 +122,7 @@ def test_partial_peels_are_reachable_reorientations():
 def test_reorientation_budget():
     d, _ = bowtie()
     with pytest.raises(BudgetExceeded):
-        list(enumerate_reorientations(d, OracleBudget(max_arcs=6)))
+        list(enumerate_reorientations(d, max_arcs=6))
 
 
 def test_random_digraph_keeps_to_its_arc_budget():
@@ -159,13 +158,12 @@ def test_brute_witness_uses_full_source_and_sink_sets():
 def test_matching_budget():
     g = naphthalene()
     with pytest.raises(BudgetExceeded):
-        list(enumerate_matchings(g, OracleBudget(max_matchings=1)))
+        list(enumerate_matchings(g, max_matchings=1))
 
 
-def _reference_enumerate_matchings(g, budget=None):
+def _reference_enumerate_matchings(g, max_matchings=100_000):
     """The recursive backtracking enumerator: one generator frame per
     S-node, so it overflows the recursion limit on large graphs."""
-    budget = budget or OracleBudget()
     ns = g.s_count
     adj = [[] for _ in range(ns)]
     for i, (s, t) in enumerate(g.edges):
@@ -178,8 +176,8 @@ def _reference_enumerate_matchings(g, budget=None):
         nonlocal count
         if s == ns:
             count += 1
-            if count > budget.max_matchings:
-                raise BudgetExceeded(f"more than {budget.max_matchings} perfect matchings")
+            if count > max_matchings:
+                raise BudgetExceeded(f"more than {max_matchings} perfect matchings")
             yield frozenset(chosen)
             return
         for t, e in adj[s]:
@@ -208,12 +206,11 @@ def test_matchings_follow_the_recursive_reference():
 def test_matching_budget_stops_where_the_reference_does():
     g = parse_validate(benzenoid([(0, r) for r in range(6)]))  # 7 matchings
     for cap in range(7):
-        budget = OracleBudget(max_matchings=cap)
         seen, ref = [], []
         with pytest.raises(BudgetExceeded):
-            seen.extend(enumerate_matchings(g, budget))
+            seen.extend(enumerate_matchings(g, max_matchings=cap))
         with pytest.raises(BudgetExceeded):
-            ref.extend(_reference_enumerate_matchings(g, budget))
+            ref.extend(_reference_enumerate_matchings(g, cap))
         assert seen == ref and len(seen) == cap
 
 

@@ -727,24 +727,35 @@ def test_catalog_clar_fries_numbers():
         "pyrene": (2, 3),
     }
     for name, g in benzenoid_catalog():
-        cval, cfaces, cmatching = clar_number(g)
-        fval, ffaces, fmatching = fries_number(g)
-        assert (cval, fval) == expected[name], name
+        clar, fries = clar_number(g), fries_number(g)
+        cfaces = clar.cw_faces | clar.acw_faces
+        ffaces = fries.cw_faces | fries.acw_faces
+        assert (clar.value, fries.value) == expected[name], name
         assert g.outer not in cfaces and g.outer not in ffaces
-        assert len(cfaces) == cval
+        assert len(cfaces) == clar.value
         # reported matchings are perfect
-        assert len(cmatching) * 2 == g.node_count
-        assert len(fmatching) * 2 == g.node_count
+        assert len(clar.matching) * 2 == g.node_count
+        assert len(fries.matching) * 2 == g.node_count
         # every reported face is alternating under the reported matching
-        cw, acw = alternating_faces(g, cmatching)
+        cw, acw = alternating_faces(g, clar.matching)
         assert cfaces <= cw
-        fcw, facw = alternating_faces(g, fmatching)
+        fcw, facw = alternating_faces(g, fries.matching)
         assert ffaces <= fcw | facw
+
+
+def test_catalog_clar_results_have_no_anticlockwise_faces():
+    """A Clar solve weighs every anticlockwise face 0, and a pair holds
+    positive-weight nodes only, so the face set ``cw_faces | acw_faces``
+    that ``clar`` prints is the clockwise class alone."""
+    for name, g in benzenoid_catalog():
+        result = clar_number(g)
+        assert result.acw_faces == frozenset(), name
+        assert len(result.cw_faces) == result.value, name
 
 
 def test_clar_fries_match_oracle_exactly():
     for g in (g for _, g in benzenoid_catalog()):
         cw_ind = [int(f != g.outer) for f in range(len(g.face_names))]
         zero = [0] * len(g.face_names)
-        assert clar_number(g)[0] == brute_clar_fries(g, cw_ind, zero)[0]
-        assert fries_number(g)[0] == brute_clar_fries(g, cw_ind, cw_ind)[0]
+        assert clar_number(g).value == brute_clar_fries(g, cw_ind, zero)[0]
+        assert fries_number(g).value == brute_clar_fries(g, cw_ind, cw_ind)[0]
