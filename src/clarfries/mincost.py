@@ -10,7 +10,12 @@ it settles (or reaches at the distance it is settling), raises the
 potentials, and then routes as much excess as the tight (zero reduced
 cost) residual arcs can carry to the deficits.  The rounds stay few on
 large instances, and their number does not depend on the size of the
-costs.
+costs.  It does grow with the lower bounds, that is the weights, on long
+acyclic digraphs: a directed path of 5000 nodes with uniform random weights
+takes 21 rounds at weights 0..10, and 2477 rounds and about 100 s (2 shared
+cores, CPython 3.11) at 0..10**6.  Multiplying every weight by 10**30, as
+``test_work_does_not_grow_with_weight_size`` does, keeps the instance's
+structure, so that test cannot see this.
 
 The input is a digraph with one lower bound and one cost per arc, and
 the digraph keeps its arcs flat: a node count and, per arc, its tail and
@@ -40,22 +45,15 @@ that deficit's distance.
 Potentials change only between Dijkstra rounds, so each round first lists
 every node's tight residual slots, in one pass over the arcs (a slot and
 its reverse partner are tight together), and the round's flow scans only
-those lists.  Its first two steps are Dinic phases.  Each labels every node
-with the fewest tight residual arcs on a path from it to a deficit, by one
-breadth-first search backwards from the deficits that stops at the first
-node with excess, and a depth-first search from each excess at that
-distance steps only to a node one arc closer.  Those are the arcs of the
-forward level graph that lie on a shortest path, met in the same order, so
-the search finds the same paths as a forward Dinic phase without entering
-its dead ends.  The later phases of a round each find only a few paths at
-the cost of a whole search, so the rest of the round is FIFO push-relabel
-over the same lists (Goldberg and Tarjan, JACM 1988), with exact labels
-recomputed by the backward search at the start and after every 0.15 n
-relabels (Cherkassky and Goldberg, Algorithmica 1997).  An excess that can
-reach no deficit stays where push-relabel left it, and the next round's
-Dijkstra starts from there.  On every instance the tests sweep, the
-potentials and deficient sets equal those of Dinic phases run to the end of
-each round; the flow routed may differ.
+those lists.  That flow is FIFO push-relabel (Goldberg and Tarjan, JACM
+1988), with exact labels, the fewest tight residual arcs from each node to a
+deficit, recomputed by one breadth-first search backwards from the deficits
+at the start and after every 0.15 n relabels (Cherkassky and Goldberg,
+Algorithmica 1997).  An excess that can reach no deficit stays where
+push-relabel left it, and the next round's Dijkstra starts from there.  On
+every instance the tests sweep, the potentials and deficient sets equal
+those of Dinic phases run to the end of each round; the flow routed may
+differ.
 
 The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
@@ -81,9 +79,6 @@ from .errors import InfeasibleCirculation, InputError, InvariantError, brief
 from .record import Record
 
 INF = math.inf
-
-# Dinic phases per round before push-relabel routes the rest of its flow.
-DINIC_PHASES = 2
 
 # Push-relabel recomputes exact labels after this share of n relabels.
 GLOBAL_RELABEL_SHARE = 0.15
@@ -249,108 +244,14 @@ def _round_flow(d, cost, pot, head, cap, excess):
     capacity.  An arc and its reverse slot are tight together, so the lists
     take one pass over the arcs.  Arc ``a`` appends slot ``2a`` to its
     tail's list and ``2a + 1`` to its head's, so every list is in ascending
-    slot order.  The first :data:`DINIC_PHASES` Dinic phases route most of
-    the flow; push-relabel routes the rest.
+    slot order.  Push-relabel routes the flow.
     """
     tight: list[list[int]] = [[] for _ in range(d.node_count)]
     for e, u, v, c in zip(count(0, 2), d.tails, d.heads, cost):
         if pot[u] + c == pot[v]:
             tight[u].append(e)
             tight[v].append(e + 1)
-    delivered = 0
-    for _ in range(DINIC_PHASES):
-        pushed = _dinic_phase(tight, head, cap, excess)
-        if not pushed:
-            return delivered
-        delivered += pushed
-    return delivered + _push_relabel(tight, head, cap, excess)[0]
-
-
-def _dinic_phase(tight, head, cap, excess):
-    """One blocking flow along shortest tight residual paths from the nodes
-    with excess to the nodes with a deficit; return the deficit met.
-
-    ``dist[v]`` counts the fewest tight residual arcs from ``v`` to a
-    deficit, by one breadth-first search backwards from the deficits (in
-    node order) that stops at the first node with excess it reaches.  An
-    arc ``v -> w`` of the forward level graph lies on a shortest path
-    exactly when ``dist[w] == dist[v] - 1``, so the depth-first search from
-    each excess at that distance, in node order, advances on those arcs
-    only.
-    """
-    n = len(tight)
-    dist = [-1] * n
-    q = [v for v in range(n) if excess[v] < 0]
-    for v in q:
-        dist[v] = 0
-    top = -1
-    for w in q:  # a list grown while iterated: the queue of the search
-        if excess[w] > 0:
-            top = dist[w]  # every node closer to a deficit is labelled
-            break
-        dw = dist[w] + 1
-        for f in tight[w]:
-            # f ^ 1 is the tight slot from head[f] into w
-            if cap[f ^ 1] > 0:
-                v = head[f]
-                if dist[v] < 0:
-                    dist[v] = dw
-                    q.append(v)
-    if top < 0:
-        return 0
-    total = 0
-    it = [0] * n
-    for r in range(n):
-        if excess[r] <= 0 or dist[r] != top:
-            continue
-        path: list[int] = []
-        v = r
-        while True:
-            dv = dist[v]
-            if dv == 0 and excess[v] < 0:
-                aug = min(excess[r], -excess[v])
-                for e in path:
-                    if cap[e] < aug:
-                        aug = cap[e]
-                for e in path:
-                    if cap[e] != INF:
-                        cap[e] -= aug
-                    if cap[e ^ 1] != INF:
-                        cap[e ^ 1] += aug
-                excess[r] -= aug
-                excess[v] += aug
-                total += aug
-                if not excess[r]:
-                    break
-                # retreat to the first saturated edge on the path
-                keep = 0
-                while keep < len(path) and cap[path[keep]] > 0:
-                    keep += 1
-                del path[keep:]
-                v = head[path[-1]] if path else r
-                continue
-            if dv > 0:
-                a = tight[v]
-                i = it[v]
-                la = len(a)
-                dw = dv - 1
-                while i < la:
-                    e = a[i]
-                    if cap[e] > 0 and dist[head[e]] == dw:
-                        break
-                    i += 1
-                it[v] = i
-                if i < la:
-                    path.append(e)
-                    v = head[e]
-                    continue
-            dist[v] = -1  # dead end: saturated or met since the search
-            if not path:
-                break
-            e = path.pop()
-            v = head[e ^ 1]
-            it[v] += 1
-    return total
+    return _push_relabel(tight, head, cap, excess)[0]
 
 
 def _global_relabel(tight, head, cap, excess):

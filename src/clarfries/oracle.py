@@ -63,6 +63,18 @@ def sparse_instance(n: int, m: int, seed: int = 12) -> tuple[Digraph, WeightPair
     return Digraph(n, arcs), weights
 
 
+def acyclic_instance(n: int, m: int, seed: int = 12) -> tuple[Digraph, WeightPair]:
+    """``sparse_instance(n, m, seed)`` with every arc turned to run from
+    lower to higher rank in one random order of the nodes, drawn from
+    ``random.Random(99)``: the same shape and weights, and no directed
+    cycle, so every node can become a source or a sink."""
+    d, weights = sparse_instance(n, m, seed)
+    rank = list(range(n))
+    random.Random(99).shuffle(rank)
+    arcs = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in zip(d.tails, d.heads)]
+    return Digraph(n, arcs), weights
+
+
 def random_weight_pair(rng: random.Random, n: int, top: int = 3) -> WeightPair:
     return WeightPair(
         tuple(rng.randint(0, top) for _ in range(n)),

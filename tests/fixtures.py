@@ -188,6 +188,20 @@ def benzenoid(centers: list[tuple[int, int]]) -> dict:
     }
 
 
+def random_polyhex_centers(rng: random.Random, size: int) -> list[tuple[int, int]]:
+    """``size`` edge-fused hexagons grown at random from one, as axial
+    centers for ``benzenoid``.  Some enclose a hole (a coronoid), which
+    ``benzenoid`` refuses with an ``AssertionError``."""
+    steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    centers = [(0, 0)]
+    while len(centers) < size:
+        q, r = rng.choice(centers)
+        dq, dr = rng.choice(steps)
+        if (q + dq, r + dr) not in centers:
+            centers.append((q + dq, r + dr))
+    return centers
+
+
 def torus_grid(a: int, b: int, isolated: int) -> dict:
     """Plane-graph JSON for the a x b grid drawn on a torus, plus
     ``isolated`` nodes on no edge.

@@ -1,0 +1,120 @@
+"""Metamorphic relations: two solves of related instances must agree, with
+no oracle in between.  Every transformed answer is re-audited too: all of
+its certificate checks must hold."""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from clarfries import (
+    Digraph,
+    WeightPair,
+    clar_number,
+    fries_number,
+    max_source_sink,
+    parse_validate,
+    solve_clar_fries,
+)
+from clarfries.plane import NoPerfectMatchingError
+from fixtures import benzenoid, random_digraph, random_polyhex_centers
+
+_weights = st.one_of(
+    st.integers(0, 5),
+    st.fractions(min_value=0, max_value=5, max_denominator=4),
+)
+
+
+@st.composite
+def weighted_digraphs(draw):
+    d = random_digraph(random.Random(draw(st.integers(0, 2**32 - 1))), max_nodes=8, max_arcs=14)
+    side = st.lists(_weights, min_size=d.node_count, max_size=d.node_count).map(tuple)
+    return d, WeightPair(draw(side), draw(side))
+
+
+def _solved(d, weights):
+    cert = max_source_sink(d, weights)
+    assert all(cert.checks.values()), cert.checks
+    return cert
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs())
+def test_reversing_every_arc_and_swapping_the_weights_keeps_the_value(instance):
+    """Reversing every arc turns sources into sinks and sinks into
+    sources, so with ``w_o`` and ``w_i`` swapped the value stays."""
+    d, w = instance
+    reverse = Digraph(d.node_count, list(zip(d.heads, d.tails)))
+    swapped = WeightPair(w.sink_weight, w.source_weight)
+    assert _solved(reverse, swapped).value == _solved(d, w).value
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs())
+def test_scaling_every_weight_scales_the_value(instance):
+    """Multiplying every weight by 7/3, which is no power of ten, multiplies
+    the value by 7/3."""
+    d, w = instance
+    q = Fraction(7, 3)
+    scaled = WeightPair(
+        tuple(q * x for x in w.source_weight), tuple(q * x for x in w.sink_weight)
+    )
+    assert _solved(d, scaled).value == q * _solved(d, w).value
+
+
+def _swap_colour_classes(data):
+    """The same plane graph with S and T swapped: each edge's ends trade
+    places, every boundary step's sign flips, and so ``w1`` and ``w2``
+    trade places, since every arc of the matching orientation reverses
+    and clockwise and anticlockwise faces trade places."""
+    flip = {"+": "-", "-": "+"}
+    return {
+        "S": data["T"],
+        "T": data["S"],
+        "edges": [[t, s] for s, t in data["edges"]],
+        "faces": [
+            {"id": f["id"], "boundary": [[e, flip[sign]] for e, sign in f["boundary"]]}
+            for f in data["faces"]
+        ],
+        "outer": data["outer"],
+        "w1": data["w2"],
+        "w2": data["w1"],
+    }
+
+
+@st.composite
+def weighted_polyhexes(draw):
+    """The JSON of a seeded random polyhex of 2 to 9 hexagons with a
+    perfect matching, and face weights 0..3 in both senses, the outer face
+    included."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    size = draw(st.integers(2, 9))
+    while True:
+        try:
+            data = benzenoid(random_polyhex_centers(rng, size))
+            parse_validate(data)
+            break
+        except (AssertionError, NoPerfectMatchingError):
+            continue  # a coronoid, or no perfect matching
+    ids = [f["id"] for f in data["faces"]]
+    side = st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids))
+    data["w1"] = dict(zip(ids, draw(side)))
+    data["w2"] = dict(zip(ids, draw(side)))
+    return data
+
+
+def _plane_answers(data):
+    """The ``clar-fries`` value and the Clar and Fries numbers, each with
+    every certificate check true."""
+    g = parse_validate(data)
+    results = (solve_clar_fries(g), clar_number(g), fries_number(g))
+    for res in results:
+        assert all(res.certificate.checks.values()), res.certificate.checks
+    return tuple(res.value for res in results)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_polyhexes())
+def test_swapping_the_colour_classes_keeps_the_plane_values(data):
+    assert _plane_answers(_swap_colour_classes(data)) == _plane_answers(data)

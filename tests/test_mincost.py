@@ -230,7 +230,7 @@ def _reference_dijkstra(adj, head, cap, cst, pot, excess):
 def _reference_blocking_flow(adj, head, cap, cst, pot, excess):
     """Full-scan Dinic over forward levels until no excess reaches a deficit:
     every phase rescans every residual slot and recomputes its reduced
-    cost.  Reference for the tight-list phases and the push-relabel tail."""
+    cost.  Reference for the tight-list Dinic phases and push-relabel."""
     n = len(adj)
     total = 0
     while True:
@@ -400,17 +400,102 @@ def _outcome(solver, inst):
     return sol.flow, sol.potential, sol.objective
 
 
-def _dinic_tail(tight, head, cap, excess):
-    """Dinic phases in place of push-relabel, until none pushes."""
+def _dinic_phase(tight, head, cap, excess):
+    """One blocking flow along shortest tight residual paths from the nodes
+    with excess to the nodes with a deficit; return the deficit met.
+
+    ``dist[v]`` counts the fewest tight residual arcs from ``v`` to a
+    deficit, by one breadth-first search backwards from the deficits (in
+    node order) that stops at the first node with excess it reaches.  An
+    arc ``v -> w`` of the forward level graph lies on a shortest path
+    exactly when ``dist[w] == dist[v] - 1``, so the depth-first search from
+    each excess at that distance, in node order, advances on those arcs
+    only.  It finds the same paths as a forward Dinic phase, met in the
+    same order, without entering its dead ends.
+    """
+    n = len(tight)
+    dist = [-1] * n
+    q = [v for v in range(n) if excess[v] < 0]
+    for v in q:
+        dist[v] = 0
+    top = -1
+    for w in q:  # a list grown while iterated: the queue of the search
+        if excess[w] > 0:
+            top = dist[w]  # every node closer to a deficit is labelled
+            break
+        dw = dist[w] + 1
+        for f in tight[w]:
+            # f ^ 1 is the tight slot from head[f] into w
+            if cap[f ^ 1] > 0:
+                v = head[f]
+                if dist[v] < 0:
+                    dist[v] = dw
+                    q.append(v)
+    if top < 0:
+        return 0
     total = 0
-    while pushed := mincost._dinic_phase(tight, head, cap, excess):
+    it = [0] * n
+    for r in range(n):
+        if excess[r] <= 0 or dist[r] != top:
+            continue
+        path = []
+        v = r
+        while True:
+            dv = dist[v]
+            if dv == 0 and excess[v] < 0:
+                aug = min([excess[r], -excess[v]] + [cap[e] for e in path])
+                for e in path:
+                    if cap[e] != mincost.INF:
+                        cap[e] -= aug
+                    if cap[e ^ 1] != mincost.INF:
+                        cap[e ^ 1] += aug
+                excess[r] -= aug
+                excess[v] += aug
+                total += aug
+                if not excess[r]:
+                    break
+                # retreat to the first saturated edge on the path
+                keep = 0
+                while keep < len(path) and cap[path[keep]] > 0:
+                    keep += 1
+                del path[keep:]
+                v = head[path[-1]] if path else r
+                continue
+            if dv > 0:
+                a = tight[v]
+                i = it[v]
+                while i < len(a):
+                    e = a[i]
+                    if cap[e] > 0 and dist[head[e]] == dv - 1:
+                        break
+                    i += 1
+                it[v] = i
+                if i < len(a):
+                    path.append(e)
+                    v = head[e]
+                    continue
+            dist[v] = -1  # dead end: saturated or met since the search
+            if not path:
+                break
+            e = path.pop()
+            v = head[e ^ 1]
+            it[v] += 1
+    return total
+
+
+def _dinic_tail(tight, head, cap, excess):
+    """Dinic phases over the tight lists in place of push-relabel, until
+    none pushes."""
+    total = 0
+    while pushed := _dinic_phase(tight, head, cap, excess):
         total += pushed
     return total, 0, 0
 
 
 def test_dinic_rounds_match_reference_solver(monkeypatch):
-    """Without its push-relabel tail, the excess-driven solver is the super
-    source and sink solver: equal flows, potentials and deficient sets."""
+    """With Dinic phases over its tight lists in place of push-relabel,
+    the excess-driven solver is the super source and sink solver: equal
+    flows, potentials and deficient sets."""
     instances = _all_instances()
     reference = [_outcome(_reference_solve, inst) for inst in instances]
     assert any(isinstance(out, frozenset) for out in reference)
@@ -471,7 +556,7 @@ def test_dijkstra_bound_matches_heap_reference(monkeypatch):
 
 
 def test_push_relabel_keeps_reference_optimum():
-    """Push-relabel routes each round's tail along other paths, so flows
+    """Push-relabel routes each round's flow along other paths, so flows
     may differ; objectives, potentials and deficient sets may not, and
     every flow passes the optimality check."""
     changed = 0
@@ -486,6 +571,34 @@ def test_push_relabel_keeps_reference_optimum():
         mincost._certify(inst, flow, potential, objective)
         changed += flow != ref[0]
     assert changed
+
+
+def test_every_round_flow_is_maximal(monkeypatch):
+    """Each round's flow leaves no excess that reaches a deficit over tight
+    residual slots: the exact labels, on tight lists rebuilt from the
+    round's potentials, give every node with excess the label
+    ``len(tight)`` of a node that reaches none."""
+    inner = mincost._round_flow
+    leftovers = []
+
+    def checked(d, cost, pot, head, cap, excess):
+        delivered = inner(d, cost, pot, head, cap, excess)
+        tight = [[] for _ in range(d.node_count)]
+        for a, (u, v, c) in enumerate(zip(d.tails, d.heads, cost)):
+            if pot[u] + c == pot[v]:
+                tight[u].append(2 * a)
+                tight[v].append(2 * a + 1)
+        label = mincost._global_relabel(tight, head, cap, excess)
+        stuck = [v for v in range(d.node_count) if excess[v] > 0]
+        assert all(label[v] == len(tight) for v in stuck)
+        leftovers.append(bool(stuck))
+        return delivered
+
+    monkeypatch.setattr(mincost, "_round_flow", checked)
+    for inst in _all_instances():
+        _outcome(solve, inst)
+    # rounds that end with excess left over occur, so the check bites
+    assert any(leftovers) and not all(leftovers)
 
 
 def _dijkstra_bounds(monkeypatch):
@@ -556,11 +669,11 @@ def _seeded_digraph(seed, n, m):
 )
 def test_work_does_not_grow_with_weight_size(monkeypatch, instance):
     """The solve is strongly polynomial: scaling every weight by 10**30
-    leaves the rounds, Dijkstra searches, Dinic phases, pushes, relabels
-    and global relabels as they are, and the rounds stay within 3n + 2 for
+    leaves the rounds, Dijkstra searches, push-relabel calls, pushes,
+    relabels and global relabels as they are, and the rounds stay within 3n + 2 for
     a digraph of n nodes (costs are 0 or 1, so the nearest deficit's
     distance rises by at least 1 a round)."""
-    names = ("_round_flow", "_dijkstra", "_dinic_phase", "_global_relabel", "_push_relabel")
+    names = ("_round_flow", "_dijkstra", "_global_relabel", "_push_relabel")
     work = dict.fromkeys(names + ("pushes", "relabels"), 0)
     for name in names:
         inner = getattr(mincost, name)

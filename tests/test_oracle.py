@@ -20,6 +20,7 @@ from clarfries import (
     verify_reorientable,
     verify_source_sink,
 )
+from clarfries.oracle import acyclic_instance, sparse_instance
 from fixtures import (
     acyclic_triangle,
     benzenoid,
@@ -132,6 +133,40 @@ def test_random_digraph_keeps_to_its_arc_budget():
             d = random_digraph(rng, max_nodes=7, max_arcs=max_arcs)
             assert 2 <= d.node_count <= min(7, max_arcs + 1)
             assert d.arc_count <= max_arcs
+
+
+def _topological_order(d):
+    """Kahn's order of the nodes of ``d``; shorter than the node count
+    exactly when ``d`` has a directed cycle."""
+    indegree = [0] * d.node_count
+    out = [[] for _ in range(d.node_count)]
+    for u, v in zip(d.tails, d.heads):
+        indegree[v] += 1
+        out[u].append(v)
+    order = [v for v in range(d.node_count) if not indegree[v]]
+    for u in order:
+        for v in out[u]:
+            indegree[v] -= 1
+            if not indegree[v]:
+                order.append(v)
+    return order
+
+
+def test_acyclic_instance_has_no_directed_cycle_and_solves():
+    """The acyclic instance keeps ``sparse_instance``'s weights and
+    underlying graph, has no directed cycle where that instance has one,
+    and solves with every certificate check true."""
+    d, w = acyclic_instance(1000, 5000)
+    base, base_w = sparse_instance(1000, 5000)
+    assert w == base_w and d.arc_count == 5000
+    assert sorted(map(sorted, zip(d.tails, d.heads))) == sorted(
+        map(sorted, zip(base.tails, base.heads))
+    )
+    assert len(_topological_order(d)) == 1000
+    assert len(_topological_order(base)) < 1000
+    cert = max_source_sink(d, w)
+    assert cert.value > 0
+    assert all(cert.checks.values())
 
 
 def test_brute_pair_is_valid_and_matches_solver():

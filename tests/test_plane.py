@@ -41,6 +41,7 @@ from fixtures import (
     benzenoid_catalog,
     naphthalene,
     random_map,
+    random_polyhex_centers,
     torus_grid,
 )
 
@@ -239,7 +240,7 @@ def test_face_checks_imply_two_connected(monkeypatch):
     )]
     while len(inputs) < 85:
         try:
-            inputs.append(benzenoid(_random_polyhex_centers(rng, rng.randint(2, 12))))
+            inputs.append(benzenoid(random_polyhex_centers(rng, rng.randint(2, 12))))
         except AssertionError:
             continue
     inputs += [random_map(rng) for _ in range(1500)]
@@ -465,18 +466,6 @@ def _assert_perfect(g, m):
     assert len(covered) == g.node_count
 
 
-def _random_polyhex_centers(rng, size):
-    """``size`` edge-fused hexagons grown at random from one."""
-    steps = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-    centers = [(0, 0)]
-    while len(centers) < size:
-        q, r = rng.choice(centers)
-        dq, dr = rng.choice(steps)
-        if (q + dq, r + dr) not in centers:
-            centers.append((q + dq, r + dr))
-    return centers
-
-
 def _matching_outcome(data):
     """Whether the validated graph has a perfect matching (checked to be
     perfect), else the ``NoPerfectMatchingError`` message."""
@@ -501,7 +490,7 @@ def test_matching_agrees_with_reference_on_random_polyhexes(monkeypatch):
     while len(inputs) < 60:
         try:
             # holes (coronoids) make a second clockwise face and are skipped
-            inputs.append(benzenoid(_random_polyhex_centers(rng, rng.randint(2, 12))))
+            inputs.append(benzenoid(random_polyhex_centers(rng, rng.randint(2, 12))))
         except AssertionError:
             continue
     fast = [_matching_outcome(data) for data in inputs]
@@ -665,7 +654,7 @@ def weighted_kekulean_polyhexes(draw):
         size = draw(st.integers(2, 7))
         while True:
             try:
-                g = parse_validate(benzenoid(_random_polyhex_centers(rng, size)))
+                g = parse_validate(benzenoid(random_polyhex_centers(rng, size)))
                 break
             except (AssertionError, NoPerfectMatchingError):
                 continue  # a coronoid, or no perfect matching
