@@ -159,8 +159,10 @@ def _verify_plane(data, max_matchings: int) -> dict:
 
 
 def cmd_verify(data, args) -> dict:
-    if args.random < 0:
-        raise InputError("--random COUNT must be nonnegative")
+    for option, value in (("--random COUNT", args.random), ("--budget-arcs", args.budget_arcs),
+                          ("--budget-matchings", args.budget_matchings)):
+        if value < 0:
+            raise InputError(f"{option} must be nonnegative")
     if args.random:
         if data is not None:
             raise InputError("verify takes an input file or --random COUNT, not both")

@@ -217,7 +217,6 @@ def feasible_tension(
 
     dist = [0] * n
     pred: list[int | None] = [None] * n
-    converged = False
     for _ in range(n + 1):
         changed = False
         for idx, (u, v, w, _a, _f) in enumerate(edges):
@@ -227,10 +226,7 @@ def feasible_tension(
                 pred[v] = idx
                 changed = True
         if not changed:
-            converged = True
-            break
-    if converged:
-        return normalize_potential(dist)
+            return normalize_potential(dist)
 
     # Still relaxing after n+1 passes: the predecessor graph contains a
     # cycle, and every predecessor cycle has negative total weight.

@@ -1,8 +1,8 @@
 """Minimum-cost circulations with arc lower bounds and free capacities.
 
 The instances solved here have integer lower bounds, nonnegative integer
-costs, and no upper capacities.  Substituting ``x = lower + x'`` turns the
-lower bounds into node excesses and deficits, which are cancelled by
+costs, and no upper capacities.  Substituting ``flow = lower + x`` turns
+the lower bounds into node excesses and deficits, which are cancelled by
 successive shortest paths with node potentials on the residual network
 itself: there is no super source or sink.  Each round runs Dijkstra on
 reduced costs from every node with excess and stops at the first deficit
@@ -21,9 +21,12 @@ The input is a digraph with one lower bound and one cost per arc, and
 the digraph keeps its arcs flat: a node count and, per arc, its tail and
 head, in two tuples, so the auxiliary network reaches the solver as it was
 built.  The residual network is flat too: slot 2a is arc a and slot
-2a + 1 its reverse, in one list of heads and one of capacities.  Node
-lists of slots hold each node's slots in ascending order, since arc a adds
-2a to its tail's list and 2a + 1 to its head's in one pass over the arcs.
+2a + 1 its reverse, and its one state is ``x[a]``, the flow above arc a's
+lower bound.  Slot 2a is always residual, since no arc has an upper
+capacity, and slot 2a + 1 is residual while the arc carries flow above its
+lower bound, ``x[a] > 0``.  Node lists of slots hold each node's slots in
+ascending order, since arc a adds 2a to its tail's list and 2a + 1 to its
+head's in one pass over the arcs.
 
 The first round needs no Dijkstra.  It starts at zero potentials and zero
 flow, where the search would find the bound 0 exactly when a path of cost-0
@@ -31,9 +34,9 @@ arcs joins an excess to a deficit, and a bound of 0 leaves the potentials
 as they are.  So the first round's flow runs at once, on the tight slots
 at zero potentials: those of cost 0.  Only when it moves nothing (no such
 path) does the first Dijkstra run, from the unchanged state; that is also
-where an instance with no feasible circulation is found.  The slot costs
-and the full adjacency lists, which only Dijkstra reads, are built after
-the first round, and only when it leaves supply.
+where an instance with no feasible circulation is found.  The full
+adjacency lists, which only Dijkstra reads, are built after the first
+round, and only when it leaves supply.
 
 Dijkstra keeps its queue as one list of nodes per tentative distance, plus a
 heap of the distinct distances (Dial's bucket queue, CACM 1969, with a heap
@@ -58,11 +61,7 @@ differ.
 The returned node potential satisfies drop(a) <= cost(a) on every arc and
 complementary slackness with the returned flow; together with feasibility
 this certifies optimality, and :func:`solve` checks all three before
-returning.  All arithmetic is on Python ints; ``math.inf`` marks the absence
-of a capacity, never a sentinel integer.  Flow moves leave an infinite
-residual capacity unchanged: adding an int beyond the float range (about
-1.8e308) to ``inf`` raises ``OverflowError``, so ``inf`` only ever meets ints
-in comparisons, which Python makes exactly.
+returning.  All arithmetic is on Python ints.
 """
 
 from __future__ import annotations
@@ -133,11 +132,10 @@ def solve(instance: CirculationInstance) -> McfSolution:
     cost = instance.cost
     m = len(tails)
 
-    # Paired residual slots: slot 2a is arc a, slot 2a + 1 its reverse.
     head = [0] * (2 * m)
     head[0::2] = heads
     head[1::2] = tails
-    cap = [INF, 0] * m
+    x = [0] * m  # each arc's flow above its lower bound
 
     excess = [0] * n
     for u, v, f in zip(tails, heads, lower):
@@ -149,34 +147,31 @@ def solve(instance: CirculationInstance) -> McfSolution:
     pot = [0] * n
     if supply:
         # the first round's flow, before any Dijkstra (see the module docstring)
-        supply -= _round_flow(d, cost, pot, head, cap, excess)
+        supply -= _round_flow(d, cost, pot, head, x, excess)
     if supply:
-        # only Dijkstra reads the slot costs and the full adjacency
-        cst = [0] * (2 * m)
-        cst[0::2] = cost
-        cst[1::2] = [-c for c in cost]
+        # only Dijkstra reads the full adjacency
         adj: list[list[int]] = [[] for _ in range(n)]
         for e, u, v in zip(count(0, 2), tails, heads):
             adj[u].append(e)
             adj[v].append(e + 1)
     while supply:
-        dist, bound = _dijkstra(adj, head, cap, cst, pot, excess)
+        dist, bound = _dijkstra(adj, head, x, cost, pot, excess)
         if bound is None:
             raise InfeasibleCirculation(frozenset(v for v in range(n) if dist[v] < INF))
         pot = [p + (dv if dv < bound else bound) for p, dv in zip(pot, dist)]
-        delivered = _round_flow(d, cost, pot, head, cap, excess)
+        delivered = _round_flow(d, cost, pot, head, x, excess)
         if delivered <= 0:
             raise InvariantError("augmentation round delivered no flow")
         supply -= delivered
 
-    flow = tuple(map(add, lower, cap[1::2]))
+    flow = tuple(map(add, lower, x))
     potential = tuple(pot)
     objective = sum(map(mul, cost, flow))
     _certify(instance, flow, potential, objective)
     return McfSolution(flow, potential, objective)
 
 
-def _dijkstra(adj, head, cap, cst, pot, excess):
+def _dijkstra(adj, head, x, cost, pot, excess):
     """Shortest reduced-cost distances from the nodes with excess, stopping
     at the first node with a deficit settled.
 
@@ -213,48 +208,47 @@ def _dijkstra(adj, head, cap, cst, pot, excess):
                 return dist, dv
             pv = dv + pot[v]
             for e in adj[v]:
-                if cap[e] > 0:
-                    # reduced costs are nonnegative, so a settled w keeps
-                    # dist[w] <= dv <= nd
-                    w = head[e]
-                    nd = pv + cst[e] - pot[w]
-                    if nd < dist[w]:
-                        if nd == dv and excess[w] < 0:
-                            # a deficit at the distance being settled:
-                            # the bound is dv, as if it were settled
-                            return dist, dv
-                        dist[w] = nd
-                        b = buckets.get(nd)
-                        if b is None:
-                            buckets[nd] = [w]
-                            heappush(keys, nd)
-                        else:
-                            b.append(w)
+                if e & 1 and not x[e >> 1]:
+                    continue  # a reverse slot with no flow to take back
+                # reduced costs are nonnegative, so a settled w keeps
+                # dist[w] <= dv <= nd
+                w = head[e]
+                nd = (pv - cost[e >> 1] if e & 1 else pv + cost[e >> 1]) - pot[w]
+                if nd < dist[w]:
+                    if nd == dv and excess[w] < 0:
+                        # a deficit at the distance being settled:
+                        # the bound is dv, as if it were settled
+                        return dist, dv
+                    dist[w] = nd
+                    b = buckets.get(nd)
+                    if b is None:
+                        buckets[nd] = [w]
+                        heappush(keys, nd)
+                    else:
+                        b.append(w)
         del buckets[dv]
     return dist, None
 
 
-def _round_flow(d, cost, pot, head, cap, excess):
+def _round_flow(d, cost, pot, head, x, excess):
     """Move excess to deficits over tight residual arcs until no node with
     excess reaches a deficit through them; return the deficit met.
 
     Tightness depends only on the potentials, which stay fixed for the whole
-    call, so each node's tight slots are listed once, whatever their
-    residual capacity: pushing flow only changes which listed slots have
-    capacity.  An arc and its reverse slot are tight together, so the lists
-    take one pass over the arcs.  Arc ``a`` appends slot ``2a`` to its
-    tail's list and ``2a + 1`` to its head's, so every list is in ascending
-    slot order.  Push-relabel routes the flow.
+    call, so each node's tight slots are listed once, residual or not:
+    pushing flow only changes which listed reverse slots are residual.  An
+    arc and its reverse slot are tight together, so the lists take one pass
+    over the arcs, in ascending slot order.  Push-relabel routes the flow.
     """
     tight: list[list[int]] = [[] for _ in range(d.node_count)]
     for e, u, v, c in zip(count(0, 2), d.tails, d.heads, cost):
         if pot[u] + c == pot[v]:
             tight[u].append(e)
             tight[v].append(e + 1)
-    return _push_relabel(tight, head, cap, excess)[0]
+    return _push_relabel(tight, head, x, excess)[0]
 
 
-def _global_relabel(tight, head, cap, excess):
+def _global_relabel(tight, head, x, excess):
     """Exact labels: the fewest tight residual arcs from each node to a
     deficit, ``len(tight)`` where none is reachable."""
     n = len(tight)
@@ -265,7 +259,8 @@ def _global_relabel(tight, head, cap, excess):
     for w in q:
         dw = label[w] + 1
         for f in tight[w]:
-            if cap[f ^ 1] > 0:
+            # f ^ 1, the slot from head[f] into w, is residual
+            if f & 1 or x[f >> 1]:
                 v = head[f]
                 if label[v] == n:
                     label[v] = dw
@@ -273,7 +268,7 @@ def _global_relabel(tight, head, cap, excess):
     return label
 
 
-def _push_relabel(tight, head, cap, excess):
+def _push_relabel(tight, head, x, excess):
     """FIFO push-relabel over the tight residual arcs, from the excesses
     towards the deficits; return ``(deficit met, pushes, relabels)``, the
     counts for callers that measure the work.
@@ -281,10 +276,11 @@ def _push_relabel(tight, head, cap, excess):
     Labels start exact (:func:`_global_relabel`) and are recomputed after
     every :data:`GLOBAL_RELABEL_SHARE` times n relabels.  A node labelled
     n reaches no deficit, so its excess stays put for the next round's
-    Dijkstra to start from.  Pushes never change an infinite capacity.
+    Dijkstra to start from.  A push on slot 2a adds all of it to
+    ``x[a]``; a push on slot 2a + 1 takes at most ``x[a]`` off it.
     """
     n = len(tight)
-    label = _global_relabel(tight, head, cap, excess)
+    label = _global_relabel(tight, head, x, excess)
     it = [0] * n
     queue = deque(v for v in range(n) if excess[v] > 0 and label[v] < n)
     period = max(1, int(GLOBAL_RELABEL_SHARE * n))
@@ -292,7 +288,7 @@ def _push_relabel(tight, head, cap, excess):
     delivered = pushes = relabels = 0
     while queue:
         if relabels >= due:
-            label = _global_relabel(tight, head, cap, excess)
+            label = _global_relabel(tight, head, x, excess)
             it = [0] * n
             due = relabels + period
         v = queue.popleft()
@@ -307,16 +303,16 @@ def _push_relabel(tight, head, cap, excess):
             dw = dv - 1
             while i < la:
                 e = a[i]
-                c = cap[e]
-                if c > 0:
-                    w = head[e]
-                    if label[w] == dw:
-                        delta = ex if ex < c else c
-                        if c != INF:
-                            cap[e] = c - delta
-                        f = e ^ 1
-                        if cap[f] != INF:
-                            cap[f] += delta
+                w = head[e]
+                if label[w] == dw:
+                    b = e >> 1
+                    if e & 1:
+                        delta = x[b] if x[b] < ex else ex
+                        x[b] -= delta
+                    else:
+                        delta = ex
+                        x[b] += ex
+                    if delta:
                         xw = excess[w]
                         excess[w] = xw + delta
                         if xw < 0:
@@ -334,7 +330,7 @@ def _push_relabel(tight, head, cap, excess):
             relabels += 1
             dv = n
             for e in a:
-                if cap[e] > 0:
+                if not e & 1 or x[e >> 1]:
                     lw = label[head[e]] + 1
                     if lw < dv:
                         dv = lw

@@ -200,10 +200,8 @@ def brute_clar_fries(
 ) -> tuple:
     """Max over all perfect matchings of total alternating-face weight:
     (value, matching, clockwise faces, anticlockwise faces)."""
-    if cw_weights is None:
-        cw_weights = g.cw_weights
-    if acw_weights is None:
-        acw_weights = g.acw_weights
+    cw_weights = g.cw_weights if cw_weights is None else cw_weights
+    acw_weights = g.acw_weights if acw_weights is None else acw_weights
     best = None
     for matching in enumerate_matchings(g, max_matchings=max_matchings):
         cw, acw = alternating_faces(g, matching)

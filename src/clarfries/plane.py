@@ -59,7 +59,10 @@ class NotTwoConnectedError(InputError):
 
 
 class NoPerfectMatchingError(InputError):
-    pass
+    """``s_nodes`` are S-nodes with fewer T-neighbours, ``t_nodes``, than
+    their own number, so no matching covers them; empty when |S| != |T|."""
+
+    s_nodes = t_nodes = ()
 
 
 class PlaneBipartiteGraph:
@@ -335,7 +338,17 @@ def perfect_matching(g: PlaneBipartiteGraph) -> frozenset[int]:
                         layer[w] = d + 1
                         queue.append(w)
         if last < 0:
-            raise NoPerfectMatchingError("graph has no perfect matching")
+            # the S-nodes reached from the free ones see only T-nodes
+            # matched to them, so more of them than of those T-nodes
+            xs = sorted(queue)
+            nx = sorted({edges[e][1] for s in xs for e in adj[s]})
+            err = NoPerfectMatchingError(
+                f"graph has no perfect matching: the {len(xs)} S-nodes "
+                f"{brief([g.node_name(v) for v in xs])} have only {len(nx)} "
+                f"T-neighbours {brief([g.node_name(v) for v in nx])}"
+            )
+            err.s_nodes, err.t_nodes = frozenset(xs), frozenset(nx)
+            raise err
         pos = [0] * ns  # next adjacency entry to try, per S-node
         for root in free:
             path = [root]  # S-nodes; edge via[k] leaves path[k]
@@ -484,17 +497,12 @@ def solve_clar_fries(
     perfect, or whose face classes do not alternate or share a node,
     raises :class:`InvariantError`.
     """
-    if cw_weights is None:
-        cw_weights = g.cw_weights
-    if acw_weights is None:
-        acw_weights = g.acw_weights
+    cw_weights = g.cw_weights if cw_weights is None else cw_weights
+    acw_weights = g.acw_weights if acw_weights is None else acw_weights
     if len(cw_weights) != len(g.face_names) or len(acw_weights) != len(g.face_names):
         raise InputError("need one weight per face")
 
-    if start_matching is None:
-        start = g.matching
-    else:
-        start = frozenset(start_matching)
+    start = g.matching if start_matching is None else frozenset(start_matching)
     dual = planar_dual(g, start)
 
     # clockwise faces are exactly the sinks of the dual, so the clockwise

@@ -213,25 +213,30 @@ def test_verify_random_fits_small_arc_budgets(capsys, arcs):
 
 MISSING = object()
 FILE = object()
+PLANE = object()
 
 
 @pytest.mark.parametrize(
     "args",
     [["--random", "-3"], ["--random", "5", "--budget-arcs", "0"],
      ["--random", "5", "--budget-arcs", "-2"], [], [MISSING, "--random", "3"],
-     [FILE, "--random", "3"]],
+     [FILE, "--random", "3"], [FILE, "--budget-arcs", "-1"],
+     [PLANE, "--budget-matchings", "-1"]],
     ids=["negative-count", "zero-arc-budget", "negative-arc-budget", "no-input",
-         "missing-file-with-random", "file-with-random"],
+         "missing-file-with-random", "file-with-random", "negative-arc-budget-with-file",
+         "negative-matching-budget-with-file"],
 )
-def test_verify_random_rejects_bad_arguments(capsys, tmp_path, bowtie_file, args):
+def test_verify_random_rejects_bad_arguments(capsys, tmp_path, bowtie_file, benzene_file, args):
     """``main`` reads a named file before any command runs, so a missing
     file fails even with ``--random``; a file that reads is still refused
-    with ``--random``, which would leave it unused."""
+    with ``--random``, which would leave it unused.  A budget below what
+    its mode allows is refused by name, with a file too."""
     missing = str(tmp_path / "missing.json")
-    named = {MISSING: missing, FILE: bowtie_file}
+    named = {MISSING: missing, FILE: bowtie_file, PLANE: benzene_file}
     code, out = run(capsys, "verify", *(named.get(a, a) for a in args))
     assert code == 1
     assert list(out) == ["error"]
+    assert all(a in out["error"] for a in args if str(a).startswith("--budget"))
 
 
 @pytest.mark.parametrize(

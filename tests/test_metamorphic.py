@@ -5,7 +5,7 @@ its certificate checks must hold."""
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clarfries import (
@@ -61,6 +61,84 @@ def test_scaling_every_weight_scales_the_value(instance):
         tuple(q * x for x in w.source_weight), tuple(q * x for x in w.sink_weight)
     )
     assert _solved(d, scaled).value == q * _solved(d, w).value
+
+
+_choices = st.integers(0, 2**32 - 1).map(random.Random)
+
+
+def _strong_components(d):
+    """The strong components of ``d`` with two or more nodes, as sorted
+    node lists: the nodes that reach each other both ways."""
+    out = [[] for _ in range(d.node_count)]
+    for u, v in zip(d.tails, d.heads):
+        out[u].append(v)
+    reach = []
+    for s in range(d.node_count):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for w in out[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    comps = {tuple(v for v in reach[s] if s in reach[v]) for s in range(d.node_count)}
+    return sorted(c for c in comps if len(c) > 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs(), _choices)
+def test_relabelling_the_nodes_and_permuting_the_arcs_keeps_the_value(instance, rng):
+    d, w = instance
+    perm = list(range(d.node_count))
+    rng.shuffle(perm)
+    arcs = [(perm[u], perm[v]) for u, v in zip(d.tails, d.heads)]
+    rng.shuffle(arcs)
+    inverse = sorted(range(d.node_count), key=perm.__getitem__)
+    moved = WeightPair(
+        tuple(w.source_weight[v] for v in inverse), tuple(w.sink_weight[v] for v in inverse)
+    )
+    assert _solved(Digraph(d.node_count, arcs), moved).value == _solved(d, w).value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs(), _choices)
+def test_adding_a_parallel_copy_of_an_arc_keeps_the_value(instance, rng):
+    d, w = instance
+    arcs = list(zip(d.tails, d.heads))
+    arcs.insert(rng.randrange(len(arcs) + 1), rng.choice(arcs))
+    assert _solved(Digraph(d.node_count, arcs), w).value == _solved(d, w).value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs(), _choices)
+def test_adding_an_arc_inside_a_strong_component_keeps_the_value(instance, rng):
+    """An arc between two nodes that already reach each other closes no
+    new circuit through any other node, so no source or sink changes."""
+    d, w = instance
+    comps = _strong_components(d)
+    assume(comps)
+    u, v = rng.sample(rng.choice(comps), 2)
+    arcs = list(zip(d.tails, d.heads)) + [(u, v)]
+    assert _solved(Digraph(d.node_count, arcs), w).value == _solved(d, w).value
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(weighted_digraphs(), _choices)
+def test_zeroing_the_weights_of_a_strong_component_keeps_the_value(instance, rng):
+    """A node on a directed circuit is a source or a sink in no
+    reorientation, so its weights never count: the fact that lets a
+    solver work on the condensation."""
+    d, w = instance
+    comps = _strong_components(d)
+    assume(comps)
+    inside = set(rng.choice(comps))
+
+    def zero(side):
+        return tuple(0 if v in inside else x for v, x in enumerate(side))
+
+    zeroed = WeightPair(zero(w.source_weight), zero(w.sink_weight))
+    assert _solved(d, zeroed).value == _solved(d, w).value
 
 
 def _swap_colour_classes(data):

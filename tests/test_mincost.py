@@ -18,6 +18,7 @@ from clarfries import (
     is_circulation,
     max_source_sink,
     mincost,
+    oracle,
     solve,
 )
 from fixtures import (
@@ -400,7 +401,14 @@ def _outcome(solver, inst):
     return sol.flow, sol.potential, sol.objective
 
 
-def _dinic_phase(tight, head, cap, excess):
+def _residual(x, e):
+    """Whether slot ``e`` of the solver's residual state ``x`` is residual:
+    an arc always, its reverse while the arc carries flow above its lower
+    bound."""
+    return not e & 1 or x[e >> 1] > 0
+
+
+def _dinic_phase(tight, head, x, excess):
     """One blocking flow along shortest tight residual paths from the nodes
     with excess to the nodes with a deficit; return the deficit met.
 
@@ -426,7 +434,7 @@ def _dinic_phase(tight, head, cap, excess):
         dw = dist[w] + 1
         for f in tight[w]:
             # f ^ 1 is the tight slot from head[f] into w
-            if cap[f ^ 1] > 0:
+            if _residual(x, f ^ 1):
                 v = head[f]
                 if dist[v] < 0:
                     dist[v] = dw
@@ -443,12 +451,9 @@ def _dinic_phase(tight, head, cap, excess):
         while True:
             dv = dist[v]
             if dv == 0 and excess[v] < 0:
-                aug = min([excess[r], -excess[v]] + [cap[e] for e in path])
+                aug = min([excess[r], -excess[v]] + [x[e >> 1] for e in path if e & 1])
                 for e in path:
-                    if cap[e] != mincost.INF:
-                        cap[e] -= aug
-                    if cap[e ^ 1] != mincost.INF:
-                        cap[e ^ 1] += aug
+                    x[e >> 1] += -aug if e & 1 else aug
                 excess[r] -= aug
                 excess[v] += aug
                 total += aug
@@ -456,7 +461,7 @@ def _dinic_phase(tight, head, cap, excess):
                     break
                 # retreat to the first saturated edge on the path
                 keep = 0
-                while keep < len(path) and cap[path[keep]] > 0:
+                while keep < len(path) and _residual(x, path[keep]):
                     keep += 1
                 del path[keep:]
                 v = head[path[-1]] if path else r
@@ -466,7 +471,7 @@ def _dinic_phase(tight, head, cap, excess):
                 i = it[v]
                 while i < len(a):
                     e = a[i]
-                    if cap[e] > 0 and dist[head[e]] == dv - 1:
+                    if _residual(x, e) and dist[head[e]] == dv - 1:
                         break
                     i += 1
                 it[v] = i
@@ -483,11 +488,11 @@ def _dinic_phase(tight, head, cap, excess):
     return total
 
 
-def _dinic_tail(tight, head, cap, excess):
+def _dinic_tail(tight, head, x, excess):
     """Dinic phases over the tight lists in place of push-relabel, until
     none pushes."""
     total = 0
-    while pushed := _dinic_phase(tight, head, cap, excess):
+    while pushed := _dinic_phase(tight, head, x, excess):
         total += pushed
     return total, 0, 0
 
@@ -504,16 +509,32 @@ def test_dinic_rounds_match_reference_solver(monkeypatch):
     assert [_outcome(solve, inst) for inst in instances] == reference
 
 
-def _full_scan_round(d, cost, pot, head, cap, excess):
+def _slot_arrays(x, cost):
+    """The residual capacities and costs of every slot, in the solver's
+    numbering, that the references read in place of ``x`` and ``cost``."""
+    cap, cst = [], []
+    for f, c in zip(x, cost):
+        cap += (mincost.INF, f)
+        cst += (c, -c)
+    return cap, cst
+
+
+def _full_scan_round(d, cost, pot, head, x, excess):
     """``_reference_blocking_flow`` in place of a round's flow, on the
     residual slots of the digraph ``d`` in the solver's numbering."""
     adj = [[] for _ in range(d.node_count)]
-    cst = []
-    for a, (u, v, c) in enumerate(zip(d.tails, d.heads, cost)):
+    for a, (u, v) in enumerate(zip(d.tails, d.heads)):
         adj[u].append(2 * a)
         adj[v].append(2 * a + 1)
-        cst += (c, -c)
-    return _reference_blocking_flow(adj, head, cap, cst, pot, excess)
+    cap, cst = _slot_arrays(x, cost)
+    delivered = _reference_blocking_flow(adj, head, cap, cst, pot, excess)
+    x[:] = cap[1::2]
+    return delivered
+
+
+def _solver_dijkstra(adj, head, x, cost, pot, excess):
+    """``_reference_dijkstra`` on the solver's residual state."""
+    return _reference_dijkstra(adj, head, *_slot_arrays(x, cost), pot, excess)
 
 
 def test_blocking_flow_matches_full_scan_reference(monkeypatch):
@@ -526,7 +547,7 @@ def test_blocking_flow_matches_full_scan_reference(monkeypatch):
 def test_dijkstra_matches_heap_reference(monkeypatch):
     instances = _all_instances()
     fast = [_outcome(solve, inst) for inst in instances]
-    monkeypatch.setattr(mincost, "_dijkstra", _reference_dijkstra)
+    monkeypatch.setattr(mincost, "_dijkstra", _solver_dijkstra)
     assert [_outcome(solve, inst) for inst in instances] == fast
 
 
@@ -537,9 +558,9 @@ def test_dijkstra_bound_matches_heap_reference(monkeypatch):
     fast = mincost._dijkstra
     calls = []
 
-    def compared(adj, head, cap, cst, pot, excess):
-        dist, bound = fast(adj, head, cap, cst, pot, excess)
-        ref_dist, ref_bound = _reference_dijkstra(adj, head, cap, cst, pot, excess)
+    def compared(adj, head, x, cost, pot, excess):
+        dist, bound = fast(adj, head, x, cost, pot, excess)
+        ref_dist, ref_bound = _solver_dijkstra(adj, head, x, cost, pot, excess)
         assert bound == ref_bound
         if bound is None:
             assert dist == ref_dist
@@ -581,14 +602,14 @@ def test_every_round_flow_is_maximal(monkeypatch):
     inner = mincost._round_flow
     leftovers = []
 
-    def checked(d, cost, pot, head, cap, excess):
-        delivered = inner(d, cost, pot, head, cap, excess)
+    def checked(d, cost, pot, head, x, excess):
+        delivered = inner(d, cost, pot, head, x, excess)
         tight = [[] for _ in range(d.node_count)]
         for a, (u, v, c) in enumerate(zip(d.tails, d.heads, cost)):
             if pot[u] + c == pot[v]:
                 tight[u].append(2 * a)
                 tight[v].append(2 * a + 1)
-        label = mincost._global_relabel(tight, head, cap, excess)
+        label = mincost._global_relabel(tight, head, x, excess)
         stuck = [v for v in range(d.node_count) if excess[v] > 0]
         assert all(label[v] == len(tight) for v in stuck)
         leftovers.append(bool(stuck))
@@ -710,6 +731,45 @@ def test_work_does_not_grow_with_weight_size(monkeypatch, instance):
     assert scaled.value == factor * base.value
     assert (scaled.source_set, scaled.sink_set) == (base.source_set, base.sink_set)
     assert scaled.potential == base.potential
+
+
+@pytest.mark.parametrize(
+    "instance, rounds, global_relabels",
+    [
+        (
+            lambda: oracle.sparse_instance(60, 240),
+            [(405, 323, 100), (2, 55, 26), (10, 11, 0)],
+            7,
+        ),
+        (lambda: parallelogram_dual(6, 6), [(59, 144, 39), (19, 90, 26)], 7),
+        (
+            lambda: oracle.sparse_instance(1000, 5000),
+            [(6745, 6838, 2538), (6, 19, 0), (27, 270, 131)],
+            9,
+        ),
+    ],
+    ids=["sparse-60", "parallelogram-6x6", "sparse-1000"],
+)
+def test_solver_work_is_pinned(monkeypatch, instance, rounds, global_relabels):
+    """Each round's ``(delivered, pushes, relabels)`` from push-relabel,
+    and the number of global relabels, on three seeded instances.  A
+    change to the flow engine that changes the work it does shows here."""
+    seen, relabels = [], []
+    inner_round, inner_relabel = mincost._push_relabel, mincost._global_relabel
+
+    def round_counted(*args):
+        seen.append(inner_round(*args))
+        return seen[-1]
+
+    def relabel_counted(*args):
+        relabels.append(None)
+        return inner_relabel(*args)
+
+    monkeypatch.setattr(mincost, "_push_relabel", round_counted)
+    monkeypatch.setattr(mincost, "_global_relabel", relabel_counted)
+    assert all(max_source_sink(*instance()).checks.values())
+    assert seen == rounds
+    assert len(relabels) == global_relabels
 
 
 # --- circuit decomposition ---------------------------------------------------

@@ -399,7 +399,9 @@ REJECTIONS = [
     (torus_grid(4, 4, 0), EulerError, "Euler check failed: 16 - 32 + 16 != 2"),
     (torus_grid(4, 4, 2), NotTwoConnectedError, "graph is disconnected"),
     (THETA, NoPerfectMatchingError, "|S| = 2 != |T| = 3"),
-    (HALL_VIOLATION, NoPerfectMatchingError, "graph has no perfect matching"),
+    (HALL_VIOLATION, NoPerfectMatchingError,
+     "graph has no perfect matching: the 3 S-nodes ['b1', 'b2', 'b3'] have only 2 "
+     "T-neighbours ['y1', 'y2']"),
 ]
 
 
@@ -472,7 +474,8 @@ def _matching_outcome(data):
     try:
         g = parse_validate(data)
     except NoPerfectMatchingError as exc:
-        return str(exc)
+        # the reference names no Hall violation after the colon
+        return str(exc).split(":")[0]
     _assert_perfect(g, g.matching)
     return "perfect"
 
@@ -534,6 +537,52 @@ def test_no_perfect_matching_is_reported(monkeypatch):
     for search in (perfect_matching, _reference_matching):
         with pytest.raises(NoPerfectMatchingError, match="no perfect matching"):
             search(g)
+
+
+def _assert_hall_violation(g, exc):
+    """``exc`` names S-nodes whose T-neighbours are exactly its T-nodes and
+    fewer than they are."""
+    ns = g.s_count
+    xs, nx = exc.s_nodes, exc.t_nodes
+    assert xs and all(v < ns for v in xs)
+    assert {t for s, t in g.edges if s in xs} == nx
+    assert len(nx) < len(xs)
+    names = sorted(g.node_name(v) for v in xs)
+    assert f"the {len(xs)} S-nodes {names!r} have only {len(nx)} T-neighbours" in str(exc)
+
+
+def test_no_perfect_matching_names_a_hall_violation(monkeypatch):
+    """The S-nodes that the last phase reaches from the free ones have
+    fewer T-neighbours than their own number: on ``HALL_VIOLATION`` and on
+    random bipartite graphs with |S| = |T|, where the reference search
+    finds no perfect matching exactly when the error is raised.
+    (``random_map``'s graphs, with at most three nodes a side, give no
+    such rejection: 40,000 draws gave none.)"""
+    monkeypatch.setattr(plane, "perfect_matching", lambda g: frozenset())
+    graphs = [parse_validate(HALL_VIOLATION)]
+    monkeypatch.undo()
+    rng = random.Random(2718)
+    for _ in range(400):
+        k = rng.randint(1, 6)
+        g = object.__new__(plane.PlaneBipartiteGraph)
+        g.s_names = tuple(f"s{i}" for i in range(k))
+        g.t_names = tuple(f"t{i}" for i in range(k))
+        g.edges = tuple(
+            (rng.randrange(k), k + rng.randrange(k)) for _ in range(rng.randint(0, 2 * k))
+        )
+        graphs.append(g)
+    violations = 0
+    for g in graphs:
+        try:
+            _assert_perfect(g, perfect_matching(g))
+        except NoPerfectMatchingError as exc:
+            _assert_hall_violation(g, exc)
+            violations += 1
+            with pytest.raises(NoPerfectMatchingError):
+                _reference_matching(g)
+        else:
+            _reference_matching(g)
+    assert violations > 100
 
 
 def test_orientation_degrees():
