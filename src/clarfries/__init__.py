@@ -5,18 +5,12 @@ dual."""
 from .digraph import (
     ArcClass,
     Digraph,
-    ViolatingCircuit,
     apply_reorientation,
     bidirect,
-    classify_arcs,
-    feasible_tension,
     is_circulation,
-    is_small_dropping,
     normalize_potential,
     potential_drops,
     sources_sinks,
-    verify_reorientable,
-    verify_source_sink,
 )
 from .errors import (
     BudgetExceeded,

@@ -124,10 +124,6 @@ class WeightPair(Record):
         return self.scale == 1
 
     @classmethod
-    def uniform(cls, node_count: int, value: Weight = 1) -> "WeightPair":
-        return cls((value,) * node_count, (value,) * node_count)
-
-    @classmethod
     def sink_only(cls, sink_weight: Sequence[Weight]) -> "WeightPair":
         return cls((0,) * len(sink_weight), tuple(sink_weight))
 

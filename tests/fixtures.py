@@ -1,6 +1,6 @@
 """Shared test fixtures: small digraphs, fused-hexagon plane graphs, torus
-grids, random maps, and the random instance generators of
-``clarfries.oracle``."""
+grids, a plane graph without a perfect matching, random maps, and the
+random instance generators of ``clarfries.oracle``."""
 
 from __future__ import annotations
 
@@ -247,6 +247,30 @@ def torus_grid(a: int, b: int, isolated: int) -> dict:
         "faces": faces,
         "outer": "q0_0",
     }
+
+
+# K_{2,3} (S-nodes a1, a2) and K_{3,2} (T-nodes y1, y2) drawn side by side
+# and joined by the edges a1-y1 and a2-y2: a valid plane bipartite graph
+# with |S| = |T| = 5 but no perfect matching, since x1, x2, x3 only see
+# a1 and a2
+HALL_VIOLATION = {
+    "S": ["a1", "a2", "b1", "b2", "b3"],
+    "T": ["x1", "x2", "x3", "y1", "y2"],
+    "edges": [
+        ["a1", "x1"], ["a1", "x2"], ["a1", "x3"], ["a2", "x1"], ["a2", "x2"],
+        ["a2", "x3"], ["b1", "y1"], ["b2", "y1"], ["b3", "y1"], ["b1", "y2"],
+        ["b2", "y2"], ["b3", "y2"], ["a1", "y1"], ["a2", "y2"],
+    ],
+    "faces": [
+        {"id": "q1", "boundary": [[0, "+"], [3, "-"], [4, "+"], [1, "-"]]},
+        {"id": "q2", "boundary": [[1, "+"], [4, "-"], [5, "+"], [2, "-"]]},
+        {"id": "mid", "boundary": [[2, "+"], [5, "-"], [13, "+"], [9, "-"], [6, "+"], [12, "-"]]},
+        {"id": "r1", "boundary": [[6, "-"], [9, "+"], [10, "-"], [7, "+"]]},
+        {"id": "r2", "boundary": [[7, "-"], [10, "+"], [11, "-"], [8, "+"]]},
+        {"id": "out", "boundary": [[12, "+"], [8, "-"], [11, "+"], [13, "-"], [3, "+"], [0, "-"]]},
+    ],
+    "outer": "out",
+}
 
 
 def random_map(rng: random.Random) -> dict:

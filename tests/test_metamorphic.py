@@ -17,6 +17,7 @@ from clarfries import (
     parse_validate,
     solve_clar_fries,
 )
+from clarfries.oracle import sparse_instance
 from clarfries.plane import NoPerfectMatchingError
 from fixtures import benzenoid, random_digraph, random_polyhex_centers
 
@@ -39,15 +40,26 @@ def _solved(d, weights):
     return cert
 
 
+def _reversed(d, w):
+    """``d`` with every arc reversed, and ``w`` with ``w_o`` and ``w_i``
+    swapped."""
+    return (
+        Digraph(d.node_count, list(zip(d.heads, d.tails))),
+        WeightPair(w.sink_weight, w.source_weight),
+    )
+
+
+def _scaled(w, q):
+    return WeightPair(tuple(q * x for x in w.source_weight), tuple(q * x for x in w.sink_weight))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(weighted_digraphs())
 def test_reversing_every_arc_and_swapping_the_weights_keeps_the_value(instance):
     """Reversing every arc turns sources into sinks and sinks into
     sources, so with ``w_o`` and ``w_i`` swapped the value stays."""
     d, w = instance
-    reverse = Digraph(d.node_count, list(zip(d.heads, d.tails)))
-    swapped = WeightPair(w.sink_weight, w.source_weight)
-    assert _solved(reverse, swapped).value == _solved(d, w).value
+    assert _solved(*_reversed(d, w)).value == _solved(d, w).value
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -57,10 +69,18 @@ def test_scaling_every_weight_scales_the_value(instance):
     the value by 7/3."""
     d, w = instance
     q = Fraction(7, 3)
-    scaled = WeightPair(
-        tuple(q * x for x in w.source_weight), tuple(q * x for x in w.sink_weight)
-    )
-    assert _solved(d, scaled).value == q * _solved(d, w).value
+    assert _solved(d, _scaled(w, q)).value == q * _solved(d, w).value
+
+
+def test_reversal_and_scaling_at_criterion_12_size():
+    """Both relations above on criterion 12's instance (10k nodes, 50k
+    arcs), whose value is 856: reversed with the weights swapped it keeps
+    856, and with every weight times 7/3 it reads 5992/3."""
+    d, w = sparse_instance(10_000, 50_000)
+    reversed_value = _solved(*_reversed(d, w)).value
+    scaled_value = _solved(d, _scaled(w, Fraction(7, 3))).value
+    print(f"report 12 metamorphic: reversed {reversed_value}, x7/3 {scaled_value}")
+    assert (reversed_value, scaled_value) == (856, Fraction(5992, 3))
 
 
 _choices = st.integers(0, 2**32 - 1).map(random.Random)

@@ -17,7 +17,6 @@ from clarfries import (
     InvariantError,
     McfSolution,
     SinkStableResult,
-    ViolatingCircuit,
     WeightPair,
     apply_reorientation,
     bidirect,
@@ -25,7 +24,6 @@ from clarfries import (
     clar_number,
     fries_number,
     is_circulation,
-    is_small_dropping,
     max_resonant,
     max_sink_stable,
     max_source_sink,
@@ -33,10 +31,9 @@ from clarfries import (
     solve,
     solve_clar_fries,
     sources_sinks,
-    verify_source_sink,
 )
 from clarfries import jsonio, sourcesink
-from clarfries.digraph import ArcClass, classify_arcs, potential_drops
+from clarfries.digraph import ArcClass, potential_drops
 from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
 from fixtures import (
@@ -51,6 +48,7 @@ from fixtures import (
     single_arc,
     two_cycle,
 )
+from reorientation import ViolatingCircuit, classify_arcs, verify_source_sink
 
 
 def ones(n):
@@ -141,8 +139,6 @@ def test_bad_pq_weights_keep_their_error(text, message):
 
 
 def test_weight_pair_helpers():
-    w = WeightPair.uniform(3)
-    assert w.source_weight == (1, 1, 1) and w.sink_weight == (1, 1, 1)
     w = WeightPair.sink_only((2, 0, 1))
     assert w.source_weight == (0, 0, 0)
     indicator = tuple(int(v in {1, 3}) for v in range(4))
@@ -638,13 +634,41 @@ def test_pair_becomes_sources_and_sinks():
         d = random_digraph(rng, max_nodes=6, max_arcs=9)
         w = random_weight_pair(rng, d.node_count)
         cert = max_source_sink(d, w)
-        assert is_small_dropping(d, cert.potential)
+        assert set(potential_drops(d, cert.potential)) <= {0, 1}
         flipped = apply_reorientation(d, cert.potential)
         srcs, snks = sources_sinks(flipped)
         assert cert.source_set <= srcs
         assert cert.sink_set <= snks
         witness = verify_source_sink(d, cert.source_set, cert.sink_set)
         assert isinstance(witness, tuple)
+
+
+def test_indicator_weights_decide_a_pair():
+    """Weight 1 on each node of S as a source and of T as a sink: the best
+    pair reaches |S| + |T| exactly when the reference decides (S, T)
+    feasible; otherwise the cover proves a smaller bound."""
+    rng = random.Random(33)
+    seen = set()
+    for _ in range(200):
+        d = random_digraph(rng, max_nodes=6, max_arcs=9)
+        nodes = list(range(d.node_count))
+        rng.shuffle(nodes)
+        k = rng.randint(0, len(nodes))
+        s = frozenset(nodes[: rng.randint(0, k)])
+        t = frozenset(nodes[len(s):k])
+        indicator = WeightPair(
+            tuple(int(v in s) for v in range(d.node_count)),
+            tuple(int(v in t) for v in range(d.node_count)),
+        )
+        cert = max_source_sink(d, indicator)
+        try:
+            feasible = isinstance(verify_source_sink(d, s, t), tuple)
+        except InputError:  # an arc inside S or T
+            feasible = False
+        assert (cert.value == len(s) + len(t)) == feasible
+        assert cert.cover.cost == cert.value <= len(s) + len(t)
+        seen.add(feasible)
+    assert seen == {True, False}
 
 
 def test_certificate_checks_catch_tampering():
