@@ -3,7 +3,6 @@ Clar/Fries numbers of plane bipartite graphs computed through the planar
 dual."""
 
 from .digraph import (
-    ArcClass,
     Digraph,
     apply_reorientation,
     bidirect,

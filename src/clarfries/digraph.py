@@ -4,12 +4,12 @@ A reorientation of a digraph reverses some subset of arcs.  The subsets that
 arise as disjoint unions of directed-cut arc sets are exactly those carrying
 an integer potential whose drop (head value minus tail value) is 1 on every
 reversed arc and 0 on every kept arc.  This module holds what the solver and
-its audit read of that correspondence: potential drops, the rule table that
-classes each arc against a prospective source set and sink set
-(:data:`ROLE_CLASS`), the reorientation a small-dropping potential makes,
-and the sources and sinks of a digraph.  Whether a pair of sets can be made
-sources and sinks at once is decided by the min-max formula in
-:mod:`clarfries.sourcesink`.
+its audit read of that correspondence: potential drops, the reorientation a
+small-dropping potential makes, and the sources and sinks of a digraph.  A
+pair of disjoint node sets is a source-sink pair when, after some such
+reorientation, no arc enters the source set and no arc leaves the sink
+set.  The best pair is found by the min-max formula in
+:mod:`clarfries.sourcesink`, whose audit checks a pair by that definition.
 
 All arithmetic is exact.  Potentials are integers; circulation values may
 be integers or ``Fraction``s.
@@ -29,7 +29,6 @@ why they are valid.
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Iterable, Sequence
 
 from .errors import InputError, brief
@@ -141,19 +140,6 @@ def bidirect(d: Digraph) -> Digraph:
     return d._bi
 
 
-class ArcClass(Enum):
-    """Role of an arc relative to a prospective source set and sink set.
-
-    Incorrect arcs must be reversed (they enter the source set or leave the
-    sink set), correct arcs must be kept (they leave the source set or enter
-    the sink set), neutral arcs are unconstrained.
-    """
-
-    CORRECT = "correct"
-    INCORRECT = "incorrect"
-    NEUTRAL = "neutral"
-
-
 def potential_drops(d: Digraph, potential: Sequence[int]) -> tuple[int, ...]:
     """Per-arc drop ``potential[head] - potential[tail]``."""
     if len(potential) != d.node_count:
@@ -164,38 +150,6 @@ def potential_drops(d: Digraph, potential: Sequence[int]) -> tuple[int, ...]:
 def normalize_potential(potential: Sequence[int]) -> tuple[int, ...]:
     low = min(potential)
     return tuple(p - low for p in potential)
-
-
-# The class of an arc u -> v at index 3 * role[u] + role[v] (roles as in
-# node_roles): an arc entering the source set or leaving the sink set is
-# incorrect, one leaving the source set or entering the sink set correct.
-# None marks an arc that would be both: its ends lie in one set.
-ROLE_CLASS = (
-    ArcClass.NEUTRAL, ArcClass.INCORRECT, ArcClass.CORRECT,
-    ArcClass.CORRECT, None, ArcClass.CORRECT,
-    ArcClass.INCORRECT, ArcClass.INCORRECT, None,
-)
-
-
-def node_roles(d: Digraph, source_set: Iterable[int], sink_set: Iterable[int]) -> bytearray:
-    """Each node's role: 1 in the source set, 2 in the sink set, else 0.
-
-    Raises :class:`InputError` when the sets overlap or name a node out of
-    range.
-    """
-    so = frozenset(source_set)
-    si = frozenset(sink_set)
-    if so & si:
-        raise InputError("source set and sink set overlap")
-    for v in so | si:
-        if not (0 <= v < d.node_count):
-            raise InputError(f"node {v} out of range")
-    role = bytearray(d.node_count)
-    for v in so:
-        role[v] = 1
-    for v in si:
-        role[v] = 2
-    return role
 
 
 def apply_reorientation(d: Digraph, potential: Sequence[int]) -> Digraph:

@@ -50,14 +50,7 @@ from math import lcm
 from typing import Sequence
 
 from . import mincost
-from .digraph import (
-    ROLE_CLASS,
-    ArcClass,
-    Digraph,
-    bidirect,
-    node_roles,
-    normalize_potential,
-)
+from .digraph import Digraph, bidirect, normalize_potential
 from .errors import InputError, InvariantError, brief
 from .record import Record, set_field
 
@@ -380,44 +373,50 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
 
     All entries must be true for a certificate produced by this module;
     they are recomputed from scratch so external consumers can audit a
-    stored certificate.  The audit is one pass over the arcs (potential
-    drops and the pair's arc classes, :data:`~clarfries.digraph.ROLE_CLASS`)
-    and one over the doubled arcs (the cover).  The cover, in units of
+    stored certificate.  The audit is one pass over the arcs and one over
+    the doubled arcs.  The first reads the potential's drops and checks
+    the pair by its definition: once the drop-1 arcs are reversed, no arc
+    enters a node of the source set and no arc leaves a node of the sink
+    set.  The second sums the cover.  The cover, in units of
     ``1/cover.scale``, and the weights, in units of ``1/weights.scale``,
     are compared cross-multiplied by each other's scale, in ints, so a
     cover proves its bound whatever positive scale it states.
     """
     d, weights, cover = cert.digraph, cert.weights, cert.cover
     ws, cs = weights.scale, cover.scale
+    n = d.node_count
+    source_set, sink_set = cert.source_set, cert.sink_set
     checks: dict[str, bool] = {}
-    checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
+    checks["pair_disjoint"] = disjoint = not (source_set & sink_set)
 
     potential = cert.potential
-    if len(potential) != d.node_count:
+    if len(potential) != n:
         raise InputError("potential length does not match node count")
-    if weights.node_count != d.node_count:
+    if weights.node_count != n:
         raise InputError("weight vectors must have one entry per node")
-    try:
-        role = node_roles(d, cert.source_set, cert.sink_set)
-    except InputError:
-        role = None
+    # which nodes an arc still enters, and which it still leaves, once the
+    # drop-1 arcs are reversed; an arc that drops by neither 0 nor 1 is
+    # reoriented by no cut, so it marks both of its ends both ways
+    entered = bytearray(n)
+    left = bytearray(n)
     small = True
-    verified = role is not None
-    incorrect, correct = ArcClass.INCORRECT, ArcClass.CORRECT
     for u, v in zip(d.tails, d.heads):
         dr = potential[v] - potential[u]
-        if dr != 0 and dr != 1:
+        if dr == 0:
+            left[u] = entered[v] = 1
+        elif dr == 1:
+            left[v] = entered[u] = 1
+        else:
             small = False
-        if verified:
-            cl = ROLE_CLASS[3 * role[u] + role[v]]
-            if cl is incorrect:
-                verified = dr == 1
-            elif cl is correct:
-                verified = dr == 0
-            elif cl is None:  # both ends in one set: the pair is unstable
-                verified = False
+            left[u] = entered[u] = left[v] = entered[v] = 1
+    in_range = all(0 <= v < n for v in source_set | sink_set)
     checks["potential_small_dropping"] = small
-    checks["pair_verified"] = verified
+    checks["pair_verified"] = (
+        disjoint
+        and in_range
+        and not any(entered[v] for v in source_set)
+        and not any(left[v] for v in sink_set)
+    )
 
     doubled = bidirect(d)
     if len(cover.out_cover) != doubled.arc_count:
@@ -426,9 +425,9 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     # one pass over the doubled arcs: what each cover sends out of or into
     # each node, the net flow of their sum at each node, and whether each
     # nonzero entry is a whole multiple of the cover's scale
-    out_at = [0] * d.node_count
-    in_at = [0] * d.node_count
-    net = [0] * d.node_count
+    out_at = [0] * n
+    in_at = [0] * n
+    net = [0] * n
     integral = True
     for u, v, zo, zi in zip(doubled.tails, doubled.heads, cover.out_cover, cover.in_cover):
         if zo:
@@ -449,9 +448,9 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     if weights.integral:
         checks["cover_integral"] = integral
 
-    if all(0 <= v < d.node_count for v in cert.source_set | cert.sink_set):
-        pair_units = sum(weights.source_units[v] for v in cert.source_set) + sum(
-            weights.sink_units[v] for v in cert.sink_set
+    if in_range:
+        pair_units = sum(weights.source_units[v] for v in source_set) + sum(
+            weights.sink_units[v] for v in sink_set
         )
         checks["minmax_equal"] = pair_units * cs == cover.charge * ws and cert.value == cover.cost
     else:

@@ -8,19 +8,16 @@ carrying an integer potential whose drop (head value minus tail value) is
 such questions directly, as difference constraints, independently of the
 min-cost circulation that :mod:`clarfries.sourcesink` solves: the tests
 compare the solver's pairs and the oracle's reorientations against it.
+Its arc-class table (:data:`ROLE_CLASS`) states the pair rule per arc,
+so the tests can hold the audit's sources-and-sinks check against it.
 """
 
 from __future__ import annotations
 
+from enum import Enum
 from typing import Iterable, Sequence
 
-from clarfries.digraph import (
-    ROLE_CLASS,
-    ArcClass,
-    Digraph,
-    node_roles,
-    normalize_potential,
-)
+from clarfries.digraph import Digraph, normalize_potential
 from clarfries.errors import InputError, InvariantError
 from clarfries.record import Record
 
@@ -135,6 +132,51 @@ def verify_reorientable(
     lower = [1 if a in rset else 0 for a in range(d.arc_count)]
     upper = [0 if a in fset else 1 for a in range(d.arc_count)]
     return feasible_tension(d, lower, upper)
+
+
+class ArcClass(Enum):
+    """Role of an arc relative to a prospective source set and sink set.
+
+    Incorrect arcs must be reversed (they enter the source set or leave the
+    sink set), correct arcs must be kept (they leave the source set or enter
+    the sink set), neutral arcs are unconstrained.
+    """
+
+    CORRECT = "correct"
+    INCORRECT = "incorrect"
+    NEUTRAL = "neutral"
+
+
+# The class of an arc u -> v at index 3 * role[u] + role[v] (roles as in
+# node_roles): an arc entering the source set or leaving the sink set is
+# incorrect, one leaving the source set or entering the sink set correct.
+# None marks an arc that would be both: its ends lie in one set.
+ROLE_CLASS = (
+    ArcClass.NEUTRAL, ArcClass.INCORRECT, ArcClass.CORRECT,
+    ArcClass.CORRECT, None, ArcClass.CORRECT,
+    ArcClass.INCORRECT, ArcClass.INCORRECT, None,
+)
+
+
+def node_roles(d: Digraph, source_set: Iterable[int], sink_set: Iterable[int]) -> bytearray:
+    """Each node's role: 1 in the source set, 2 in the sink set, else 0.
+
+    Raises :class:`InputError` when the sets overlap or name a node out of
+    range.
+    """
+    so = frozenset(source_set)
+    si = frozenset(sink_set)
+    if so & si:
+        raise InputError("source set and sink set overlap")
+    for v in so | si:
+        if not (0 <= v < d.node_count):
+            raise InputError(f"node {v} out of range")
+    role = bytearray(d.node_count)
+    for v in so:
+        role[v] = 1
+    for v in si:
+        role[v] = 2
+    return role
 
 
 def classify_arcs(

@@ -17,7 +17,7 @@ from clarfries import (
     parse_validate,
     solve_clar_fries,
 )
-from clarfries.oracle import sparse_instance
+from clarfries.oracle import acyclic_instance, sparse_instance
 from clarfries.plane import NoPerfectMatchingError
 from fixtures import benzenoid, random_digraph, random_polyhex_centers
 
@@ -73,14 +73,21 @@ def test_scaling_every_weight_scales_the_value(instance):
 
 
 def test_reversal_and_scaling_at_criterion_12_size():
-    """Both relations above on criterion 12's instance (10k nodes, 50k
-    arcs), whose value is 856: reversed with the weights swapped it keeps
-    856, and with every weight times 7/3 it reads 5992/3."""
-    d, w = sparse_instance(10_000, 50_000)
-    reversed_value = _solved(*_reversed(d, w)).value
-    scaled_value = _solved(d, _scaled(w, Fraction(7, 3))).value
-    print(f"report 12 metamorphic: reversed {reversed_value}, x7/3 {scaled_value}")
-    assert (reversed_value, scaled_value) == (856, Fraction(5992, 3))
+    """Both relations above at scale, every certificate fully checked: on
+    criterion 12's instance (10k nodes, 50k arcs), whose value is 856,
+    and on the acyclic instance of the same shape at 2k nodes and 10k
+    arcs, where every node can become a source or a sink and the value is
+    3115.  Reversed with the weights swapped each keeps its value, and
+    with every weight times 7/3 it reads 5992/3 and 21805/3."""
+    q = Fraction(7, 3)
+    for name, (d, w), value in (
+        ("12", sparse_instance(10_000, 50_000), 856),
+        ("acyclic", acyclic_instance(2000, 10_000), 3115),
+    ):
+        reversed_value = _solved(*_reversed(d, w)).value
+        scaled_value = _solved(d, _scaled(w, q)).value
+        print(f"report {name} metamorphic: reversed {reversed_value}, x7/3 {scaled_value}")
+        assert (reversed_value, scaled_value) == (value, q * value)
 
 
 _choices = st.integers(0, 2**32 - 1).map(random.Random)

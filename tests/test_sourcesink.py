@@ -33,7 +33,7 @@ from clarfries import (
     sources_sinks,
 )
 from clarfries import jsonio, sourcesink
-from clarfries.digraph import ArcClass, potential_drops
+from clarfries.digraph import potential_drops
 from clarfries.jsonio import certificate_to_json
 from clarfries.sourcesink import certificate_checks, extract_cover, extract_pair
 from fixtures import (
@@ -48,7 +48,7 @@ from fixtures import (
     single_arc,
     two_cycle,
 )
-from reorientation import ViolatingCircuit, classify_arcs, verify_source_sink
+from reorientation import ArcClass, ViolatingCircuit, classify_arcs, verify_source_sink
 
 
 def ones(n):
@@ -758,6 +758,23 @@ def _doctored_certificates(cert):
         potential = list(cert.potential)
         potential[v] = potential[u] + step
         yield cert.replace(potential=tuple(potential))
+    # the first arc's ends in each (none/source/sink)^2 role pair, at drop
+    # 0 and at drop 1: every cell of the arc-class table
+    others = (cert.source_set - {u, v}, cert.sink_set - {u, v})
+    for role_u in range(3):
+        for role_v in range(3):
+            sets = [set(others[0]), set(others[1])]
+            for node, role in ((u, role_u), (v, role_v)):
+                if role:
+                    sets[role - 1].add(node)
+            for step in (0, 1):
+                potential = list(cert.potential)
+                potential[v] = potential[u] + step
+                yield cert.replace(
+                    source_set=frozenset(sets[0]),
+                    sink_set=frozenset(sets[1]),
+                    potential=tuple(potential),
+                )
     doubled = cover.replace(
         out_cover=tuple(2 * x for x in cover.out_cover),
         in_cover=tuple(2 * x for x in cover.in_cover),
@@ -772,7 +789,9 @@ def test_one_pass_audit_matches_three_pass_reference():
     """The one-pass audit gives the three-pass audit's dict, key order
     included, on the seeded sweeps and on
     certificates doctored to overlap, leave the node range, be unstable,
-    drop by 2 or -1, or hold an entry that its scale does not divide.  None
+    drop by 2 or -1, put the first arc's ends in each of the nine role
+    pairs at drop 0 and at drop 1, or hold an entry that its scale does
+    not divide.  None
     of them raises, and a pair that names a node out of range fails
     ``pair_verified`` and ``minmax_equal``.  A cover entry that is no int
     cannot be built (``test_a_cover_entry_must_be_an_int``)."""
