@@ -9,7 +9,7 @@ solve.  The decode steps call the ``jsonio`` and ``plane`` readers through
 their modules, so a wrapper installed on one at run time sees the call.
 The ``cmd_*`` function maps that and the arguments to the JSON
 payload it answers with.  :func:`main` alone loads and decodes the file,
-runs the command, prints the payload and picks the exit code: 0 success,
+runs the command, writes the payload and picks the exit code: 0 success,
 1 input error, 2 internal invariant failure, 3 solver/oracle disagreement
 in verify mode.
 """
@@ -20,6 +20,7 @@ import argparse
 import functools
 import gc
 import json
+import os
 import random
 import sys
 
@@ -39,16 +40,14 @@ def _load(path: str):
             raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
-def _emit(obj: dict, pretty: bool) -> None:
+def _dumps(obj: dict, pretty: bool) -> str:
     try:
         if pretty:
-            text = json.dumps(obj, indent=2, sort_keys=False)
-        else:
-            text = json.dumps(obj, separators=(",", ":"))
+            return json.dumps(obj, indent=2, sort_keys=False)
+        return json.dumps(obj, separators=(",", ":"))
     except ValueError as exc:
         # the interpreter's int-string digit limit, as in _load
         raise InputError(jsonio.ANSWER_TOO_LONG) from exc
-    print(text)
 
 
 def _as_read(data, args):
@@ -259,7 +258,8 @@ def main(argv=None) -> int:
     Bad input, a command line that does not parse, a budget exceeded, an
     unreadable file and running out of memory exit 1 with one
     ``{"error": ...}`` object on stdout; ``-h`` prints the help and exits 0
-    through ``SystemExit``.
+    through ``SystemExit``.  Stdout is written once; a write that fails,
+    as on a closed pipe, exits 1 with one ``error:`` line on stderr.
     """
     pretty = False  # a command line that does not parse gets compact output
     gc_was_enabled = gc.isenabled()
@@ -271,25 +271,32 @@ def main(argv=None) -> int:
         # when that returns
         request = args.decode(None if args.input is None else _load(args.input), args)
         payload = args.fn(request, args)
-        _emit(payload, pretty)
-        return 3 if args.fn is cmd_verify and not payload["agree"] else 0
+        code = 3 if args.fn is cmd_verify and not payload["agree"] else 0
+        text = _dumps(payload, pretty)
+        note = None
     except (InputError, BudgetExceeded, OSError) as exc:
-        _emit({"error": str(exc)}, pretty)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, note, text = 1, f"error: {exc}", _dumps({"error": str(exc)}, pretty)
     except MemoryError:
         # an input too large for this machine is bad input too; the
         # exception's own text is empty
-        _emit({"error": "out of memory"}, pretty)
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        code, note, text = 1, "error: out of memory", _dumps({"error": "out of memory"}, pretty)
     except InvariantError as exc:
-        _emit({"error": str(exc), "kind": "internal"}, pretty)
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 2
+        code, note = 2, f"internal error: {exc}"
+        text = _dumps({"error": str(exc), "kind": "internal"}, pretty)
     finally:
         if gc_was_enabled:
             gc.enable()
+    try:
+        sys.stdout.write(text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write the answer: {exc}", file=sys.stderr)
+        # so that the interpreter's flush of stdout at exit stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    if note is not None:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -377,7 +377,9 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     the doubled arcs.  The first reads the potential's drops and checks
     the pair by its definition: once the drop-1 arcs are reversed, no arc
     enters a node of the source set and no arc leaves a node of the sink
-    set.  The second sums the cover.  The cover, in units of
+    set; a pair entry that is no int, a bool included, names no node and
+    fails the pair's checks, and a potential entry that is no int is an
+    input error.  The second sums the cover.  The cover, in units of
     ``1/cover.scale``, and the weights, in units of ``1/weights.scale``,
     are compared cross-multiplied by each other's scale, in ints, so a
     cover proves its bound whatever positive scale it states.
@@ -392,6 +394,8 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
     potential = cert.potential
     if len(potential) != n:
         raise InputError("potential length does not match node count")
+    if not set(map(type, potential)) <= {int}:
+        raise InputError("potential entries must be ints")
     if weights.node_count != n:
         raise InputError("weight vectors must have one entry per node")
     # which nodes an arc still enters, and which it still leaves, once the
@@ -409,7 +413,9 @@ def certificate_checks(cert: SourceSinkCertificate) -> dict:
         else:
             small = False
             left[u] = entered[u] = left[v] = entered[v] = 1
-    in_range = all(0 <= v < n for v in source_set | sink_set)
+    # a node id is an int, and a bool is none
+    pair = source_set | sink_set
+    in_range = set(map(type, pair)) <= {int} and all(0 <= v < n for v in pair)
     checks["potential_small_dropping"] = small
     checks["pair_verified"] = (
         disjoint

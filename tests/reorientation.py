@@ -162,14 +162,14 @@ def node_roles(d: Digraph, source_set: Iterable[int], sink_set: Iterable[int]) -
     """Each node's role: 1 in the source set, 2 in the sink set, else 0.
 
     Raises :class:`InputError` when the sets overlap or name a node out of
-    range.
+    range; an entry that is not an int, a bool included, is out of range.
     """
     so = frozenset(source_set)
     si = frozenset(sink_set)
     if so & si:
         raise InputError("source set and sink set overlap")
     for v in so | si:
-        if not (0 <= v < d.node_count):
+        if type(v) is not int or not (0 <= v < d.node_count):
             raise InputError(f"node {v} out of range")
     role = bytearray(d.node_count)
     for v in so:

@@ -1,11 +1,7 @@
 import gc
 import json
-import os
-import subprocess
-import sys
 import weakref
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -333,20 +329,6 @@ def test_error_message_cuts_a_huge_value_short(capsys, tmp_path, name, w_o):
     assert code == 1
     assert len(captured.out) < 1000 and len(captured.err) < 1000
     assert list(json.loads(captured.out)) == ["error"]
-
-
-def test_fresh_cli_import_loads_no_dataclasses():
-    # every module a fresh process imports is paid on each CLI call
-    code = (
-        "import sys; before = set(sys.modules); import clarfries.cli; "
-        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
-    )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("pretty", [[], ["--pretty"]], ids=["compact", "pretty"])

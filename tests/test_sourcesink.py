@@ -690,6 +690,8 @@ def _reference_certificate_checks(cert):
     scale = cover.scale
     checks = {}
     checks["pair_disjoint"] = not (cert.source_set & cert.sink_set)
+    if not all(type(p) is int for p in cert.potential):
+        raise InputError("potential entries must be ints")
     drops = potential_drops(d, cert.potential)
     checks["potential_small_dropping"] = all(dr in (0, 1) for dr in drops)
     try:
@@ -726,7 +728,7 @@ def _reference_certificate_checks(cert):
             x % scale == 0 for z in (cover.out_cover, cover.in_cover) for x in z
         )
     pair = cert.source_set | cert.sink_set
-    if all(0 <= v < d.node_count for v in pair):
+    if _in_range(pair, d.node_count):
         pair_weight = sum(weights.source_weight[v] for v in cert.source_set) + sum(
             weights.sink_weight[v] for v in cert.sink_set
         )
@@ -734,6 +736,11 @@ def _reference_certificate_checks(cert):
     else:
         checks["minmax_equal"] = False
     return checks
+
+
+def _in_range(nodes, n):
+    """Whether every entry of ``nodes`` is a node id below ``n``: an int, not a bool."""
+    return all(type(v) is int and 0 <= v < n for v in nodes)
 
 
 def _audit(checks, cert):
@@ -754,6 +761,12 @@ def _doctored_certificates(cert):
     yield cert.replace(source_set=cert.source_set | {-1})  # out of range
     yield cert.replace(sink_set=cert.sink_set | {n})  # out of range and unweighable
     yield cert.replace(source_set=frozenset({u, v}), sink_set=frozenset())  # unstable
+    for node in ("a", 0.5):  # no node id
+        yield cert.replace(sink_set=cert.sink_set | {node})
+    for index, entry in ((u, "a"), (v, float(cert.potential[v]))):  # no int
+        potential = list(cert.potential)
+        potential[index] = entry
+        yield cert.replace(potential=tuple(potential))
     for step in (2, -1):
         potential = list(cert.potential)
         potential[v] = potential[u] + step
@@ -787,29 +800,34 @@ def _doctored_certificates(cert):
 
 def test_one_pass_audit_matches_three_pass_reference():
     """The one-pass audit gives the three-pass audit's dict, key order
-    included, on the seeded sweeps and on
-    certificates doctored to overlap, leave the node range, be unstable,
-    drop by 2 or -1, put the first arc's ends in each of the nine role
-    pairs at drop 0 and at drop 1, or hold an entry that its scale does
-    not divide.  None
-    of them raises, and a pair that names a node out of range fails
-    ``pair_verified`` and ``minmax_equal``.  A cover entry that is no int
-    cannot be built (``test_a_cover_entry_must_be_an_int``)."""
+    included, on the seeded sweeps and on certificates doctored to
+    overlap, leave the node range, name a node that is no int, hold a
+    potential entry that is no int, be unstable, drop by 2 or -1, put the
+    first arc's ends in each of the nine role pairs at drop 0 and at drop
+    1, or hold an entry that its scale does not divide.  Only a potential
+    entry that is no int raises, an ``InputError`` from both, and a pair
+    that names a node out of range fails ``pair_verified`` and
+    ``minmax_equal``.  A cover entry that is no int cannot be built
+    (``test_a_cover_entry_must_be_an_int``)."""
     certs = [max_source_sink(d, w) for d, w in reference_instances()]
     certs += [max_source_sink(d, w) for d, w, _ in _random_pq_instances(14, 30)]
     failed = set()
-    out_of_range = 0
+    out_of_range = raised = 0
     for cert in certs:
         n = cert.digraph.node_count
         for doctored in _doctored_certificates(cert):
             fast = _audit(certificate_checks, doctored)
             assert fast == _audit(_reference_certificate_checks, doctored)
+            if fast == (InputError, "potential entries must be ints"):
+                raised += 1
+                continue
             checks = dict(fast)
             failed.update(k for k, ok in checks.items() if not ok)
-            if not all(0 <= v < n for v in doctored.source_set | doctored.sink_set):
+            if not _in_range(doctored.source_set | doctored.sink_set, n):
                 assert not checks["pair_verified"] and not checks["minmax_equal"]
                 out_of_range += 1
-    assert out_of_range == 2 * len(certs)
+    assert out_of_range == 4 * len(certs)
+    assert raised == 2 * len(certs)
     assert failed == {
         "pair_disjoint", "potential_small_dropping", "pair_verified", "cover_out",
         "cover_in", "cover_circulation", "cover_integral", "minmax_equal",
@@ -818,7 +836,9 @@ def test_one_pass_audit_matches_three_pass_reference():
 
 def test_a_pair_naming_a_node_out_of_range_fails_its_checks():
     """Node n has no weight to read and node -1 must not read node n - 1's:
-    either one fails the pair's two checks, with no exception."""
+    either one fails the pair's two checks, with no exception.  So does an
+    entry that is no node id: a str, a float, or a bool, which would read
+    node 1's."""
     cert = max_source_sink(single_arc(), WeightPair((0, 1), (1, 0)))
     assert (cert.source_set, cert.sink_set, cert.value) == ({1}, {0}, 2)
     expected = {
@@ -826,8 +846,8 @@ def test_a_pair_naming_a_node_out_of_range_fails_its_checks():
         "pair_verified": False, "cover_out": True, "cover_in": True,
         "cover_circulation": True, "cover_integral": True, "minmax_equal": False,
     }
-    for node in (-1, 2):
-        doctored = cert.replace(sink_set=cert.sink_set | {node})
+    copies = [cert.replace(sink_set=cert.sink_set | {node}) for node in (-1, 2, "a", 0.5)]
+    for doctored in copies + [cert.replace(source_set=frozenset({True}))]:
         assert certificate_checks(doctored) == expected
         assert _reference_certificate_checks(doctored) == expected
 
