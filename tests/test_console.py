@@ -3,11 +3,10 @@
 Each run starts ``python -m clarfries.cli`` in a new interpreter whose
 ``PYTHONPATH`` is the directory that holds the imported ``clarfries``, and
 checks the CLI's contract: exit 0 or 1, stdout one JSON object, on one
-line unless ``--pretty``, only the key ``"error"`` on exit 1, and neither
-``Traceback`` nor ``Exception ignored`` on stderr; with stdout a closed
+line unless ``--pretty``, only the key ``"error"`` on exit 1, and no
+``Traceback`` or ``Exception ignored`` on stderr; with stdout a closed
 pipe, exit 1 and one ``error:`` line on stderr.  A row of ``ROWS`` is one
-run: its command line, its input, its exit code and what it must answer.
-"""
+run: its command line, input, exit code and what it must answer."""
 
 import functools
 import json
@@ -30,12 +29,10 @@ PROBE = str(Path(__file__).resolve().parents[1] / "tools" / "scale_probe.py")
 ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"} | {"PYTHONPATH": SRC}
 
 
-def fresh(argv, cwd, stdout=subprocess.PIPE, timeout=20):
+def fresh(argv, cwd, stdout=subprocess.PIPE):
     """``python *argv`` in a new interpreter that imports this ``clarfries``."""
-    return subprocess.run(
-        [sys.executable, *argv], cwd=cwd, env=ENV,
-        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
-    )
+    return subprocess.run([sys.executable, *argv], cwd=cwd, env=ENV, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=20)
 
 
 def run(cwd, data, *argv, code=0, pipe=False):
@@ -65,18 +62,16 @@ def run(cwd, data, *argv, code=0, pipe=False):
 
 def proved(out, value):
     """``out`` answers ``value`` and its certificate proves it, every check true."""
-    cert = out.get("certificate", out)
-    checked = all(cert["checks"].values())
-    return checked and out["value"] == cert["value"] == cert["cover_cost"] == value
+    c = out.get("certificate", out)
+    return all(c["checks"].values()) and out["value"] == c["value"] == c["cover_cost"] == value
 
 
 def weighted_19x24():
     data = benzenoid([(q, r) for q in range(19) for r in range(24)])
     rng = random.Random(1924)
     inner = [f["id"] for f in data["faces"] if f["id"] != data["outer"]]
-    data["w1"] = {f: rng.randint(0, 5) for f in inner}
-    data["w2"] = {f: rng.randint(0, 5) for f in inner}
-    return data
+    return {**data, "w1": {f: rng.randint(0, 5) for f in inner},
+            "w2": {f: rng.randint(0, 5) for f in inner}}
 
 
 def row(name, argv, data=None, code=1, check=None, pipe=False):
@@ -95,9 +90,8 @@ ROWS = [
     row("command-line-does-not-parse", "verify --random abc"),
     row("acene-1500-clar", "clar in.json", ACENE_1500, 0, lambda done, out: out["value"] == 1),
     row("torus-with-isolated-nodes", "clar in.json", lambda: torus_grid(4, 4, 2)),
-    row("hall-violation-named", "clar in.json", HALL_VIOLATION, 1, lambda done, out: (
-        "S-nodes ['b1', 'b2', 'b3']" in out["error"]
-        and "T-neighbours ['y1', 'y2']" in out["error"])),
+    row("hall-violation-named", "clar in.json", HALL_VIOLATION, 1, lambda done, out: all(
+        p in out["error"] for p in ("S-nodes ['b1', 'b2', 'b3']", "T-neighbours ['y1', 'y2']"))),
     row("plane-file-holds-a-json-string", "clar in.json", "{"),
     row("plane-file-holds-benzene-as-a-string", "clar in.json", json.dumps(BENZENE)),
     row("non-utf8-input", "solve-digraph in.json", b'{"nodes": ["\xff"], "arcs": []}'),
@@ -146,20 +140,28 @@ def test_console(tmp_path, argv, data, code, check, pipe):
     assert check is None or check(done, out), out
 
 
-def test_scale_probe_solves_the_acyclic_2000_node_instance(tmp_path):
-    # a text report, not the CLI: no JSON contract to check
-    done = fresh([PROBE, "2000", "--acyclic"], tmp_path, timeout=None)
-    assert done.returncode == 0 and "Traceback" not in done.stderr, done.stderr
-    assert "value            3115" in done.stdout.splitlines(), done.stdout
+@pytest.fixture(scope="module", autouse=True)
+def probe():
+    """The scale probe, a text report and not the CLI's JSON, started with the
+    module's first test so that its 3 s run on a core the rows leave idle."""
+    with subprocess.Popen([sys.executable, PROBE, "2000", "--acyclic"], env=ENV, text=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        yield proc
+        proc.kill()
+
+
+def test_scale_probe_solves_the_acyclic_2000_node_instance(probe):
+    out, err = probe.communicate(timeout=120)
+    assert probe.returncode == 0 and "Traceback" not in err, err
+    assert "value            3115" in out.splitlines(), out
 
 
 def test_acyclic_2000_and_its_reversal_answer_alike(tmp_path):
     # reversing every arc and swapping w_o with w_i keeps the value
     d, w = acyclic_instance(2000, 10000)
     names = [f"v{i}" for i in range(d.node_count)]
-    arcs = list(zip(d.tails, d.heads))
-    for arcs, w_o, w_i in ((arcs, w.source_weight, w.sink_weight),
-                           ([(v, u) for u, v in arcs], w.sink_weight, w.source_weight)):
+    for arcs, w_o, w_i in ((zip(d.tails, d.heads), w.source_weight, w.sink_weight),
+                           (zip(d.heads, d.tails), w.sink_weight, w.source_weight)):
         data = {"nodes": names, "arcs": [[names[u], names[v]] for u, v in arcs],
                 "w_o": dict(zip(names, w_o)), "w_i": dict(zip(names, w_i))}
         assert proved(run(tmp_path, data, "solve-digraph", "in.json")[1], 3115)
@@ -183,8 +185,7 @@ def test_pq_weights_and_the_same_weights_x4_answer_alike(tmp_path):
               for w_o, w_i in (({"a": "1/2", "c": "1/4"}, {"d": "3/4", "b": "5/2"}),
                                ({"a": 2, "c": 1}, {"d": 3, "b": 10})))
     assert proved(pq, "7/2") and proved(x4, 14)
-    for key in ("Y_o", "Y_i", "potential"):
-        assert pq[key] == x4[key], key
+    assert all(pq[key] == x4[key] for key in ("Y_o", "Y_i", "potential"))
     for key in ("z_o", "z_i"):
         a, b = pq["cover"][key], x4["cover"][key]
         assert [arc for arc, _ in a] == [arc for arc, _ in b], key
@@ -196,5 +197,4 @@ def test_fresh_cli_import_loads_no_dataclasses(tmp_path):
     code = ("import sys; before = set(sys.modules); import clarfries.cli; "
             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     done = fresh(["-c", code], tmp_path)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.returncode == 0 and done.stdout == "[]\n", done.stderr
